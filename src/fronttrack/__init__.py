@@ -13,15 +13,13 @@ __version__ = "0.1.0"
 from .fluxes import (Flux, SpeedEnvelope, AssumptionReport, make_builtin_flux,
                      audit_assumptions, certify, speed_envelope, default_envelope,
                      InvalidFluxParams)
-from .stationary import (g_of, solve_level, stationary_profile, StationaryProfile,
-                         inversion_gap_bound, InversionError, TOL_INV)
-from .riemann import (classify, front_speed, build_fan, solve_riemann, RiemannFan,
-                      ApproxFlux, approx_flux_eval, approx_flux_dx,
-                      DegenerateStatesError)
+from .stationary import (g_of, solve_level, profile_slope, inversion_gap_bound,
+                         InversionError, TOL_INV)
+from .riemann import ApproxFlux
 from .tracker import (Front, FrontField, Event, EventLog, Tracker, TrackedSolution,
-                      quantize_initial, initial_fronts, sample_u, sample_g, tv_g,
-                      l1_g_distance, empty_field, AdmissibilityError,
-                      WindowExitError, TOL_POS, TOL_EVENT)
+                      quantize_initial, initial_fronts, rh_speed, sample_u, sample_g,
+                      tv_g, l1_g_distance, empty_field, AdmissibilityError,
+                      DegenerateStatesError, WindowExitError, TOL_POS, TOL_EVENT)
 from .profiles import make_initial, smooth_bump, smooth_bump_prime
 from .validation import (TestFunction, QuadSpec, kruzkov_residual,
                          approx_kruzkov_residual, entropy_battery, entropy_tol,

@@ -70,6 +70,9 @@ class RunConfig:
             raise ConfigError("run", "t_end", "must be nonnegative")
         if not self.window[1] > self.window[0]:
             raise ConfigError("run", "window", "must be a nondegenerate interval")
+        for option in ("cells", "resolution"):
+            if getattr(self, option) < 1:
+                raise ConfigError("run", option, "must be at least 1")
         if sorted(self.output_times) != list(self.output_times):
             raise ConfigError("run", "output_times", "must be sorted")
         if self.output_times and not (0.0 <= self.output_times[0]
@@ -92,7 +95,10 @@ def _parse_floats(text):
 
 def load_config(path):
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as e:
+        raise ConfigError("-", "-", f"malformed config file: {e}") from None
     if not read:
         raise ConfigError("-", "-", f"cannot read config file {path!r}")
 
@@ -144,8 +150,8 @@ def load_config(path):
 
     tolerances = {}
     if parser.has_section("tolerances"):
-        for k, v in parser.items("tolerances"):
-            tolerances[k] = float(v)
+        for k in parser.options("tolerances"):
+            tolerances[k] = need("tolerances", k, float)
 
     cfg = RunConfig(
         flux_family=flux_family,
@@ -175,7 +181,13 @@ def _fmt(v):
 
 def emit_profile(flux, field_, window, resolution, path):
     """CSV of x,u,g at `resolution` uniform points over the given window."""
-    _emit_profile_csv(flux, field_, window, resolution, path)
+    xs = np.linspace(window[0], window[1], int(resolution))
+    us = sample_u(flux, field_, xs)
+    gs = sample_g(field_, xs)
+    with open(path, "w", newline="\n") as fh:
+        fh.write("x,u,g\n")
+        for x, u, g in zip(xs, us, gs):
+            fh.write(f"{_fmt(x)},{_fmt(u)},{_fmt(g)}\n")
 
 
 def emit_events(log, path):
@@ -384,14 +396,27 @@ def _build_flux(cfg):
     return make_builtin_flux(cfg.flux_family, **params)
 
 
+def _from_config(section, option, build, *args, **kwargs):
+    """build(*args, **kwargs); the ValueError or KeyError it raises on a bad
+    config value becomes a ConfigError naming [section] option."""
+    try:
+        return build(*args, **kwargs)
+    except (ValueError, KeyError) as e:
+        raise ConfigError(section, option, f"{type(e).__name__}: {e}") from None
+
+
 def run(cfg, out_dir, verbose=False):
-    """Execute one configured experiment; returns (manifest dict, exit status)."""
+    """Execute one configured experiment; returns (manifest dict, exit status).
+
+    Raises ConfigError if the flux, the initial profile or the tracker cannot
+    be built from the config.
+    """
     started = _time.perf_counter()
-    os.makedirs(out_dir, exist_ok=True)
     say = print if verbose else (lambda *_: None)
 
-    flux = _build_flux(cfg)
-    u0 = make_initial(cfg.u0_name, **cfg.u0_params)
+    flux = _from_config("flux", "family", _build_flux, cfg)
+    u0 = _from_config("initial", "profile", make_initial, cfg.u0_name, **cfg.u0_params)
+    os.makedirs(out_dir, exist_ok=True)
 
     lo, hi = cfg.window
     probe = np.linspace(lo, hi, 4097)
@@ -433,7 +458,8 @@ def run(cfg, out_dir, verbose=False):
     margin = envelope.lipschitz_L(u_sup) * cfg.t_end + 0.05 * (hi - lo) + cfg.delta
     work_window = (lo - margin, hi + margin)
     envelope = default_envelope(flux, work_window, u_sup + cfg.delta)
-    tracker = Tracker(flux, cfg.delta, work_window, h_ode=h_ode)
+    tracker = _from_config("tolerances", "h_ode", Tracker, flux, cfg.delta,
+                           work_window, h_ode=h_ode)
     field0 = quantize_initial(flux, u0, cfg.delta, cfg.window, cfg.cells)
     say(f"quantized: {field0.n_fronts} fronts, TV(g) = {tv_g(field0)}")
 
@@ -450,7 +476,7 @@ def run(cfg, out_dir, verbose=False):
 
     for k, t in enumerate(cfg.output_times):
         path = os.path.join(out_dir, f"profile_{k:03d}.csv")
-        _emit_profile_csv(flux, fields[t], cfg.window, cfg.resolution, path)
+        emit_profile(flux, fields[t], cfg.window, cfg.resolution, path)
     emit_events(log, os.path.join(out_dir, "events.csv"))
 
     ctx = RunContext(config=cfg, flux=flux, tracker=tracker, field0=field0,
@@ -477,16 +503,6 @@ def run(cfg, out_dir, verbose=False):
     return manifest, status
 
 
-def _emit_profile_csv(flux, field_, window, resolution, path):
-    xs = np.linspace(window[0], window[1], int(resolution))
-    us = sample_u(flux, field_, xs)
-    gs = sample_g(field_, xs)
-    with open(path, "w", newline="\n") as fh:
-        fh.write("x,u,g\n")
-        for x, u, g in zip(xs, us, gs):
-            fh.write(f"{_fmt(x)},{_fmt(u)},{_fmt(g)}\n")
-
-
 def _write_manifest(manifest, out_dir, started):
     manifest["wall_time_s"] = _time.perf_counter() - started
     with open(os.path.join(out_dir, "manifest.json"), "w", newline="\n") as fh:
@@ -499,20 +515,25 @@ def _write_manifest(manifest, out_dir, started):
 # ---------------------------------------------------------------------------
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="fronttrack",
-        description="front tracking solver and validation runner")
-    parser.add_argument("--out", default=None, help="output directory "
+    # --out and --verbose are accepted before and after the subcommand; the
+    # suppressed defaults keep a subcommand from resetting an earlier value
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--out", default=argparse.SUPPRESS, help="output directory "
                         f"(default ./out or ${ENV_OUT})")
-    parser.add_argument("--verbose", action="store_true")
+    common.add_argument("--verbose", action="store_true", default=argparse.SUPPRESS)
+    parser = argparse.ArgumentParser(
+        prog="fronttrack", parents=[common],
+        description="front tracking solver and validation runner")
     sub = parser.add_subparsers(dest="command", required=True)
-    p_run = sub.add_parser("run", help="execute one config")
+    p_run = sub.add_parser("run", parents=[common], help="execute one config")
     p_run.add_argument("config")
-    p_sweep = sub.add_parser("sweep", help="execute every config matching a glob")
+    p_sweep = sub.add_parser("sweep", parents=[common],
+                             help="execute every config matching a glob")
     p_sweep.add_argument("pattern")
     args = parser.parse_args(argv)
 
-    out_base = args.out or os.environ.get(ENV_OUT) or "out"
+    out_base = getattr(args, "out", None) or os.environ.get(ENV_OUT) or "out"
+    verbose = getattr(args, "verbose", False)
 
     if args.command == "run":
         paths = [args.config]
@@ -524,15 +545,14 @@ def main(argv=None):
 
     worst = 0
     for path in paths:
-        try:
-            cfg = load_config(path)
-        except ConfigError as e:
-            print(f"{path}: {e}", file=sys.stderr)
-            return 2
         stem = os.path.splitext(os.path.basename(path))[0]
         out_dir = os.path.join(out_base, stem) if len(paths) > 1 or args.command == "sweep" \
             else out_base
-        manifest, status = run(cfg, out_dir, verbose=args.verbose)
+        try:
+            manifest, status = run(load_config(path), out_dir, verbose=verbose)
+        except ConfigError as e:
+            print(f"{path}: {e}", file=sys.stderr)
+            return 2
         if status != 0:
             print(f"{path}: exit status {status}", file=sys.stderr)
         worst = max(worst, status)

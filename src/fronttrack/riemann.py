@@ -1,134 +1,37 @@
-"""Generalized Riemann problems: classification, front speeds, fans, f-delta.
+"""The delta-approximate flux f^delta.
 
-A jump between two g-levels resolves into either a single entropic shock
-(left level above right), a fan of closely spaced fronts (left below right),
-or nothing.  Every front, entropic or not, moves at the Rankine-Hugoniot
-speed evaluated through the stationary profiles at its current position.
+f^delta interpolates f linearly in u between the stationary profiles on the
+delta-grid.  The front-tracking output is an exact entropy solution of the
+conservation law with this flux, which is what the entropy checks test.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .stationary import g_of, solve_level, stationary_profile
-
-# same-sign adjacent levels closer than delta only arise transiently at merges;
-# the tracker merges equal levels before asking for a speed
-EPS_DEN = 1e-9
+from .stationary import g_of, profile_slope, solve_level
 
 # relative slack for deciding that a g-value sits on the delta-grid
 EPS_GRID = 1e-9
 
-SHOCK, FAN, NULL = "shock", "fan", "null"
-
-
-class DegenerateStatesError(ValueError):
-    """Left/right states too close for a meaningful Rankine-Hugoniot quotient."""
-
-
-def classify(g_l, g_r):
-    """shock iff g_l > g_r, fan iff g_l < g_r, null iff equal."""
-    if g_l > g_r:
-        return SHOCK
-    if g_l < g_r:
-        return FAN
-    return NULL
-
-
-def front_speed(flux, g_l, g_r, y):
-    """Rankine-Hugoniot speed (|g_l| - |g_r|) / (U[g_l](y) - U[g_r](y)).
-
-    Symmetric under swapping the two levels.  Raises DegenerateStatesError if
-    the profile gap underflows (same-sign levels that should have merged).
-    """
-    if g_l == g_r:
-        raise DegenerateStatesError(f"equal levels {g_l}; no front exists")
-    u_l = float(solve_level(flux, y, g_l))
-    u_r = float(solve_level(flux, y, g_r))
-    den = u_l - u_r
-    scale = max(1.0, abs(u_l), abs(u_r))
-    if abs(den) < EPS_DEN * scale:
-        raise DegenerateStatesError(
-            f"states u_l={u_l!r}, u_r={u_r!r} at y={y!r} are numerically equal"
-        )
-    return (abs(g_l) - abs(g_r)) / den
-
-
-@dataclass(frozen=True)
-class RiemannFan:
-    """Resolved Riemann jump: ordered levels plus the kind of solution."""
-
-    levels: tuple
-    kind: str
-
-    @property
-    def front_count(self):
-        return len(self.levels) - 1
-
-
-def build_fan(flux, g_l, g_r, delta):
-    """Fan levels g_l, g_l + delta, ..., with final gap in (0, delta].
-
-    All fronts start co-located; uniform convexity orders their speeds so the
-    first integration step separates them.
-    """
-    if not delta > 0.0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    if not g_l < g_r:
-        raise ValueError(f"fan needs g_l < g_r, got ({g_l}, {g_r})")
-    ratio = (g_r - g_l) / delta
-    nearest = round(ratio)
-    if nearest >= 1 and abs(ratio - nearest) <= EPS_GRID * max(1.0, abs(ratio)):
-        n = nearest - 1  # exact multiple of delta: every gap is exactly delta
-    else:
-        n = max(0, math.ceil(ratio) - 1)
-    levels = [g_l + i * delta for i in range(n + 1)] + [g_r]
-    if any(b <= a for a, b in zip(levels, levels[1:])):
-        raise ValueError(f"degenerate fan levels {levels} for delta={delta}")
-    return RiemannFan(levels=tuple(levels), kind=FAN)
-
-
-def solve_riemann(flux, g_l, g_r, delta):
-    """Classify and resolve a single jump into its RiemannFan."""
-    kind = classify(g_l, g_r)
-    if kind == SHOCK:
-        return RiemannFan(levels=(g_l, g_r), kind=SHOCK)
-    if kind == NULL:
-        return RiemannFan(levels=(g_l,), kind=NULL)
-    return build_fan(flux, g_l, g_r, delta)
-
-
-# ---------------------------------------------------------------------------
-# delta-approximate flux
-# ---------------------------------------------------------------------------
 
 @dataclass
 class ApproxFlux:
     """Piecewise-linear-in-u interpolation of f between stationary profiles.
 
     Matches f exactly wherever g(x, u) lands on the delta-grid; between
-    consecutive grid profiles it is the chord.  The front-tracking output is
-    an exact entropy solution of the conservation law with this flux.
+    consecutive grid profiles it is the chord.
     """
 
     base: object
     delta: float
-    _profiles: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if not self.delta > 0.0:
             raise ValueError(f"delta must be positive, got {self.delta}")
         self.base.require_alpha()
-
-    def profile(self, z):
-        prof = self._profiles.get(z)
-        if prof is None:
-            prof = stationary_profile(self.base, z * self.delta)
-            self._profiles[z] = prof
-        return prof
 
     def _locate(self, x, u):
         """Cell index z with g in [delta z, delta (z+1)), snapping grid hits."""
@@ -167,8 +70,8 @@ class ApproxFlux:
                                    np.atleast_1d(np.asarray(u, dtype=float)))
         z, on_grid = self._locate(x, u)
         u0, u1 = self._cell_states(x, z)
-        du0 = self._profile_dx(x, u0, z)
-        du1 = self._profile_dx(x, u1, z + 1)
+        du0 = profile_slope(self.base, x, u0)
+        du1 = profile_slope(self.base, x, u1)
         s = np.where(z >= 0, 1.0, -1.0)
         delta = self.delta
         gap = u1 - u0
@@ -177,32 +80,3 @@ class ApproxFlux:
         at_grid = -du0 * s * delta / gap
         out = np.where(on_grid, at_grid, interior)
         return float(out[0]) if scalar else out
-
-    def _profile_dx(self, x, u_level, z):
-        flux = self.base
-        safe = np.where(z == 0, 1.0, flux.fu(x, u_level))
-        return np.where(z == 0, 0.0, -flux.fx(x, u_level) / safe)
-
-    def eval_anchored_high(self, x, u):
-        """Equivalent interior formula anchored at the upper cell level.
-
-        Exists to test the asserted equivalence of the two closed forms; not
-        used by the solver.
-        """
-        scalar = np.ndim(x) == 0 and np.ndim(u) == 0
-        x, u = np.broadcast_arrays(np.atleast_1d(np.asarray(x, dtype=float)),
-                                   np.atleast_1d(np.asarray(u, dtype=float)))
-        z, _ = self._locate(x, u)
-        u0, u1 = self._cell_states(x, z)
-        s = np.where(z >= 0, 1.0, -1.0)
-        delta = self.delta
-        out = delta * np.abs(z + 1) + s * delta * (u - u1) / (u1 - u0)
-        return float(out[0]) if scalar else out
-
-
-def approx_flux_eval(af, x, u):
-    return af.eval(x, u)
-
-
-def approx_flux_dx(af, x, u):
-    return af.eval_dx(x, u)

@@ -8,8 +8,6 @@ the tracker; everything else is evaluated through these profiles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 # inversion residual target, relative to max(1, |level|); root-finding on a
@@ -75,50 +73,14 @@ def solve_level(flux, x, g, guess=None, tol_rel=TOL_INV):
     return s * w
 
 
-@dataclass
-class StationaryProfile:
-    """Lazy stationary solution x -> U[level](x) for one g-level.
+def profile_slope(flux, x, u):
+    """Slope dU/dx = -f_x / f_u of the stationary profile through (x, u).
 
-    Scalar queries are memoized per profile; the cache is transparent (pure
-    function semantics, identical results with or without it).
+    Implicit differentiation of f(x, U(x)) = const; the zero profile (u = 0,
+    where f_u vanishes too) has slope 0.
     """
-
-    flux: object
-    level: float
-    _cache: dict = field(default_factory=dict, repr=False)
-
-    def eval_u(self, x):
-        if np.ndim(x) == 0:
-            x = float(x)
-            hit = self._cache.get(x)
-            if hit is None:
-                hit = float(solve_level(self.flux, x, self.level))
-                self._cache[x] = hit
-            return hit
-        return solve_level(self.flux, np.asarray(x, dtype=float), self.level)
-
-    def eval_dx(self, x):
-        """Implicit differentiation: dU/dx = -f_x / f_u along the profile."""
-        if self.level == 0.0:
-            return 0.0 if np.ndim(x) == 0 else np.zeros(np.shape(x))
-        u = self.eval_u(x)
-        out = -self.flux.fx(x, u) / self.flux.fu(x, u)
-        return float(out) if np.ndim(x) == 0 else out
-
-    def min_abs(self, window, n=1024):
-        """Sampled min of |U| over a window; diagnostic only (the theory keeps
-        nonzero profiles away from zero but gives no closed-form bound)."""
-        xs = np.linspace(window[0], window[1], n)
-        return float(np.min(np.abs(self.eval_u(xs))))
-
-    def __call__(self, x):
-        return self.eval_u(x)
-
-
-def stationary_profile(flux, level):
-    """Profile U[level]; level 0 is the zero solution, others are root-backed."""
-    flux.require_alpha()
-    return StationaryProfile(flux=flux, level=float(level))
+    zero = u == 0.0
+    return np.where(zero, 0.0, -flux.fx(x, u) / np.where(zero, 1.0, flux.fu(x, u)))
 
 
 def inversion_gap_bound(g1, g2, alpha):

@@ -13,6 +13,7 @@ front.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -48,6 +49,11 @@ class AdmissibilityError(RuntimeError):
     def __init__(self, message, dump):
         self.dump = dump
         super().__init__(f"{message}\n{dump}")
+
+
+class DegenerateStatesError(RuntimeError):
+    """Adjacent states too close for a meaningful Rankine-Hugoniot quotient
+    (equal levels, or same-sign levels that should have merged)."""
 
 
 class WindowExitError(RuntimeError):
@@ -202,6 +208,29 @@ def sample_u(flux, field, x):
     g = field.delta * sample_z(field, x).astype(float)
     u = solve_level(flux, np.asarray(x, dtype=float), g)
     return float(u) if np.ndim(x) == 0 else u
+
+
+# ---------------------------------------------------------------------------
+# Rankine-Hugoniot speeds
+# ---------------------------------------------------------------------------
+
+def rh_speed(flux, y, g_l, g_r, guess_l=None, guess_r=None):
+    """Rankine-Hugoniot speeds (|g_l| - |g_r|) / (U[g_l](y) - U[g_r](y)).
+
+    Vectorized over fronts and symmetric under swapping the two levels.
+    Returns (speeds, U[g_l](y), U[g_r](y)); the traces are the warm-start
+    guesses of the next call.  Raises DegenerateStatesError if the profile gap
+    underflows.
+    """
+    u_l = solve_level(flux, y, g_l, guess=guess_l)
+    u_r = solve_level(flux, y, g_r, guess=guess_r)
+    den = u_l - u_r
+    bad = np.abs(den) < 1e-9 * np.maximum(1.0, np.maximum(np.abs(u_l), np.abs(u_r)))
+    if np.any(bad):
+        where = np.broadcast_to(y, np.shape(bad))[bad]
+        raise DegenerateStatesError(f"degenerate front states at y={where!r}; "
+                                    "adjacent levels should have merged")
+    return (np.abs(g_l) - np.abs(g_r)) / den, u_l, u_r
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +412,9 @@ class Tracker:
 
     def __init__(self, flux, delta, window, h_ode=H_ODE_DEFAULT):
         flux.require_alpha()
+        for name, value in (("delta", delta), ("h_ode", h_ode)):
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
         self.flux = flux
         self.delta = float(delta)
         self.window = (float(window[0]), float(window[1]))
@@ -392,17 +424,14 @@ class Tracker:
     # -- speeds -------------------------------------------------------------
 
     def _speeds(self, st, y):
-        """Rankine-Hugoniot speeds of all fronts at positions y (vectorized)."""
+        """Rankine-Hugoniot speeds of all fronts at positions y (warm-started)."""
         d = self.delta
-        gl = d * st.z[:-1].astype(float)
-        gr = d * st.z[1:].astype(float)
-        ul = solve_level(self.flux, y, gl, guess=st.ul)
-        ur = solve_level(self.flux, y, gr, guess=st.ur)
-        st.ul, st.ur = ul, ur
-        den = ul - ur
-        if np.any(np.abs(den) < 1e-9 * np.maximum(1.0, np.maximum(np.abs(ul), np.abs(ur)))):
-            raise RuntimeError("degenerate front states; adjacent levels should have merged")
-        return (np.abs(gl) - np.abs(gr)) / den
+        try:
+            v, st.ul, st.ur = rh_speed(self.flux, y, d * st.z[:-1].astype(float),
+                                       d * st.z[1:].astype(float), st.ul, st.ur)
+        except DegenerateStatesError as e:
+            raise DegenerateStatesError(f"t={st.t!r}: {e}\n{st.dump()}") from None
+        return v
 
     def _rk4(self, st, y, h):
         k1 = self._speeds(st, y)
@@ -562,14 +591,6 @@ class Tracker:
         if st.y[0] < lo - slack or st.y[-1] > hi + slack:
             pos = float(st.y[0]) if st.y[0] < lo - slack else float(st.y[-1])
             raise WindowExitError(pos, st.t)
-
-    # -- conveniences -----------------------------------------------------------
-
-    def initial_field(self, u0, window, cells):
-        return quantize_initial(self.flux, u0, self.delta, window, cells)
-
-    def sample_u(self, field_, x):
-        return sample_u(self.flux, field_, x)
 
 
 class TrackedSolution:

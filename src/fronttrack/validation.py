@@ -17,7 +17,7 @@ from scipy.optimize import brentq
 
 from .profiles import smooth_bump, smooth_bump_prime
 from .riemann import ApproxFlux
-from .stationary import solve_level, g_of
+from .stationary import g_of, profile_slope, solve_level
 from .tracker import Tracker, piece_index, quantize_initial
 
 # peak of |d/ds bump(s)|, fixed numerically once (the bump is a module constant)
@@ -224,6 +224,19 @@ def entropy_battery(solution, af, quad, rng, pairs, k_bound, tv_u, speed_bound):
 # characteristics
 # ---------------------------------------------------------------------------
 
+def _characteristic_step(rhs, y, z, h):
+    """One RK4 step of the characteristic system (y', z') = rhs(y, z).
+
+    Plain arithmetic only: Python floats stay floats, arrays stay arrays.
+    """
+    k1y, k1z = rhs(y, z)
+    k2y, k2z = rhs(y + 0.5 * h * k1y, z + 0.5 * h * k1z)
+    k3y, k3z = rhs(y + 0.5 * h * k2y, z + 0.5 * h * k2z)
+    k4y, k4z = rhs(y + h * k3y, z + h * k3z)
+    return (y + (h / 6.0) * (k1y + 2 * k2y + 2 * k3y + k4y),
+            z + (h / 6.0) * (k1z + 2 * k2z + 2 * k3z + k4z))
+
+
 def characteristic_check(flux, x0, u0, T, steps, window=None):
     """RK4-integrate the characteristic system and report the flux drift.
 
@@ -240,12 +253,7 @@ def characteristic_check(flux, x0, u0, T, steps, window=None):
         return float(flux.fu(yy, zz)), -float(flux.fx(yy, zz))
 
     for _ in range(int(steps)):
-        k1y, k1z = rhs(y, z)
-        k2y, k2z = rhs(y + 0.5 * h * k1y, z + 0.5 * h * k1z)
-        k3y, k3z = rhs(y + 0.5 * h * k2y, z + 0.5 * h * k2z)
-        k4y, k4z = rhs(y + h * k3y, z + h * k3z)
-        y += (h / 6.0) * (k1y + 2 * k2y + 2 * k3y + k4y)
-        z += (h / 6.0) * (k1z + 2 * k2z + 2 * k3z + k4z)
+        y, z = _characteristic_step(rhs, y, z, h)
         if window is not None and not (window[0] <= y <= window[1]):
             raise ValueError(f"characteristic left the window at y={y}, t~{h * steps}")
         drift = max(drift, abs(float(flux.f(y, z)) - f0))
@@ -268,15 +276,10 @@ def characteristic_fan(flux, x_origin, g_l, g_r, T, n_chars=64, steps=2000):
     h = float(T) / steps
 
     def rhs(y, z):
-        return np.asarray(flux.fu(y, z), dtype=float), -np.asarray(flux.fx(y, z), dtype=float)
+        return flux.fu(y, z), -flux.fx(y, z)
 
     for _ in range(steps):
-        k1y, k1z = rhs(ys, zs)
-        k2y, k2z = rhs(ys + 0.5 * h * k1y, zs + 0.5 * h * k1z)
-        k3y, k3z = rhs(ys + 0.5 * h * k2y, zs + 0.5 * h * k2z)
-        k4y, k4z = rhs(ys + h * k3y, zs + h * k3z)
-        ys = ys + (h / 6.0) * (k1y + 2 * k2y + 2 * k3y + k4y)
-        zs = zs + (h / 6.0) * (k1z + 2 * k2z + 2 * k3z + k4z)
+        ys, zs = _characteristic_step(rhs, ys, zs, h)
 
     def sampler(x):
         scalar = np.ndim(x) == 0
@@ -537,10 +540,8 @@ def flux_convergence_check(flux, deltas, box, nx=48, nu=96):
         g_levels = np.linspace(-(g_box + delta), g_box + delta, 81)
         g_levels = g_levels[np.abs(g_levels) > 1e-14]
         XL, GL = np.meshgrid(xs, g_levels, indexing="ij")
-        u_prof = solve_level(flux, XL, GL)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            du = -np.asarray(flux.fx(XL, u_prof)) / np.asarray(flux.fu(XL, u_prof))
-        c3 = float(np.max(np.abs(np.where(np.isfinite(du), du, 0.0))))
+        du = profile_slope(flux, XL, solve_level(flux, XL, GL))
+        c3 = float(np.max(np.abs(du)))
         bound_fx = math.sqrt(2.0 * delta / alpha) * (c1 + 3.0 * c2 * c3)
 
         rows.append(FluxConvergenceRow(delta=delta, sup_f_err=f_err, bound_f=bound_f,

@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 import fronttrack as ft
-from fronttrack.riemann import ApproxFlux, front_speed
+from fronttrack.riemann import ApproxFlux
 from fronttrack.tracker import (Tracker, TrackedSolution, quantize_initial,
-                                initial_fronts, sample_u, tv_g, l1_g_distance)
+                                initial_fronts, rh_speed, sample_u, tv_g,
+                                l1_g_distance)
 from fronttrack.validation import (QuadSpec, entropy_battery, characteristic_check,
                                    SingleFrontSolution, fv_reference, l1_distance,
                                    flux_convergence_check, domain_of_dependence_check)
@@ -65,7 +66,7 @@ def test_criterion_02_shock_merge():
     assert tv_g(field) == 2.0
     final, log = tracker.advance(field, 2.0)
     e = log.entries[0]
-    merged_speed = front_speed(BURGERS, 2.0, 0.0, float(final.positions[0]))
+    merged_speed = float(rh_speed(BURGERS, float(final.positions[0]), 2.0, 0.0)[0])
     ok = (len(log) == 1
           and abs(e.time - 1.0) <= 1e-9
           and abs(e.position - 0.5) <= 1e-9

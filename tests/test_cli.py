@@ -200,6 +200,34 @@ def test_main_exit_codes(tmp_path, capsys):
                  str(tmp_path / "nothing-*.ini")]) == 2
 
 
+@pytest.mark.parametrize("before", [True, False])
+def test_main_options_before_or_after_subcommand(tmp_path, capsys, before):
+    good = write_config(tmp_path, GOOD_CONFIG)
+    out = str(tmp_path / "o")
+    opts = ["--out", out, "--verbose"]
+    argv = opts + ["run", good] if before else ["run", good] + opts
+    assert main(argv) == 0
+    assert os.path.exists(os.path.join(out, "manifest.json"))
+    assert "done: ok" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("old, new, option", [
+    ("family = modulated_burgers", "family = modulated_burger", "[flux] family"),
+    ("cells = 120", "cells = 0", "[run] cells"),
+    ("profile = bump", "profile = piecewise", "[initial] profile"),
+    ("[tolerances]", "[run]", "malformed config file"),
+    ("entropy_pairs = 6", "entropy_pairs = six", "[tolerances] entropy_pairs"),
+    ("entropy_quad = 128", "entropy_quad = 128\nh_ode = -0.01", "[tolerances] h_ode"),
+    ("entropy_quad = 128", "entropy_quad = 128\nh_ode = nan", "[tolerances] h_ode"),
+])
+def test_main_bad_config_exits_2(tmp_path, capsys, old, new, option):
+    bad = write_config(tmp_path, GOOD_CONFIG.replace(old, new))
+    assert main(["run", bad, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert option in err
+    assert len(err.strip().splitlines()) == 1  # one line, no traceback
+
+
 def test_main_sweep(tmp_path):
     write_config(tmp_path, GOOD_CONFIG, "s1.ini")
     write_config(tmp_path, GOOD_CONFIG.replace("seed = 777", "seed = 778"), "s2.ini")

@@ -5,10 +5,10 @@ import pytest
 from scipy.optimize import brentq
 
 from fronttrack.fluxes import make_builtin_flux
-from fronttrack.riemann import (classify, front_speed, build_fan, solve_riemann,
-                                ApproxFlux, approx_flux_eval, approx_flux_dx,
-                                DegenerateStatesError, SHOCK, FAN, NULL)
+from fronttrack.riemann import ApproxFlux
 from fronttrack.stationary import solve_level
+from fronttrack.tracker import (DegenerateStatesError, FrontFieldError, KIND_FAN,
+                                KIND_SHOCK, initial_fronts, quantize_initial, rh_speed)
 
 BURGERS = make_builtin_flux("homogeneous_burgers")
 MODULATED = make_builtin_flux("modulated_burgers", base=1.0, amp=0.5)
@@ -27,14 +27,20 @@ def brute_force_secant(flux, g_l, g_r, y):
     return (float(flux.f(y, ul)) - float(flux.f(y, ur))) / (ul - ur)
 
 
+def front_speed(flux, g_l, g_r, y):
+    return float(rh_speed(flux, y, g_l, g_r)[0])
+
+
 # ---------------------------------------------------------------------------
 # classification and speeds
 # ---------------------------------------------------------------------------
 
 def test_classify():
-    assert classify(0.5, 0.0) == SHOCK
-    assert classify(0.0, 0.35) == FAN
-    assert classify(0.2, 0.2) == NULL
+    # a downward jump is one shock, an upward jump a fan; equal levels are no jump
+    assert list(initial_fronts([0.0], [5, 0], 0.1).kinds) == [KIND_SHOCK]
+    assert list(initial_fronts([0.0], [0, 3], 0.1).kinds) == [KIND_FAN] * 3
+    with pytest.raises(FrontFieldError):
+        initial_fronts([0.0], [2, 2], 0.1)
 
 
 def test_front_speed_burgers_golden():
@@ -83,7 +89,6 @@ def test_shock_admissibility_left_trace_above_right():
         g_l, g_r = sorted(rng.uniform(-1, 1, size=2), reverse=True)
         if g_l - g_r < 1e-3:
             continue
-        assert classify(g_l, g_r) == SHOCK
         y = rng.uniform(-3, 3)
         u_l = float(solve_level(MODULATED, y, g_l))
         u_r = float(solve_level(MODULATED, y, g_r))
@@ -95,53 +100,44 @@ def test_shock_admissibility_left_trace_above_right():
 # ---------------------------------------------------------------------------
 
 def test_build_fan_examples():
-    fan = build_fan(BURGERS, 0.0, 0.35, 0.1)
-    assert fan.levels == pytest.approx((0.0, 0.1, 0.2, 0.3, 0.35))
-    assert fan.front_count == 4
+    fan = initial_fronts([0.0], [0, 3], 0.1)
+    assert list(fan.z) == [0, 1, 2, 3]
+    assert fan.n_fronts == 3
 
-    single = build_fan(BURGERS, 0.0, 0.05, 0.1)
-    assert single.levels == pytest.approx((0.0, 0.05))
-    assert single.front_count == 1
-
-    sym = build_fan(BURGERS, -0.2, 0.2, 0.1)
-    assert sym.levels == pytest.approx((-0.2, -0.1, 0.0, 0.1, 0.2))
-    assert sym.front_count == 4
+    sym = initial_fronts([0.0], [-2, 2], 0.1)
+    assert 0.1 * sym.z == pytest.approx((-0.2, -0.1, 0.0, 0.1, 0.2))
+    assert sym.n_fronts == 4
+    assert np.all(sym.positions == 0.0)  # co-located at the jump
 
 
 def test_build_fan_gap_structure():
     rng = np.random.default_rng(10)
     for _ in range(50):
-        g_l = rng.uniform(-1, 1)
-        g_r = g_l + rng.uniform(1e-4, 1.3)
+        z_l = int(rng.integers(-20, 21))
+        z_r = z_l + int(rng.integers(1, 27))
         delta = rng.uniform(0.01, 0.3)
-        fan = build_fan(MODULATED, g_l, g_r, delta)
-        gaps = np.diff(fan.levels)
+        fan = initial_fronts([0.0], [z_l, z_r], delta)
+        gaps = np.diff(delta * fan.z.astype(float))
         assert np.all(gaps > 0)
         assert np.all(gaps <= delta * (1 + 1e-12))
-        # interior gaps are exactly delta
-        assert np.allclose(gaps[:-1], delta, rtol=0, atol=1e-12)
+        # every gap is delta: the levels sit on the delta-grid
+        assert np.allclose(gaps, delta, rtol=0, atol=1e-12)
 
 
 def test_build_fan_rejects_bad_args():
     with pytest.raises(ValueError):
-        build_fan(BURGERS, 0.5, 0.1, 0.1)
+        initial_fronts([0.0], [1, 1], 0.1)
     with pytest.raises(ValueError):
-        build_fan(BURGERS, 0.0, 0.5, 0.0)
+        quantize_initial(BURGERS, lambda x: np.ones_like(x), 0.0, (-1, 1), 8)
 
 
 def test_fan_speeds_strictly_increasing_at_emission():
     # uniform convexity keeps co-located fan fronts ordered
     for flux, y in ((BURGERS, 0.0), (MODULATED, 1.1), (MODULATED, -2.3)):
-        fan = build_fan(flux, -0.35, 0.42, 0.1)
-        speeds = [front_speed(flux, a, b, y)
-                  for a, b in zip(fan.levels, fan.levels[1:])]
+        fan = initial_fronts([y], [-4, 4], 0.1)
+        g = 0.1 * fan.z.astype(float)
+        speeds, _, _ = rh_speed(flux, fan.positions, g[:-1], g[1:])
         assert np.all(np.diff(speeds) > 0)
-
-
-def test_solve_riemann_dispatch():
-    assert solve_riemann(BURGERS, 0.5, 0.0, 0.1).kind == SHOCK
-    assert solve_riemann(BURGERS, 0.0, 0.35, 0.1).kind == FAN
-    assert solve_riemann(BURGERS, 0.2, 0.2, 0.1).kind == NULL
 
 
 # ---------------------------------------------------------------------------
@@ -155,19 +151,19 @@ def test_approx_flux_exact_on_grid_levels():
         z = int(rng.integers(-8, 9))
         x = rng.uniform(-3, 3)
         u = float(solve_level(MODULATED, x, 0.1 * z))
-        assert approx_flux_eval(af, x, u) == 0.1 * abs(z)
+        assert af.eval(x, u) == 0.1 * abs(z)
 
 
 def test_approx_flux_midpoint_interpolation():
     af = ApproxFlux(BURGERS, 0.2)
     x = 0.0
     u = 0.5 * (math.sqrt(0.4) + math.sqrt(0.8))
-    assert approx_flux_eval(af, x, u) == pytest.approx(0.3, abs=1e-12)
+    assert af.eval(x, u) == pytest.approx(0.3, abs=1e-12)
 
 
 def test_approx_flux_zero_state():
     af = ApproxFlux(BURGERS, 0.2)
-    assert approx_flux_eval(af, 1.23, 0.0) == 0.0
+    assert af.eval(1.23, 0.0) == 0.0
 
 
 def test_approx_flux_anchor_equivalence():
@@ -177,7 +173,13 @@ def test_approx_flux_anchor_equivalence():
     xs = rng.uniform(-3, 3, size=100)
     us = rng.uniform(-1.4, 1.4, size=100)
     low = af.eval(xs, us)
-    high = af.eval_anchored_high(xs, us)
+    # the interpolation anchored at the upper cell level instead
+    g = np.sign(us) * MODULATED.f(xs, us)
+    z = np.floor(g / 0.07)
+    u0 = solve_level(MODULATED, xs, 0.07 * z)
+    u1 = solve_level(MODULATED, xs, 0.07 * (z + 1))
+    s = np.where(z >= 0, 1.0, -1.0)
+    high = 0.07 * np.abs(z + 1) + s * 0.07 * (us - u1) / (u1 - u0)
     assert np.allclose(low, high, atol=5e-11, rtol=0)
 
 
@@ -186,8 +188,8 @@ def test_approx_flux_continuous_across_levels():
     x = 0.7
     u_star = float(solve_level(MODULATED, x, 0.3))
     eps = 1e-9
-    below = approx_flux_eval(af, x, u_star - eps)
-    above = approx_flux_eval(af, x, u_star + eps)
+    below = af.eval(x, u_star - eps)
+    above = af.eval(x, u_star + eps)
     assert below == pytest.approx(0.3, abs=1e-7)
     assert above == pytest.approx(0.3, abs=1e-7)
 
@@ -212,8 +214,8 @@ def test_approx_flux_dx_matches_fd_interior():
         frac = abs(g) / 0.1 % 1.0
         if min(frac, 1 - frac) < 0.05:
             continue  # keep clear of the kinks at the grid levels
-        fd = (approx_flux_eval(af, x + h, u) - approx_flux_eval(af, x - h, u)) / (2 * h)
-        assert approx_flux_dx(af, x, u) == pytest.approx(fd, rel=1e-5, abs=1e-6)
+        fd = (af.eval(x + h, u) - af.eval(x - h, u)) / (2 * h)
+        assert af.eval_dx(x, u) == pytest.approx(fd, rel=1e-5, abs=1e-6)
         checked += 1
 
 
@@ -223,7 +225,7 @@ def test_approx_flux_dx_converges_to_fx():
     errs = []
     for delta in (0.2, 0.1, 0.05, 0.025):
         af = ApproxFlux(MODULATED, delta)
-        errs.append(abs(approx_flux_dx(af, x, u) - float(MODULATED.fx(x, u))))
+        errs.append(abs(af.eval_dx(x, u) - float(MODULATED.fx(x, u))))
     assert errs[-1] <= errs[0]
     assert errs[-1] <= math.sqrt(2 * 0.025 / MODULATED.alpha) * 2.0
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fronttrack.fluxes import make_builtin_flux
-from fronttrack.stationary import (g_of, solve_level, stationary_profile,
+from fronttrack.stationary import (g_of, solve_level, profile_slope,
                                    inversion_gap_bound, InversionError, TOL_INV)
 
 BURGERS = make_builtin_flux("homogeneous_burgers")
@@ -26,22 +26,20 @@ def test_g_strictly_increasing_in_u():
 
 
 def test_profile_burgers_level_half_is_one():
-    prof = stationary_profile(BURGERS, 0.5)
     for x in (-3.0, 0.0, 1.7):
-        assert prof.eval_u(x) == pytest.approx(1.0, abs=1e-12)
+        assert float(solve_level(BURGERS, x, 0.5)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_profile_level_zero_is_zero_solution():
-    prof = stationary_profile(MODULATED, 0.0)
     xs = np.linspace(-4, 4, 33)
-    assert np.all(prof.eval_u(xs) == 0.0)
-    assert np.all(np.asarray(prof.eval_dx(xs)) == 0.0)
+    u = solve_level(MODULATED, xs, 0.0)
+    assert np.all(u == 0.0)
+    assert np.all(profile_slope(MODULATED, xs, u) == 0.0)
 
 
 def test_profile_constant_modulation():
     flux = make_builtin_flux("modulated_burgers", base=2.0, amp=0.0)
-    prof = stationary_profile(flux, 1.0)
-    assert prof.eval_u(0.77) == pytest.approx(1.0, abs=1e-12)
+    assert float(solve_level(flux, 0.77, 1.0)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_inversion_residual_at_random_points():
@@ -78,20 +76,13 @@ def test_warm_guess_gives_same_roots():
     assert np.allclose(cold, warm, atol=1e-10, rtol=0)
 
 
-def test_profile_cache_transparent():
-    prof = stationary_profile(MODULATED, 0.8)
-    a = prof.eval_u(1.234)
-    b = prof.eval_u(1.234)  # cached
-    fresh = stationary_profile(MODULATED, 0.8).eval_u(1.234)
-    assert a == b == fresh
-
-
 def test_eval_dx_matches_finite_difference():
-    prof = stationary_profile(MODULATED, 0.6)
     h = 1e-6
     for x in (-2.0, 0.4, 1.9):
-        fd = (prof.eval_u(x + h) - prof.eval_u(x - h)) / (2 * h)
-        assert prof.eval_dx(x) == pytest.approx(fd, rel=1e-6, abs=1e-9)
+        fd = float(solve_level(MODULATED, x + h, 0.6)
+                   - solve_level(MODULATED, x - h, 0.6)) / (2 * h)
+        slope = float(profile_slope(MODULATED, x, solve_level(MODULATED, x, 0.6)))
+        assert slope == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from fronttrack.fluxes import make_builtin_flux
-from fronttrack.riemann import front_speed
-from fronttrack.stationary import g_of
+from fronttrack.stationary import g_of, solve_level
 from fronttrack.tracker import (Tracker, TrackedSolution, FrontField, FrontFieldError,
                                 quantize_initial, initial_fronts, empty_field,
-                                sample_u, sample_g, tv_g, l1_g_distance,
+                                rh_speed, sample_u, sample_g, tv_g, l1_g_distance,
                                 WindowExitError, KIND_SHOCK, KIND_FAN)
 from fronttrack.validation import SingleFrontSolution
 
@@ -53,6 +52,14 @@ def test_quantize_sine_l1_error_within_reported_bound():
     l1 = float(np.sum(np.abs(g_exact - g_quant)) * (mids[1] - mids[0]))
     assert l1 <= diag.l1_bound
     assert diag.l1_sampled <= 0.01 / 2 * (window[1] - window[0])
+
+
+@pytest.mark.parametrize("kwargs", [{"h_ode": -0.01}, {"h_ode": float("nan")},
+                                    {"h_ode": 0.0}, {"delta": float("inf")}])
+def test_tracker_rejects_bad_step_or_delta(kwargs):
+    args = {"delta": 0.1, "h_ode": 0.01, **kwargs}
+    with pytest.raises(ValueError):
+        Tracker(BURGERS, args["delta"], (-2, 2), h_ode=args["h_ode"])
 
 
 def test_quantize_rejects_bad_input():
@@ -123,7 +130,7 @@ def test_two_shock_merge_golden():
     # merged shock g: 2 -> 0 moves at exactly 1
     assert f1.n_fronts == 1
     assert f1.positions[0] == pytest.approx(1.5, abs=1e-9)
-    assert front_speed(BURGERS, 2.0, 0.0, float(f1.positions[0])) == pytest.approx(
+    assert rh_speed(BURGERS, float(f1.positions[0]), 2.0, 0.0)[0] == pytest.approx(
         1.0, abs=1e-12)
 
 
@@ -182,7 +189,7 @@ def test_shock_overtakes_fan_front():
     tau = log.entries[0].time
     rho = log.entries[0].position
     analytic = 0.1 / (np.sqrt(0.4) - np.sqrt(0.2))
-    assert front_speed(BURGERS, 0.2, 0.1, rho) == pytest.approx(analytic, abs=1e-12)
+    assert rh_speed(BURGERS, rho, 0.2, 0.1)[0] == pytest.approx(analytic, abs=1e-12)
     assert y == pytest.approx(rho + analytic * (2.0 - tau), abs=1e-9)
 
 
@@ -236,7 +243,7 @@ def test_three_front_simultaneous_collision():
     # (whose intermediate front is consumed in turn)
     assert consumed >= {0, 1, 2}
     # merged speed = RH of the outer levels
-    v = front_speed(BURGERS, 3.0, 0.0, 0.0)
+    v = rh_speed(BURGERS, 0.0, 3.0, 0.0)[0]
     assert float(f1.positions[0]) == pytest.approx(
         log.entries[-1].position + v * (2.0 - log.entries[-1].time), abs=1e-8)
 
@@ -439,9 +446,24 @@ def test_impossible_interaction_aborts_with_forensics():
     assert "positions" in str(info.value)  # the dump travels with the error
 
 
+def test_degenerate_states_error_carries_time_and_state():
+    from fronttrack.tracker import DegenerateStatesError
+    f0 = FrontField(
+        time=0.25, delta=0.1,
+        positions=np.array([0.3]),
+        z=np.array([1, 1], dtype=np.int64),  # a null front: equal levels
+        ids=np.array([0], dtype=np.int64),
+        kinds=np.array([KIND_SHOCK], dtype=np.int8),
+        births=np.zeros(1), next_id=1,
+    )
+    with pytest.raises(DegenerateStatesError) as info:
+        Tracker(BURGERS, 0.1, (-2, 2)).advance(f0, 1.0)
+    assert isinstance(info.value, RuntimeError)
+    msg = str(info.value)
+    assert "t=0.25" in msg and "y=array([0.3])" in msg and "positions" in msg
+
+
 def test_profile_min_abs_diagnostic():
-    from fronttrack.stationary import stationary_profile
-    prof = stationary_profile(MODULATED, 0.5)
-    m = prof.min_abs((-4, 4))
+    m = float(np.min(np.abs(solve_level(MODULATED, np.linspace(-4, 4, 1024), 0.5))))
     # nonzero level keeps the profile away from zero
     assert m >= np.sqrt(2 * 0.5 / 1.5) * 0.999
