@@ -43,6 +43,20 @@ def test_classify():
         initial_fronts([0.0], [2, 2], 0.1)
 
 
+def test_solve_riemann_dispatch():
+    # a Riemann step at x = 0, quantized at delta = 0.1, resolves into its fronts
+    # there: a downward jump into one shock, an upward jump into its fan (g = 0.5
+    # is five levels), equal states into none
+    def kinds_at_origin(u_l, u_r):
+        f = quantize_initial(BURGERS, lambda x: np.where(x < 0.0, u_l, u_r), 0.1,
+                             (-1, 1), 8)
+        return list(f.kinds[f.positions == 0.0])
+
+    assert kinds_at_origin(1.0, 0.0) == [KIND_SHOCK]
+    assert kinds_at_origin(0.0, 1.0) == [KIND_FAN] * 5
+    assert kinds_at_origin(0.5, 0.5) == []
+
+
 def test_front_speed_burgers_golden():
     assert front_speed(BURGERS, 0.5, 0.0, 0.0) == pytest.approx(0.5, abs=1e-12)
     assert front_speed(BURGERS, 2.0, 0.5, 3.3) == pytest.approx(1.5, abs=1e-12)
