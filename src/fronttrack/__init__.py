@@ -16,7 +16,7 @@ from .fluxes import (Flux, SpeedEnvelope, AssumptionReport, make_builtin_flux,
 from .stationary import (g_of, solve_level, profile_slope, inversion_gap_bound,
                          InversionError, TOL_INV)
 from .riemann import ApproxFlux
-from .tracker import (Front, FrontField, Event, EventLog, Tracker, TrackedSolution,
+from .tracker import (FrontField, Event, Tracker, TrackedSolution,
                       quantize_initial, initial_fronts, rh_speed, sample_u, sample_g,
                       tv_g, l1_g_distance, empty_field, AdmissibilityError,
                       DegenerateStatesError, WindowExitError, TOL_POS, TOL_EVENT)

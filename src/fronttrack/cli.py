@@ -28,7 +28,7 @@ from .profiles import make_initial
 from .riemann import ApproxFlux
 from .stationary import solve_level, g_of, inversion_gap_bound
 from .tracker import (Tracker, TrackedSolution, quantize_initial, sample_u, sample_g,
-                      tv_g, l1_g_distance, EventLog)
+                      tv_g, l1_g_distance)
 from .validation import (QuadSpec, entropy_battery, characteristic_check,
                          flux_convergence_check, fv_reference, l1_distance,
                          ValidationReport)
@@ -36,8 +36,6 @@ from .validation import (QuadSpec, entropy_battery, characteristic_check,
 ENV_OUT = "FRONTTRACK_OUT"
 
 DEFAULT_CHECKS = ("tvd", "entropy", "lipschitz_l1")
-CHECK_ORDER = {"tvd": 0, "entropy": 1, "lipschitz_l1": 2, "characteristics": 3,
-               "flux_convergence": 4, "inversion_bounds": 5, "fv_crossval": 6}
 
 
 class ConfigError(ValueError):
@@ -78,7 +76,7 @@ class RunConfig:
         if self.output_times and not (0.0 <= self.output_times[0]
                                       and self.output_times[-1] <= self.t_end):
             raise ConfigError("run", "output_times", "must lie within [0, t_end]")
-        unknown = set(self.checks) - set(CHECK_ORDER)
+        unknown = set(self.checks) - set(_CHECK_IMPL)
         if unknown:
             raise ConfigError("checks", "names", f"unknown checks {sorted(unknown)}")
         return self
@@ -91,6 +89,18 @@ class RunConfig:
 
 def _parse_floats(text):
     return [float(tok) for tok in text.replace(",", " ").split()]
+
+
+def _count(text):
+    """A positive whole number, kept as the float that the manifest echoes."""
+    value = float(text)
+    if not (value.is_integer() and value >= 1):
+        raise ValueError("not a positive whole number")
+    return value
+
+
+# the [tolerances] keys with their parsers; any other key is a config error
+TOLERANCES = {"entropy_pairs": _count, "entropy_quad": _count, "h_ode": float}
 
 
 def load_config(path):
@@ -151,7 +161,10 @@ def load_config(path):
     tolerances = {}
     if parser.has_section("tolerances"):
         for k in parser.options("tolerances"):
-            tolerances[k] = need("tolerances", k, float)
+            if k not in TOLERANCES:
+                raise ConfigError("tolerances", k,
+                                  f"unknown key; expected one of {sorted(TOLERANCES)}")
+            tolerances[k] = need("tolerances", k, TOLERANCES[k])
 
     cfg = RunConfig(
         flux_family=flux_family,
@@ -217,14 +230,14 @@ class RunContext:
     tracker: Tracker
     field0: object
     fields: dict        # time -> FrontField snapshots at output times (and t_end)
-    log: EventLog
+    log: list           # Events of the whole run, in order
     envelope: object
     u_sup: float
     u0_l1: float
 
     def rng(self, check_name):
-        key = np.array([self.config.seed % (2 ** 63), CHECK_ORDER[check_name]],
-                       dtype=np.uint64)
+        stream = list(_CHECK_IMPL).index(check_name)
+        key = np.array([self.config.seed % (2 ** 63), stream], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
     def solution(self):
@@ -293,8 +306,10 @@ def _tv_u_estimate(ctx):
     return worst
 
 
+LIPSCHITZ_PAIRS = 20
+
+
 def _check_lipschitz_l1(ctx, report):
-    pairs = int(ctx.config.tolerances.get("lipschitz_pairs", 20))
     if ctx.config.t_end <= 0 or ctx.field0.n_fronts == 0:
         report.add("lipschitz_l1", 0.0, 0.0, True, pairs=0)
         return
@@ -303,7 +318,7 @@ def _check_lipschitz_l1(ctx, report):
     L = ctx.envelope.lipschitz_L(ctx.u_sup)
     sol = ctx.solution()
     worst = -np.inf
-    for _ in range(pairs):
+    for _ in range(LIPSCHITZ_PAIRS):
         t = float(rng.uniform(0.0, 0.8 * ctx.config.t_end))
         h = float(rng.uniform(1e-3, max(1e-3, 0.5 * (ctx.config.t_end - t))))
         fa = sol.field_at(t)
@@ -311,7 +326,7 @@ def _check_lipschitz_l1(ctx, report):
         dist = l1_g_distance(fa, fb, *ctx.config.window)
         worst = max(worst, dist - L * tv0 * h)
     report.add("lipschitz_l1", worst, 1e-8, worst <= 1e-8,
-               pairs=pairs, L=L, tv0=tv0)
+               pairs=LIPSCHITZ_PAIRS, L=L, tv0=tv0)
 
 
 def _check_characteristics(ctx, report):
@@ -359,23 +374,27 @@ def _check_inversion_bounds(ctx, report):
     report.add("inversion_bounds", worst, 0.0, worst <= 0.0, samples=50)
 
 
+FV_CELLS = 2000
+FV_CFL = 0.45
+FV_REL_TOL = 0.05  # L1 bound relative to the L1 norm of u0
+
+
 def _check_fv_crossval(ctx, report):
-    cells = int(ctx.config.tolerances.get("fv_cells", 2000))
-    cfl = float(ctx.config.tolerances.get("fv_cfl", 0.45))
-    rel_tol = float(ctx.config.tolerances.get("fv_rel_tol", 0.05))
     if ctx.config.t_end <= 0:
         report.add("fv_crossval", 0.0, 0.0, True)
         return
     u0 = make_initial(ctx.config.u0_name, **ctx.config.u0_params)
-    fv = fv_reference(ctx.flux, u0, ctx.config.window, cells, ctx.config.t_end, cfl)
+    fv = fv_reference(ctx.flux, u0, ctx.config.window, FV_CELLS, ctx.config.t_end,
+                      FV_CFL)
     final = ctx.fields[max(ctx.fields)]
     ft_sampler = lambda x: sample_u(ctx.flux, final, x)
-    dist = l1_distance(ft_sampler, fv.sampler(), ctx.config.window, cells)
-    bound = rel_tol * max(ctx.u0_l1, 1e-12)
+    dist = l1_distance(ft_sampler, fv.sampler(), ctx.config.window, FV_CELLS)
+    bound = FV_REL_TOL * max(ctx.u0_l1, 1e-12)
     report.add("fv_crossval", dist, bound, dist <= bound,
-               fv_cells=cells, cfl=cfl, u0_l1=ctx.u0_l1)
+               fv_cells=FV_CELLS, cfl=FV_CFL, u0_l1=ctx.u0_l1)
 
 
+# the checks in run order; a check's position is its random-stream key
 _CHECK_IMPL = {
     "tvd": _check_tvd,
     "entropy": _check_entropy,
@@ -390,11 +409,6 @@ _CHECK_IMPL = {
 # ---------------------------------------------------------------------------
 # the runner
 # ---------------------------------------------------------------------------
-
-def _build_flux(cfg):
-    params = dict(cfg.flux_params)
-    return make_builtin_flux(cfg.flux_family, **params)
-
 
 def _from_config(section, option, build, *args, **kwargs):
     """build(*args, **kwargs); the ValueError or KeyError it raises on a bad
@@ -414,7 +428,8 @@ def run(cfg, out_dir, verbose=False):
     started = _time.perf_counter()
     say = print if verbose else (lambda *_: None)
 
-    flux = _from_config("flux", "family", _build_flux, cfg)
+    flux = _from_config("flux", "family", make_builtin_flux, cfg.flux_family,
+                        **cfg.flux_params)
     u0 = _from_config("initial", "profile", make_initial, cfg.u0_name, **cfg.u0_params)
     os.makedirs(out_dir, exist_ok=True)
 
@@ -452,7 +467,7 @@ def run(cfg, out_dir, verbose=False):
     u_sup = math.sqrt(2.0 * max(g0_sup, cfg.delta) / flux.alpha) * 1.02
     envelope = default_envelope(flux, cfg.window, u_sup + cfg.delta)
 
-    h_ode = float(cfg.tolerances.get("h_ode", 0.01))
+    h_ode = cfg.tolerances.get("h_ode", 0.01)
     # boundary fronts created by the compact-support padding move at most at
     # the envelope speed, so the data window plus L*T margin holds all activity
     margin = envelope.lipschitz_L(u_sup) * cfg.t_end + 0.05 * (hi - lo) + cfg.delta
@@ -463,7 +478,7 @@ def run(cfg, out_dir, verbose=False):
     field0 = quantize_initial(flux, u0, cfg.delta, cfg.window, cfg.cells)
     say(f"quantized: {field0.n_fronts} fronts, TV(g) = {tv_g(field0)}")
 
-    log = EventLog()
+    log = []
     fields = {0.0: field0}
     current = field0
     times = list(cfg.output_times)
@@ -483,7 +498,7 @@ def run(cfg, out_dir, verbose=False):
                      fields=fields, log=log, envelope=envelope,
                      u_sup=u_sup, u0_l1=u0_l1)
     report = ValidationReport()
-    for name in sorted(cfg.checks, key=CHECK_ORDER.get):
+    for name in sorted(cfg.checks, key=list(_CHECK_IMPL).index):
         say(f"check: {name}")
         _CHECK_IMPL[name](ctx, report)
 

@@ -81,7 +81,7 @@ _OPERATORS = set("+-*/^()")
 
 
 def _tokenize(src):
-    """Yield (kind, text, offset) triples; kinds: num, ident, op."""
+    """Yield (kind, text, offset) triples; kind is num, ident or op."""
     tokens = []
     i, n = 0, len(src)
     while i < n:

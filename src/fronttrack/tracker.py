@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -27,10 +27,6 @@ TOL_POS = 1e-10
 TOL_EVENT = 1e-11
 # default integrator step before event capping
 H_ODE_DEFAULT = 0.01
-
-KIND_SHOCK = 0
-KIND_FAN = 1
-_KIND_NAMES = {KIND_SHOCK: "shock", KIND_FAN: "fan_front"}
 
 _MAX_LOOP = 500_000
 
@@ -64,18 +60,6 @@ class WindowExitError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Front:
-    """View of one tracked discontinuity (levels in real g units)."""
-
-    id: int
-    position: float
-    g_left: float
-    g_right: float
-    kind: str
-    birth_time: float
-
-
-@dataclass(frozen=True)
 class Event:
     time: float
     position: float
@@ -86,24 +70,9 @@ class Event:
     grazing: bool = False
 
 
-@dataclass
-class EventLog:
-    entries: list = field(default_factory=list)
-
-    def append(self, event):
-        if event.tv_after > event.tv_before:
-            raise AssertionError("TV increased across an event")
-        self.entries.append(event)
-
-    def extend(self, other):
-        for e in other.entries:
-            self.append(e)
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
+def _tv_z(z):
+    """Integer total variation of a level chain."""
+    return int(np.sum(np.abs(np.diff(z))))
 
 
 @dataclass(frozen=True)
@@ -111,7 +80,8 @@ class FrontField:
     """Piecewise-stationary state: n fronts separating n+1 constant g-levels.
 
     ``z`` holds the integer level indices (g = delta * z), so adjacent pieces
-    always chain consistently by construction.
+    always chain consistently by construction.  A front's kind is its level
+    jump np.diff(z): below 0 a shock, exactly 1 a fan front.
     """
 
     time: float
@@ -119,8 +89,6 @@ class FrontField:
     positions: np.ndarray  # shape (n,)
     z: np.ndarray          # shape (n+1,), int64
     ids: np.ndarray        # shape (n,), int64
-    kinds: np.ndarray      # shape (n,), int8
-    births: np.ndarray     # shape (n,)
     next_id: int = 0
     quantization: Optional["QuantizationDiagnostics"] = None
 
@@ -132,22 +100,12 @@ class FrontField:
     def g_leftmost(self):
         return self.delta * float(self.z[0])
 
-    @property
-    def fronts(self):
-        d = self.delta
-        return tuple(
-            Front(int(self.ids[k]), float(self.positions[k]),
-                  d * float(self.z[k]), d * float(self.z[k + 1]),
-                  _KIND_NAMES[int(self.kinds[k])], float(self.births[k]))
-            for k in range(self.n_fronts)
-        )
-
     def tv_z(self):
-        return int(np.sum(np.abs(np.diff(self.z)))) if self.n_fronts else 0
+        return _tv_z(self.z)
 
     def validate(self, strict_positions=True):
         n = self.n_fronts
-        if len(self.z) != n + 1 or len(self.ids) != n or len(self.kinds) != n:
+        if len(self.z) != n + 1 or len(self.ids) != n:
             raise FrontFieldError("inconsistent array lengths")
         if n == 0:
             return self
@@ -163,9 +121,6 @@ class FrontField:
             raise FrontFieldError("null front (equal adjacent levels)")
         if np.any(dz > 1):
             raise FrontFieldError("upward jump above delta")
-        fan = dz == 1
-        if np.any(fan != (self.kinds == KIND_FAN)):
-            raise FrontFieldError("front kind inconsistent with its level jump")
         if len(np.unique(self.ids)) != n:
             raise FrontFieldError("duplicate front ids")
         return self
@@ -180,8 +135,7 @@ def empty_field(delta, time=0.0):
     return FrontField(
         time=time, delta=delta,
         positions=np.empty(0), z=np.zeros(1, dtype=np.int64),
-        ids=np.empty(0, dtype=np.int64), kinds=np.empty(0, dtype=np.int8),
-        births=np.empty(0), next_id=0,
+        ids=np.empty(0, dtype=np.int64), next_id=0,
     )
 
 
@@ -322,7 +276,7 @@ def initial_fronts(breaks, levels, delta, time=0.0):
     if any(b2 <= b1 for b1, b2 in zip(breaks, breaks[1:])):
         raise FrontFieldError("break positions must be strictly increasing")
 
-    pos, zs, kinds = [], [levels[0]], []
+    pos, zs = [], [levels[0]]
     for k, b in enumerate(breaks):
         z_l, z_r = levels[k], levels[k + 1]
         dz = z_r - z_l
@@ -331,20 +285,16 @@ def initial_fronts(breaks, levels, delta, time=0.0):
         if dz < 0:
             pos.append(b)
             zs.append(z_r)
-            kinds.append(KIND_SHOCK)
         else:
             for step in range(dz):
                 pos.append(b)
                 zs.append(z_l + step + 1)
-                kinds.append(KIND_FAN)
     n = len(pos)
     field_ = FrontField(
         time=time, delta=float(delta),
         positions=np.asarray(pos, dtype=float),
         z=np.asarray(zs, dtype=np.int64),
         ids=np.arange(n, dtype=np.int64),
-        kinds=np.asarray(kinds, dtype=np.int8),
-        births=np.full(n, time, dtype=float),
         next_id=n,
     )
     return field_.validate(strict_positions=False)
@@ -357,54 +307,41 @@ def initial_fronts(breaks, levels, delta, time=0.0):
 class _State:
     """Mutable working copy of a FrontField during one advance call."""
 
-    __slots__ = ("t", "y", "z", "ids", "kinds", "births", "next_id", "ul", "ur")
+    __slots__ = ("t", "y", "z", "ids", "next_id", "ul", "ur")
 
     def __init__(self, f):
         self.t = f.time
         self.y = f.positions.copy()
         self.z = f.z.copy()
         self.ids = f.ids.copy()
-        self.kinds = f.kinds.copy()
-        self.births = f.births.copy()
         self.next_id = f.next_id
         self.ul = None  # warm-start caches for the profile inversions
         self.ur = None
 
     def remove_range(self, a, b, produced=None):
-        """Replace fronts a..b (inclusive) by ``produced`` (or nothing)."""
-        keep = np.ones(len(self.y), dtype=bool)
-        keep[a:b + 1] = False
+        """Delete fronts a..b (inclusive), then insert the front ``produced =
+        (rho, fid)`` between the outer levels if there is one; without it the
+        (equal) outer levels become one piece."""
+        self.y = np.delete(self.y, np.s_[a:b + 1])
+        self.ids = np.delete(self.ids, np.s_[a:b + 1])
+        self.z = np.delete(self.z, np.s_[a + 1:b + 1])
         if produced is None:
-            self.y = self.y[keep]
-            self.ids = self.ids[keep]
-            self.kinds = self.kinds[keep]
-            self.births = self.births[keep]
-            self.z = np.delete(self.z, np.arange(a + 1, b + 2))
-            self.ul = self.ur = None
-            return
-        rho, fid, kind, birth = produced
-        self.y = np.concatenate((self.y[:a], [rho], self.y[b + 1:]))
-        self.ids = np.concatenate((self.ids[:a], [fid], self.ids[b + 1:]))
-        self.kinds = np.concatenate(
-            (self.kinds[:a], np.array([kind], dtype=np.int8), self.kinds[b + 1:]))
-        self.births = np.concatenate((self.births[:a], [birth], self.births[b + 1:]))
-        self.z = np.delete(self.z, np.arange(a + 1, b + 1))
+            self.z = np.delete(self.z, a + 1)
+        else:
+            self.y = np.insert(self.y, a, produced[0])
+            self.ids = np.insert(self.ids, a, produced[1])
         self.ul = self.ur = None
-
-    def tv_z(self):
-        return int(np.sum(np.abs(np.diff(self.z)))) if len(self.y) else 0
 
     def to_field(self, delta, quantization=None):
         return FrontField(
             time=self.t, delta=delta,
             positions=self.y.copy(), z=self.z.copy(), ids=self.ids.copy(),
-            kinds=self.kinds.copy(), births=self.births.copy(),
             next_id=self.next_id, quantization=quantization,
         )
 
     def dump(self):
         return (f"t={self.t!r}\npositions={self.y!r}\nz={self.z!r}\n"
-                f"ids={self.ids!r}\nkinds={self.kinds!r}")
+                f"ids={self.ids!r}")
 
 
 class Tracker:
@@ -419,7 +356,6 @@ class Tracker:
         self.delta = float(delta)
         self.window = (float(window[0]), float(window[1]))
         self.h_ode = float(h_ode)
-        self._vmax_cache = {}
 
     # -- speeds -------------------------------------------------------------
 
@@ -444,19 +380,13 @@ class Tracker:
         """Speed bound for the field's level range (levels never grow, so the
         bound from the initial range is valid for all time)."""
         zmax = int(np.max(np.abs(field.z))) if len(field.z) else 0
-        hit = self._vmax_cache.get(zmax)
-        if hit is not None:
-            return hit
         if zmax == 0:
-            self._vmax_cache[0] = 0.0
             return 0.0
         g_max = self.delta * zmax
         m = np.sqrt(2.0 * g_max / self.flux.require_alpha()) * 1.01
         xs = np.linspace(self.window[0], self.window[1], 2048)
-        v = float(max(np.max(np.abs(self.flux.fu(xs, m))),
-                      np.max(np.abs(self.flux.fu(xs, -m)))))
-        self._vmax_cache[zmax] = v
-        return v
+        return float(max(np.max(np.abs(self.flux.fu(xs, m))),
+                         np.max(np.abs(self.flux.fu(xs, -m)))))
 
     # -- events ---------------------------------------------------------------
 
@@ -472,7 +402,7 @@ class Tracker:
         rho = 0.5 * (float(st.y[a]) + float(st.y[b]))
         consumed = tuple(int(i) for i in st.ids[a:b + 1])
         grazing = bool(np.all(np.abs(v_app[first:last + 1]) <= graze_v))
-        tv_before = st.tv_z()
+        tv_before = _tv_z(st.z)
 
         dz = z_r - z_l
         if dz > 1:
@@ -485,10 +415,9 @@ class Tracker:
         else:
             fid = st.next_id
             st.next_id += 1
-            kind = KIND_FAN if dz == 1 else KIND_SHOCK
-            st.remove_range(a, b, produced=(rho, fid, kind, st.t))
+            st.remove_range(a, b, produced=(rho, fid))
             produced = fid
-        tv_after = st.tv_z()
+        tv_after = _tv_z(st.z)
         if tv_after > tv_before:
             raise AdmissibilityError(
                 f"TV increased {tv_before} -> {tv_after} at (t={st.t}, x={rho})",
@@ -504,14 +433,14 @@ class Tracker:
     def advance(self, field_, t_target):
         """Integrate the field to t_target, resolving interactions on the way.
 
-        Returns (new field, event log).  The input field is not modified.
+        Returns (new field, list of Events).  The input field is not modified.
         """
         t_target = float(t_target)
         if t_target < field_.time:
             raise ValueError(f"cannot advance backwards: {field_.time} -> {t_target}")
         if field_.delta != self.delta:
             raise ValueError("field delta does not match tracker delta")
-        log = EventLog()
+        log = []
         st = _State(field_)
         vmax = self.v_max(field_)
         graze_v = 1e-12 * (1.0 + vmax)
@@ -619,12 +548,6 @@ class TrackedSolution:
 
     def sample_u(self, x, t):
         return sample_u(self.tracker.flux, self.field_at(t), x)
-
-    def sample_g(self, x, t):
-        return sample_g(self.field_at(t), x)
-
-    def __call__(self, x, t):
-        return self.sample_u(x, t)
 
 
 def l1_g_distance(field_a, field_b, lo, hi):

@@ -252,10 +252,11 @@ def characteristic_check(flux, x0, u0, T, steps, window=None):
     def rhs(yy, zz):
         return float(flux.fu(yy, zz)), -float(flux.fx(yy, zz))
 
-    for _ in range(int(steps)):
+    for step in range(int(steps)):
         y, z = _characteristic_step(rhs, y, z, h)
         if window is not None and not (window[0] <= y <= window[1]):
-            raise ValueError(f"characteristic left the window at y={y}, t~{h * steps}")
+            raise ValueError(f"characteristic left the window at y={y}, "
+                             f"t~{(step + 1) * h}")
         drift = max(drift, abs(float(flux.f(y, z)) - f0))
     return drift
 

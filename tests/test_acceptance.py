@@ -65,7 +65,7 @@ def test_criterion_02_shock_merge():
     tracker = Tracker(BURGERS, 0.5, (-6.0, 6.0), h_ode=0.01)
     assert tv_g(field) == 2.0
     final, log = tracker.advance(field, 2.0)
-    e = log.entries[0]
+    e = log[0]
     merged_speed = float(rh_speed(BURGERS, float(final.positions[0]), 2.0, 0.0)[0])
     ok = (len(log) == 1
           and abs(e.time - 1.0) <= 1e-9
@@ -143,7 +143,7 @@ def test_criterion_04_tvd_admissibility_closure(randomized_runs):
         field0, final, log = run["field0"], run["final"], run["log"]
         assert field0.n_fronts >= 2  # the data generator guarantees activity
         tv = field0.tv_z()
-        for e in log.entries:
+        for e in log:
             tvb = round(e.tv_before / field0.delta)
             tva = round(e.tv_after / field0.delta)
             assert tvb == tv, "TV changed between events"
@@ -162,7 +162,7 @@ def test_criterion_04_tvd_admissibility_closure(randomized_runs):
         offgrid = float(np.max(np.abs(g / field0.delta
                                       - np.round(g / field0.delta))))
         assert offgrid <= 1e-9
-        worst_pack.append((len(log.entries), field0.n_fronts))
+        worst_pack.append((len(log), field0.n_fronts))
     total_events = sum(e for e, _ in worst_pack)
     report(4, "50 randomized runs: exact TVD, jumps <= delta, delta-grid closure, "
               "event budget", True,

@@ -7,7 +7,7 @@ import pytest
 from fronttrack.cli import (load_config, run, main, ConfigError, emit_events,
                             emit_profile, read_profile)
 from fronttrack.fluxes import make_builtin_flux
-from fronttrack.tracker import Event, EventLog, initial_fronts
+from fronttrack.tracker import Event, initial_fronts
 
 GOOD_CONFIG = """
 [flux]
@@ -98,16 +98,15 @@ def test_load_config_missing_file():
 
 def test_emit_events_header_only(tmp_path):
     path = str(tmp_path / "events.csv")
-    emit_events(EventLog(), path)
+    emit_events([], path)
     assert open(path).read() == "t,x,consumed_ids,produced_id,tv_before,tv_after\n"
 
 
 def test_emit_events_rows(tmp_path):
-    log = EventLog()
-    log.append(Event(time=1.0, position=0.5, consumed=(0, 1), produced=2,
-                     tv_before=2.0, tv_after=2.0))
-    log.append(Event(time=1.5, position=0.75, consumed=(2, 3), produced=None,
-                     tv_before=2.0, tv_after=0.0))
+    log = [Event(time=1.0, position=0.5, consumed=(0, 1), produced=2,
+                 tv_before=2.0, tv_after=2.0),
+           Event(time=1.5, position=0.75, consumed=(2, 3), produced=None,
+                 tv_before=2.0, tv_after=0.0)]
     path = str(tmp_path / "events.csv")
     emit_events(log, path)
     lines = open(path).read().splitlines()
@@ -219,6 +218,11 @@ def test_main_options_before_or_after_subcommand(tmp_path, capsys, before):
     ("entropy_pairs = 6", "entropy_pairs = six", "[tolerances] entropy_pairs"),
     ("entropy_quad = 128", "entropy_quad = 128\nh_ode = -0.01", "[tolerances] h_ode"),
     ("entropy_quad = 128", "entropy_quad = 128\nh_ode = nan", "[tolerances] h_ode"),
+    ("entropy_pairs = 6", "entropy_pair = 6", "[tolerances] entropy_pair"),
+    ("entropy_quad = 128", "entropy_quad = 128\nlipschitz_pairs = 20",
+     "[tolerances] lipschitz_pairs"),
+    ("entropy_pairs = 6", "entropy_pairs = 2.5", "[tolerances] entropy_pairs"),
+    ("entropy_pairs = 6", "entropy_pairs = 0", "[tolerances] entropy_pairs"),
 ])
 def test_main_bad_config_exits_2(tmp_path, capsys, old, new, option):
     bad = write_config(tmp_path, GOOD_CONFIG.replace(old, new))

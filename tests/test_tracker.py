@@ -6,7 +6,7 @@ from fronttrack.stationary import g_of, solve_level
 from fronttrack.tracker import (Tracker, TrackedSolution, FrontField, FrontFieldError,
                                 quantize_initial, initial_fronts, empty_field,
                                 rh_speed, sample_u, sample_g, tv_g, l1_g_distance,
-                                WindowExitError, KIND_SHOCK, KIND_FAN)
+                                WindowExitError)
 from fronttrack.validation import SingleFrontSolution
 
 BURGERS = make_builtin_flux("homogeneous_burgers")
@@ -32,8 +32,8 @@ def test_quantize_indicator_two_level_field():
     assert np.all(f.positions[:5] == -2.0)
     assert f.positions[5] == pytest.approx(0.0, abs=1e-12)
     assert list(f.z) == [0, 1, 2, 3, 4, 5, 0]
-    assert list(f.kinds[:5]) == [KIND_FAN] * 5
-    assert f.kinds[5] == KIND_SHOCK
+    assert list(np.diff(f.z)[:5]) == [1] * 5  # fan fronts
+    assert np.diff(f.z)[5] < 0  # shock
     assert sample_g(f, -1.0) == pytest.approx(0.5)
     assert sample_g(f, 1.0) == 0.0
 
@@ -85,8 +85,8 @@ def test_quantize_ties_round_toward_zero():
 def test_initial_fronts_single_shock():
     f = initial_fronts([0.25], [5, 0], 0.1)
     assert f.n_fronts == 1
-    fr = f.fronts[0]
-    assert fr.kind == "shock" and fr.g_left == 0.5 and fr.g_right == 0.0
+    assert np.diff(f.z)[0] < 0  # shock
+    assert f.delta * f.z[0] == 0.5 and f.delta * f.z[1] == 0.0
 
 
 def test_initial_fronts_fan_split():
@@ -94,7 +94,7 @@ def test_initial_fronts_fan_split():
     assert f.n_fronts == 3
     assert np.all(f.positions == 0.0)
     assert list(f.z) == [0, 1, 2, 3]
-    assert all(fr.kind == "fan_front" for fr in f.fronts)
+    assert np.all(np.diff(f.z) == 1)  # fan fronts
 
 
 def test_initial_fronts_no_jumps():
@@ -121,7 +121,7 @@ def test_two_shock_merge_golden():
     tr = Tracker(BURGERS, 0.5, (-6, 6), h_ode=0.01)
     f1, log = tr.advance(f0, 2.0)
     assert len(log) == 1
-    e = log.entries[0]
+    e = log[0]
     assert e.time == pytest.approx(1.0, abs=1e-9)
     assert e.position == pytest.approx(0.5, abs=1e-9)
     assert e.consumed == (0, 1)
@@ -173,21 +173,20 @@ def test_shock_overtakes_fan_front():
         positions=np.array([-0.05, 0.0]),
         z=np.array([2, 0, 1], dtype=np.int64),
         ids=np.array([0, 1], dtype=np.int64),
-        kinds=np.array([KIND_SHOCK, KIND_FAN], dtype=np.int8),
-        births=np.zeros(2), next_id=2,
+        next_id=2,
     ).validate()
     tr = Tracker(BURGERS, 0.1, (-2, 4), h_ode=0.01)
     f1, log = tr.advance(f0, 2.0)
     assert len(log) == 1
-    assert log.entries[0].consumed == (0, 1)
+    assert log[0].consumed == (0, 1)
     assert f1.n_fronts == 1
     assert list(f1.z) == [2, 1]
-    assert f1.kinds[0] == KIND_SHOCK
+    assert np.diff(f1.z)[0] < 0  # shock
     # delta-admissible and at the Rankine-Hugoniot speed of a fresh re-solve,
     # checked against the closed form (0.2 - 0.1)/(sqrt(0.4) - sqrt(0.2))
     y = float(f1.positions[0])
-    tau = log.entries[0].time
-    rho = log.entries[0].position
+    tau = log[0].time
+    rho = log[0].position
     analytic = 0.1 / (np.sqrt(0.4) - np.sqrt(0.2))
     assert rh_speed(BURGERS, rho, 0.2, 0.1)[0] == pytest.approx(analytic, abs=1e-12)
     assert y == pytest.approx(rho + analytic * (2.0 - tau), abs=1e-9)
@@ -200,13 +199,12 @@ def test_equal_outer_levels_annihilate():
         positions=np.array([0.0, 5e-11]),
         z=np.array([1, 0, 1], dtype=np.int64),
         ids=np.array([0, 1], dtype=np.int64),
-        kinds=np.array([KIND_SHOCK, KIND_FAN], dtype=np.int8),
-        births=np.zeros(2), next_id=2,
+        next_id=2,
     )
     tr = Tracker(BURGERS, 0.1, (-2, 2), h_ode=0.01)
     f1, log = tr.advance(f0, 0.5)
     assert len(log) == 1
-    e = log.entries[0]
+    e = log[0]
     assert e.produced is None
     assert e.grazing
     assert e.tv_before == pytest.approx(0.2) and e.tv_after == 0.0
@@ -227,15 +225,14 @@ def test_three_front_simultaneous_collision():
         positions=np.array([-s for s in speeds]),
         z=np.array([6, 3, 1, 0], dtype=np.int64),
         ids=np.arange(3, dtype=np.int64),
-        kinds=np.full(3, KIND_SHOCK, dtype=np.int8),
-        births=np.zeros(3), next_id=3,
+        next_id=3,
     ).validate()
     tr = Tracker(BURGERS, 0.5, (-8, 8), h_ode=0.01)
     f1, log = tr.advance(f0, 2.0)
     assert f1.n_fronts == 1
     assert list(f1.z) == [6, 0]
     consumed = set()
-    for e in log.entries:
+    for e in log:
         consumed.update(e.consumed)
         assert abs(e.time - 1.0) <= 1e-8
         assert abs(e.position) <= 1e-8
@@ -245,7 +242,7 @@ def test_three_front_simultaneous_collision():
     # merged speed = RH of the outer levels
     v = rh_speed(BURGERS, 0.0, 3.0, 0.0)[0]
     assert float(f1.positions[0]) == pytest.approx(
-        log.entries[-1].position + v * (2.0 - log.entries[-1].time), abs=1e-8)
+        log[-1].position + v * (2.0 - log[-1].time), abs=1e-8)
 
 
 def test_fan_then_shock_pile_up_keeps_invariants():
@@ -317,7 +314,7 @@ def test_randomized_run_invariants(seed):
     f0, f1, log = _random_run(seed)
     # exact integer TVD at every event
     tv = f0.tv_z()
-    for e in log.entries:
+    for e in log:
         tvb = round(e.tv_before / f0.delta)
         tva = round(e.tv_after / f0.delta)
         assert tvb == tv  # constant between events
@@ -336,7 +333,7 @@ def test_determinism_bit_identical():
     assert np.array_equal(fa1.positions, fb1.positions)
     assert np.array_equal(fa1.z, fb1.z)
     assert len(loga) == len(logb)
-    for ea, eb in zip(loga.entries, logb.entries):
+    for ea, eb in zip(loga, logb):
         assert ea == eb
 
 
@@ -420,29 +417,22 @@ def test_quantize_property(amp, freq, delta, cells):
     assert diag.l1_sampled <= delta / 2 * 4.0 + 1e-12
 
 
-def test_kind_metadata_consistent_after_events():
-    _, f1, _ = _random_run(3)
-    dz = np.diff(f1.z)
-    assert np.all((dz == 1) == (f1.kinds == KIND_FAN))
-
-
 def test_impossible_interaction_aborts_with_forensics():
     # the theory forbids a merge producing an upward jump above delta; feed the
     # resolver a corrupt state directly and expect the forensic abort
-    from fronttrack.tracker import AdmissibilityError, EventLog, _State
+    from fronttrack.tracker import AdmissibilityError, _State
     corrupt = FrontField(
         time=0.0, delta=0.1,
         positions=np.array([0.0, 1e-12]),
         z=np.array([0, 1, 3], dtype=np.int64),  # outer jump would be +3
         ids=np.array([0, 1], dtype=np.int64),
-        kinds=np.array([KIND_FAN, KIND_FAN], dtype=np.int8),
-        births=np.zeros(2), next_id=2,
+        next_id=2,
     )
     tr = Tracker(BURGERS, 0.1, (-2, 2))
     st = _State(corrupt)
     with pytest.raises(AdmissibilityError) as info:
         tr._resolve_leftmost_cluster(st, np.array([True]), np.array([0.0]),
-                                     1e-12, EventLog())
+                                     1e-12, [])
     assert "positions" in str(info.value)  # the dump travels with the error
 
 
@@ -453,8 +443,7 @@ def test_degenerate_states_error_carries_time_and_state():
         positions=np.array([0.3]),
         z=np.array([1, 1], dtype=np.int64),  # a null front: equal levels
         ids=np.array([0], dtype=np.int64),
-        kinds=np.array([KIND_SHOCK], dtype=np.int8),
-        births=np.zeros(1), next_id=1,
+        next_id=1,
     )
     with pytest.raises(DegenerateStatesError) as info:
         Tracker(BURGERS, 0.1, (-2, 2)).advance(f0, 1.0)

@@ -195,7 +195,8 @@ def test_characteristics_fourth_order():
 
 
 def test_characteristics_window_exit():
-    with pytest.raises(ValueError):
+    # unit speed from y = 0: the characteristic reaches y = 1 at t = 1, not T = 2
+    with pytest.raises(ValueError, match=r"t~1\.0"):
         characteristic_check(BURGERS, 0.0, 1.0, 2.0, 100, window=(-1, 1))
 
 
