@@ -27,8 +27,8 @@ from .fluxes import make_builtin_flux, audit_assumptions, certify, default_envel
 from .profiles import make_initial
 from .riemann import ApproxFlux
 from .stationary import solve_level, g_of, inversion_gap_bound
-from .tracker import (Tracker, TrackedSolution, quantize_initial, sample_u, sample_g,
-                      tv_g, l1_g_distance)
+from .tracker import (H_ODE_DEFAULT, Tracker, TrackedSolution, quantize_initial,
+                      sample_u, sample_g, tv_g, l1_g_distance)
 from .validation import (QuadSpec, entropy_battery, characteristic_check,
                          flux_convergence_check, fv_reference, l1_distance,
                          ValidationReport)
@@ -62,12 +62,13 @@ class RunConfig:
     tolerances: dict = field(default_factory=dict)
 
     def validate(self):
-        if not self.delta > 0:
-            raise ConfigError("run", "delta", "must be positive")
-        if self.t_end < 0:
-            raise ConfigError("run", "t_end", "must be nonnegative")
-        if not self.window[1] > self.window[0]:
-            raise ConfigError("run", "window", "must be a nondegenerate interval")
+        if not (math.isfinite(self.delta) and self.delta > 0):
+            raise ConfigError("run", "delta", "must be finite and positive")
+        if not (math.isfinite(self.t_end) and self.t_end >= 0):
+            raise ConfigError("run", "t_end", "must be finite and nonnegative")
+        lo, hi = self.window
+        if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
+            raise ConfigError("run", "window", "must be a finite nondegenerate interval")
         for option in ("cells", "resolution"):
             if getattr(self, option) < 1:
                 raise ConfigError("run", option, "must be at least 1")
@@ -140,7 +141,7 @@ def load_config(path):
     u0_params = {k: v for k, v in parser.items("initial") if k != "profile"}
     for key in list(u0_params):
         if key in ("values", "breaks"):
-            u0_params[key] = _parse_floats(u0_params[key])
+            u0_params[key] = need("initial", key, _parse_floats)
         elif key != "expr":
             try:
                 u0_params[key] = float(u0_params[key])
@@ -227,10 +228,10 @@ def read_profile(path):
 class RunContext:
     config: RunConfig
     flux: object
-    tracker: Tracker
     field0: object
     fields: dict        # time -> FrontField snapshots at output times (and t_end)
     log: list           # Events of the whole run, in order
+    solution: TrackedSolution  # snapshots on demand, shared by the checks
     envelope: object
     u_sup: float
     u0_l1: float
@@ -239,9 +240,6 @@ class RunContext:
         stream = list(_CHECK_IMPL).index(check_name)
         key = np.array([self.config.seed % (2 ** 63), stream], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
-
-    def solution(self):
-        return TrackedSolution(self.tracker, self.field0)
 
 
 def _check_tvd(ctx, report):
@@ -282,11 +280,10 @@ def _check_entropy(ctx, report):
     quad = QuadSpec(ctx.config.window[0], ctx.config.window[1],
                     0.0, ctx.config.t_end, nx=quad_n, nt=quad_n)
     af = ApproxFlux(ctx.flux, ctx.config.delta)
-    sol = ctx.solution()
     tv_u = _tv_u_estimate(ctx)
     speed = ctx.envelope.lipschitz_L(ctx.u_sup)
     rng = ctx.rng("entropy")
-    records = entropy_battery(sol, af, quad, rng, pairs,
+    records = entropy_battery(ctx.solution, af, quad, rng, pairs,
                               k_bound=1.2 * ctx.u_sup + 1e-6,
                               tv_u=tv_u, speed_bound=speed)
     worst = min((r["residual"] + r["tol"] for r in records), default=0.0)
@@ -316,13 +313,12 @@ def _check_lipschitz_l1(ctx, report):
     rng = ctx.rng("lipschitz_l1")
     tv0 = tv_g(ctx.field0)
     L = ctx.envelope.lipschitz_L(ctx.u_sup)
-    sol = ctx.solution()
     worst = -np.inf
     for _ in range(LIPSCHITZ_PAIRS):
         t = float(rng.uniform(0.0, 0.8 * ctx.config.t_end))
         h = float(rng.uniform(1e-3, max(1e-3, 0.5 * (ctx.config.t_end - t))))
-        fa = sol.field_at(t)
-        fb = sol.field_at(t + h)
+        fa = ctx.solution.field_at(t)
+        fb = ctx.solution.field_at(t + h)
         dist = l1_g_distance(fa, fb, *ctx.config.window)
         worst = max(worst, dist - L * tv0 * h)
     report.add("lipschitz_l1", worst, 1e-8, worst <= 1e-8,
@@ -431,11 +427,13 @@ def run(cfg, out_dir, verbose=False):
     flux = _from_config("flux", "family", make_builtin_flux, cfg.flux_family,
                         **cfg.flux_params)
     u0 = _from_config("initial", "profile", make_initial, cfg.u0_name, **cfg.u0_params)
-    os.makedirs(out_dir, exist_ok=True)
-
     lo, hi = cfg.window
     probe = np.linspace(lo, hi, 4097)
-    u_probe = np.asarray(u0(probe), dtype=float)
+    with np.errstate(invalid="ignore", over="ignore"):  # reported just below
+        u_probe = np.asarray(u0(probe), dtype=float)
+    if not np.all(np.isfinite(u_probe)):
+        raise ConfigError("initial", "profile", "initial data not finite on the window")
+    os.makedirs(out_dir, exist_ok=True)
     u0_sup = float(np.max(np.abs(u_probe))) if u_probe.size else 0.0
     u0_l1 = float(np.sum(0.5 * (np.abs(u_probe[:-1]) + np.abs(u_probe[1:]))
                          * np.diff(probe)))
@@ -467,7 +465,7 @@ def run(cfg, out_dir, verbose=False):
     u_sup = math.sqrt(2.0 * max(g0_sup, cfg.delta) / flux.alpha) * 1.02
     envelope = default_envelope(flux, cfg.window, u_sup + cfg.delta)
 
-    h_ode = cfg.tolerances.get("h_ode", 0.01)
+    h_ode = cfg.tolerances.get("h_ode", H_ODE_DEFAULT)
     # boundary fronts created by the compact-support padding move at most at
     # the envelope speed, so the data window plus L*T margin holds all activity
     margin = envelope.lipschitz_L(u_sup) * cfg.t_end + 0.05 * (hi - lo) + cfg.delta
@@ -494,8 +492,8 @@ def run(cfg, out_dir, verbose=False):
         emit_profile(flux, fields[t], cfg.window, cfg.resolution, path)
     emit_events(log, os.path.join(out_dir, "events.csv"))
 
-    ctx = RunContext(config=cfg, flux=flux, tracker=tracker, field0=field0,
-                     fields=fields, log=log, envelope=envelope,
+    ctx = RunContext(config=cfg, flux=flux, field0=field0, fields=fields, log=log,
+                     solution=TrackedSolution(tracker, field0), envelope=envelope,
                      u_sup=u_sup, u0_l1=u0_l1)
     report = ValidationReport()
     for name in sorted(cfg.checks, key=list(_CHECK_IMPL).index):

@@ -18,7 +18,7 @@ from scipy.optimize import brentq
 from .profiles import smooth_bump, smooth_bump_prime
 from .riemann import ApproxFlux
 from .stationary import g_of, profile_slope, solve_level
-from .tracker import Tracker, piece_index, quantize_initial
+from .tracker import H_ODE_DEFAULT, Tracker, piece_index, quantize_initial
 
 # peak of |d/ds bump(s)|, fixed numerically once (the bump is a module constant)
 _S = np.linspace(-1.0, 1.0, 400001)
@@ -117,30 +117,37 @@ class TestFunction:
             raise SupportError(f"t-support of {self} escapes the quadrature box")
 
 
-def _as_sampler(solution):
-    if hasattr(solution, "sample_u"):
-        return solution.sample_u
-    return solution
-
-
 # ---------------------------------------------------------------------------
 # entropy residuals
 # ---------------------------------------------------------------------------
 
-def _residual_core(u_of, k, phi, quad, f_of, f_row_k, fx_row_k):
+def _sample_rows(solution, quad, f):
+    """u on every quadrature row, f(x, u) on those rows, and u at t_lo."""
+    u_of = solution.sample_u if hasattr(solution, "sample_u") else solution
     xs = quad.x_mids()
+    u_rows = [np.asarray(u_of(xs, t), dtype=float) for t in quad.t_mids()]
+    f_rows = [f(xs, u) for u in u_rows]
+    return u_rows, f_rows, np.asarray(u_of(xs, quad.t_lo), dtype=float)
+
+
+def _residual(samples, f, fx, k, phi, quad):
+    """Residual of one (k, phi) pair over sampled rows with the flux pair
+    (f, fx); returns it with the source row fx(x, k)."""
+    u_rows, f_rows, u0 = samples
+    xs = quad.x_mids()
+    k_row = np.full_like(xs, k)
+    f_row_k = np.asarray(f(xs, k_row), dtype=float)
+    fx_row_k = np.asarray(fx(xs, k_row), dtype=float)
     total = 0.0
-    for t in quad.t_mids():
-        u = np.asarray(u_of(xs, t), dtype=float)
+    for t, u, f_u in zip(quad.t_mids(), u_rows, f_rows):
         sgn = np.sign(u - k)
-        q = sgn * (f_of(xs, u) - f_row_k)
+        q = sgn * (f_u - f_row_k)
         total += float(np.sum(np.abs(u - k) * phi.phi_t(xs, t)
                               + q * phi.phi_x(xs, t)
                               - sgn * fx_row_k * phi.phi(xs, t)))
     total *= quad.dx * quad.dt
-    u0 = np.asarray(u_of(xs, quad.t_lo), dtype=float)
     total += float(np.sum(np.abs(u0 - k) * phi.phi(xs, quad.t_lo))) * quad.dx
-    return total
+    return total, fx_row_k
 
 
 def kruzkov_residual(solution, flux, k, phi, quad):
@@ -151,12 +158,8 @@ def kruzkov_residual(solution, flux, k, phi, quad):
     - sgn(u-k) f_x(x,k) phi, plus the initial line integral of |u0-k| phi(.,0).
     """
     phi.check_support(quad)
-    u_of = _as_sampler(solution)
-    xs = quad.x_mids()
-    k_row = np.full_like(xs, float(k))
-    f_row = np.asarray(flux.f(xs, k_row), dtype=float)
-    fx_row = np.asarray(flux.fx(xs, k_row), dtype=float)
-    return _residual_core(u_of, float(k), phi, quad, flux.f, f_row, fx_row)
+    samples = _sample_rows(solution, quad, flux.f)
+    return _residual(samples, flux.f, flux.fx, float(k), phi, quad)[0]
 
 
 def approx_kruzkov_residual(solution, af, k, phi, quad):
@@ -166,15 +169,8 @@ def approx_kruzkov_residual(solution, af, k, phi, quad):
     conservation law, so this must be >= -tol_quad for every (k, phi).
     """
     phi.check_support(quad)
-    u_of = _as_sampler(solution)
-    xs = quad.x_mids()
-    f_row = np.asarray(af.eval(xs, np.full_like(xs, float(k))), dtype=float)
-    fx_row = np.asarray(af.eval_dx(xs, np.full_like(xs, float(k))), dtype=float)
-
-    def f_of(x, u):
-        return af.eval(x, u)
-
-    return _residual_core(u_of, float(k), phi, quad, f_of, f_row, fx_row)
+    samples = _sample_rows(solution, quad, af.eval)
+    return _residual(samples, af.eval, af.eval_dx, float(k), phi, quad)[0]
 
 
 def entropy_tol(quad, phi, tv_u, speed_bound, src_sup, state_scale=1.0):
@@ -200,8 +196,9 @@ def entropy_battery(solution, af, quad, rng, pairs, k_bound, tv_u, speed_bound):
     """Randomized (k, phi) battery of approximate entropy residuals.
 
     Returns one record per pair with the residual and its reported tolerance.
+    u and f^delta(x, u) are sampled once, on the first pair, and shared by all.
     """
-    xs = quad.x_mids()
+    samples = None
     records = []
     x_span = quad.x_hi - quad.x_lo
     t_span = quad.t_hi - quad.t_lo
@@ -212,8 +209,11 @@ def entropy_battery(solution, af, quad, rng, pairs, k_bound, tv_u, speed_bound):
         tr = float(rng.uniform(0.15, 0.45)) * t_span
         tc = float(rng.uniform(quad.t_lo, quad.t_hi - 1.05 * tr))
         phi = TestFunction(x_center=xc, x_radius=xr, t_center=tc, t_radius=tr)
-        residual = approx_kruzkov_residual(solution, af, k, phi, quad)
-        src_sup = float(np.max(np.abs(af.eval_dx(xs, np.full_like(xs, k)))))
+        phi.check_support(quad)
+        if samples is None:
+            samples = _sample_rows(solution, quad, af.eval)
+        residual, fx_row = _residual(samples, af.eval, af.eval_dx, k, phi, quad)
+        src_sup = float(np.max(np.abs(fx_row)))
         tol = entropy_tol(quad, phi, tv_u, speed_bound, src_sup,
                           state_scale=abs(k) + k_bound)
         records.append({"k": k, "phi": phi, "residual": residual, "tol": tol})
@@ -474,7 +474,7 @@ def l1_u_fields(flux, field_a, field_b, lo, hi, pts_per_piece=8):
 
 
 def domain_of_dependence_check(flux, u0, u0_perturbed, delta, window, cells, T, R,
-                               h_ode=0.01):
+                               h_ode=H_ODE_DEFAULT):
     """Run both initial data and measure the L1 difference of u on [-R, R] at T."""
     tr = Tracker(flux, delta, window, h_ode=h_ode)
     fa = quantize_initial(flux, u0, delta, window, cells)

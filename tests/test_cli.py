@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from fronttrack.cli import (load_config, run, main, ConfigError, emit_events,
-                            emit_profile, read_profile)
+                            emit_profile, read_profile, LIPSCHITZ_PAIRS)
 from fronttrack.fluxes import make_builtin_flux
-from fronttrack.tracker import Event, initial_fronts
+from fronttrack.tracker import Event, Tracker, initial_fronts
 
 GOOD_CONFIG = """
 [flux]
@@ -223,6 +223,12 @@ def test_main_options_before_or_after_subcommand(tmp_path, capsys, before):
      "[tolerances] lipschitz_pairs"),
     ("entropy_pairs = 6", "entropy_pairs = 2.5", "[tolerances] entropy_pairs"),
     ("entropy_pairs = 6", "entropy_pairs = 0", "[tolerances] entropy_pairs"),
+    ("delta = 0.05", "delta = inf", "[run] delta"),
+    ("t_end = 0.4", "t_end = inf", "[run] t_end"),
+    ("window = -3, 3", "window = -inf, 3", "[run] window"),
+    ("profile = bump", "profile = piecewise\nvalues = 1, x", "[initial] values"),
+    ("amp = 0.6", "amp = inf", "[initial] profile"),
+    ("profile = bump", "profile = piecewise\nvalues = 1, inf\nbreaks = 0", "[initial] profile"),
 ])
 def test_main_bad_config_exits_2(tmp_path, capsys, old, new, option):
     bad = write_config(tmp_path, GOOD_CONFIG.replace(old, new))
@@ -247,6 +253,34 @@ def test_env_var_output_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("FRONTTRACK_OUT", target)
     assert main(["run", good]) == 0
     assert os.path.exists(os.path.join(target, "manifest.json"))
+
+
+def test_checks_share_one_trajectory(tmp_path, monkeypatch):
+    # entropy samples the run once on its quadrature rows; lipschitz_l1 then
+    # advances from the nearest of those snapshots instead of from t = 0
+    integrated = []
+    advance = Tracker.advance
+
+    def counting_advance(self, field_, t_target):
+        integrated.append(t_target - field_.time)
+        return advance(self, field_, t_target)
+
+    monkeypatch.setattr(Tracker, "advance", counting_advance)
+    t_end, quad = 1.0, 64
+    cfg_text = (GOOD_CONFIG
+                .replace("delta = 0.05", "delta = 0.02")
+                .replace("cells = 120", "cells = 300")
+                .replace("t_end = 0.4", f"t_end = {t_end}")
+                .replace("output_times = 0.2, 0.4", "output_times = 0.5, 1.0")
+                .replace("names = tvd, entropy", "names = tvd, entropy, lipschitz_l1")
+                .replace("entropy_pairs = 6", "entropy_pairs = 3")
+                .replace("entropy_quad = 128", f"entropy_quad = {quad}"))
+    manifest, status = run(load_config(write_config(tmp_path, cfg_text)),
+                           str(tmp_path / "out"))
+    assert status == 0
+    names = [c["name"] for c in manifest["checks"]["checks"]]
+    assert "entropy.battery" in names and "lipschitz_l1" in names
+    assert sum(integrated) <= 2 * t_end + 2 * LIPSCHITZ_PAIRS * t_end / quad
 
 
 def test_run_burgers_step_shock_lands_at_one(tmp_path):

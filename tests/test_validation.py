@@ -170,6 +170,27 @@ def test_entropy_battery_honest_run_and_control_rejection():
     assert any(r["residual"] < -10.0 * r["tol"] for r in bad)
 
 
+@pytest.mark.parametrize("pairs", [1, 5])
+def test_entropy_battery_samples_the_solution_once(pairs):
+    sol = burgers_shock_solution()
+    af = ApproxFlux(BURGERS, 0.1)
+    quad = QuadSpec(-2.0, 2.0, 0.0, 1.0, nx=64, nt=48)
+    times = []
+
+    def counting_sampler(x, t):
+        times.append(t)
+        return sol.sample_u(x, t)
+
+    rng = np.random.Generator(np.random.Philox(key=np.array([99, pairs],
+                                                            dtype=np.uint64)))
+    records = entropy_battery(counting_sampler, af, quad, rng, pairs, k_bound=1.1,
+                              tv_u=1.0, speed_bound=1.2)
+    assert len(times) == quad.nt + 1
+    assert len(records) == pairs
+    for r in records:
+        assert r["residual"] == approx_kruzkov_residual(sol, af, r["k"], r["phi"], quad)
+
+
 # ---------------------------------------------------------------------------
 # characteristics
 # ---------------------------------------------------------------------------
