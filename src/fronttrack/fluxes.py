@@ -74,7 +74,6 @@ class AssumptionReport:
     sample_counts: tuple
     # sampled upper bounds used where the theory needs sup-norms on compacts
     fuu_max: float
-    f_max: float
 
     def summary(self):
         head = "passed" if self.passed else f"FAILED ({len(self.violations)} violations)"
@@ -84,20 +83,25 @@ class AssumptionReport:
 
 @dataclass(frozen=True)
 class SpeedEnvelope:
-    """Numeric envelope theta(v) = max over sampled x of |f_u(x, v)|."""
+    """Envelope theta(v) = max over x_grid of |f_u(x, v)| for v in [v_lo, v_hi].
 
-    v_grid: np.ndarray
-    theta_grid: np.ndarray
+    theta is evaluated at the states it is asked for, not tabulated.
+    """
+
+    fu: Callable
     x_grid: np.ndarray
+    v_lo: float
+    v_hi: float
 
     def theta(self, v):
         v = np.asarray(v, dtype=float)
-        if np.any(v < self.v_grid[0]) or np.any(v > self.v_grid[-1]):
-            raise ValueError(
-                f"state {v} outside envelope range "
-                f"[{self.v_grid[0]}, {self.v_grid[-1]}]"
-            )
-        out = np.interp(v, self.v_grid, self.theta_grid)
+        if np.any(v < self.v_lo) or np.any(v > self.v_hi):
+            raise ValueError(f"state {v} outside envelope range [{self.v_lo}, {self.v_hi}]")
+        X, V = np.meshgrid(self.x_grid, v.ravel(), indexing="ij")
+        speeds = np.abs(np.asarray(self.fu(X, V), dtype=float))
+        if not np.all(np.isfinite(speeds)):
+            raise ValueError(f"speed envelope is not finite on the sampled grid at {v}")
+        out = speeds.max(axis=0).reshape(v.shape)
         return float(out) if out.ndim == 0 else out
 
     def lipschitz_L(self, u_bound):
@@ -256,7 +260,6 @@ def audit_assumptions(flux, box, grid=64):
         certified_alpha=certified,
         sample_counts=(nx, nu),
         fuu_max=float(np.max(fuu)),
-        f_max=float(np.max(np.abs(f_grid))),
     )
 
 
@@ -297,23 +300,16 @@ def certify(flux, report):
 
 
 def speed_envelope(flux, v_grid, x_grid):
-    """Tabulate theta(v) = max over x_grid of |f_u(x, v)|, linear between v-samples."""
+    """Envelope over x_grid for the states between the extremes of v_grid."""
     v_grid = np.asarray(v_grid, dtype=float)
     x_grid = np.asarray(x_grid, dtype=float)
     if v_grid.size == 0 or x_grid.size == 0:
         raise ValueError("speed_envelope needs non-empty grids")
-    v_grid = np.sort(v_grid)
-    X, V = np.meshgrid(x_grid, v_grid, indexing="ij")
-    speeds = np.abs(np.asarray(flux.fu(X, V), dtype=float))
-    theta = speeds.max(axis=0)
-    if not np.all(np.isfinite(theta)):
-        raise ValueError("speed envelope is not finite on the sampled grid")
-    return SpeedEnvelope(v_grid=v_grid, theta_grid=theta, x_grid=x_grid)
+    return SpeedEnvelope(fu=flux.fu, x_grid=x_grid,
+                         v_lo=float(v_grid.min()), v_hi=float(v_grid.max()))
 
 
-def default_envelope(flux, window, u_bound, nx=4096, nv=512):
+def default_envelope(flux, window, u_bound):
     """Envelope over the working window, padded a little beyond the state bound."""
     vmax = abs(u_bound) * 1.0000001 + 1e-12
-    xs = np.linspace(window[0], window[1], nx)
-    vs = np.linspace(-vmax, vmax, nv | 1)  # odd count keeps v=0 on the grid
-    return speed_envelope(flux, vs, xs)
+    return speed_envelope(flux, [-vmax, vmax], np.linspace(window[0], window[1], 4096))

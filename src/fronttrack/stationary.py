@@ -35,7 +35,7 @@ def g_of(flux, x, u):
     return np.sign(u) * flux.f(x, u)
 
 
-def solve_level(flux, x, g, guess=None, tol_rel=TOL_INV):
+def solve_level(flux, x, g, guess=None):
     """Vectorized inversion: u with f(x, u) = |g| and sgn(u) = sgn(g).
 
     Newton on the monotone branch, started from the analytic upper bracket
@@ -48,7 +48,7 @@ def solve_level(flux, x, g, guess=None, tol_rel=TOL_INV):
     s = np.sign(g)
     nonzero = g_abs > 0.0
     u_hi = np.sqrt(2.0 * g_abs / alpha) * BRACKET_PAD
-    tol = tol_rel * np.maximum(1.0, g_abs)
+    tol = TOL_INV * np.maximum(1.0, g_abs)
 
     if guess is None:
         w = u_hi / BRACKET_PAD

@@ -369,24 +369,12 @@ class Tracker:
             raise DegenerateStatesError(f"t={st.t!r}: {e}\n{st.dump()}") from None
         return v
 
-    def _rk4(self, st, y, h):
-        k1 = self._speeds(st, y)
+    def _rk4(self, st, y, k1, h):
+        """One RK4 step of length h from y, whose speeds k1 the caller holds."""
         k2 = self._speeds(st, y + 0.5 * h * k1)
         k3 = self._speeds(st, y + 0.5 * h * k2)
         k4 = self._speeds(st, y + h * k3)
         return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    def v_max(self, field):
-        """Speed bound for the field's level range (levels never grow, so the
-        bound from the initial range is valid for all time)."""
-        zmax = int(np.max(np.abs(field.z))) if len(field.z) else 0
-        if zmax == 0:
-            return 0.0
-        g_max = self.delta * zmax
-        m = np.sqrt(2.0 * g_max / self.flux.require_alpha()) * 1.01
-        xs = np.linspace(self.window[0], self.window[1], 2048)
-        return float(max(np.max(np.abs(self.flux.fu(xs, m))),
-                         np.max(np.abs(self.flux.fu(xs, -m)))))
 
     # -- events ---------------------------------------------------------------
 
@@ -442,24 +430,18 @@ class Tracker:
             raise ValueError("field delta does not match tracker delta")
         log = []
         st = _State(field_)
-        vmax = self.v_max(field_)
-        graze_v = 1e-12 * (1.0 + vmax)
 
         for _ in range(_MAX_LOOP):
             if st.t >= t_target:
                 break
-            n = len(st.y)
-            if n == 0:
+            if len(st.y) == 0:
                 st.t = t_target
                 break
 
             v = self._speeds(st, st.y)
-            if n == 1:
-                gaps = np.empty(0)
-                v_app = np.empty(0)
-            else:
-                gaps = np.diff(st.y)
-                v_app = v[:-1] - v[1:]  # positive when the pair approaches
+            graze_v = 1e-12 * (1.0 + float(np.max(np.abs(v))))
+            gaps = np.diff(st.y)
+            v_app = v[:-1] - v[1:]  # positive when the pair approaches
 
             # resolve contacts at the current time (approaching or grazing only;
             # freshly split fan siblings separate and are excluded naturally)
@@ -473,31 +455,30 @@ class Tracker:
             approaching = v_app > 0.0
             if np.any(approaching):
                 h = min(h, float(np.min(gaps[approaching] / v_app[approaching])))
-            y_try = self._rk4(st, st.y, h)
+            y_try = self._rk4(st, st.y, v, h)
 
-            trouble = np.empty(0, dtype=bool)
-            if n > 1:
-                gaps_try = np.diff(y_try)
-                trouble = (gaps_try <= TOL_POS) & (gaps_try < gaps)
+            gaps_try = np.diff(y_try)
+            trouble = (gaps_try <= TOL_POS) & (gaps_try < gaps)
             if not np.any(trouble):
-                if n > 1 and gaps_try.min() <= 0.0:
+                if np.any(gaps_try <= 0.0):
                     raise RuntimeError("ordering lost without a contact flag")
                 st.y = y_try
                 st.t += h
                 self._check_window(st)
                 continue
 
-            # bisect the earliest time any troubled pair reaches contact range
+            # bisect the earliest time any troubled pair reaches contact range,
+            # keeping the positions at the upper end of the bracket
             t_idx = np.flatnonzero(trouble)
             lo, hi = 0.0, h
             while hi - lo > TOL_EVENT:
                 mid = 0.5 * (lo + hi)
-                y_mid = self._rk4(st, st.y, mid)
+                y_mid = self._rk4(st, st.y, v, mid)
                 if np.min(y_mid[t_idx + 1] - y_mid[t_idx]) <= TOL_POS:
-                    hi = mid
+                    hi, y_try = mid, y_mid
                 else:
                     lo = mid
-            st.y = self._rk4(st, st.y, hi)
+            st.y = y_try
             st.t += hi
             self._check_window(st)
             # the triggering pair is now in contact; next iteration resolves it

@@ -15,6 +15,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
+from .fluxes import speed_envelope
 from .profiles import smooth_bump, smooth_bump_prime
 from .riemann import ApproxFlux
 from .stationary import g_of, profile_slope, solve_level
@@ -80,7 +81,6 @@ class TestFunction:
     x_radius: float
     t_center: float
     t_radius: float
-    kind: str = "tensor_bump"
 
     __test__ = False  # not a pytest class, despite the name
 
@@ -533,9 +533,8 @@ def flux_convergence_check(flux, deltas, box, nx=48, nu=96):
                                     - f_exact)))
         fx_err = float(np.max(np.abs(af.eval_dx(X.ravel(), U.ravel()).reshape(X.shape)
                                      - fx_exact)))
-        theta_hi = float(np.max(np.abs(flux.fu(xs, M + delta))))
-        theta_lo = float(np.max(np.abs(flux.fu(xs, -(M + delta)))))
-        bound_f = math.sqrt(2.0 * delta / alpha) * (1.0 + max(theta_hi, theta_lo)) + delta
+        theta = speed_envelope(flux, [-(M + delta), M + delta], xs).lipschitz_L(M + delta)
+        bound_f = math.sqrt(2.0 * delta / alpha) * (1.0 + theta) + delta
 
         # C3 over all levels the box can reach (one cell above, both signs)
         g_levels = np.linspace(-(g_box + delta), g_box + delta, 81)

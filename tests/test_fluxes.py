@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fronttrack.fluxes import (make_builtin_flux, audit_assumptions, certify,
+from fronttrack.fluxes import (Flux, make_builtin_flux, audit_assumptions, certify,
                                speed_envelope, default_envelope, InvalidFluxParams)
 
 BOX = ((-5.0, 5.0), (-3.0, 3.0))
@@ -180,3 +180,24 @@ def test_envelope_rejects_empty_grid_and_out_of_range(burgers):
     env = speed_envelope(burgers, np.linspace(-1, 1, 17), np.linspace(-1, 1, 17))
     with pytest.raises(ValueError):
         env.theta(5.0)
+
+
+def test_envelope_is_the_grid_max_at_the_asked_states():
+    # theta of this flux is convex in v, so interpolating a v-table between
+    # its nodes would over-estimate it
+    flux = make_builtin_flux("custom_expr", expr="(1+0.5*sin(x))*u^2/2 + u^4/12")
+    env = default_envelope(flux, (-3, 3), 2.0)
+    for v in (-1.234567, 0.3001, 1.9):
+        want = float(np.max(np.abs(flux.fu(env.x_grid, v))))
+        assert env.theta(v) == pytest.approx(want, rel=1e-13, abs=0.0)
+    vs = np.array([-1.234567, 1.9])
+    assert np.array_equal(env.theta(vs), [env.theta(v) for v in vs])
+
+
+def test_envelope_rejects_non_finite_speeds(burgers):
+    bad = Flux(f=burgers.f, fx=burgers.fx, fuu=burgers.fuu, alpha=1.0,
+               family="homogeneous_burgers",
+               fu=lambda x, u: np.where(np.asarray(x) > 0.5, np.inf, u + 0.0 * x))
+    env = speed_envelope(bad, [-1.0, 1.0], np.linspace(-1, 1, 17))
+    with pytest.raises(ValueError, match="not finite"):
+        env.theta(0.5)

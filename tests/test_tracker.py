@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from fronttrack.fluxes import make_builtin_flux
 from fronttrack.stationary import g_of, solve_level
@@ -243,6 +244,93 @@ def test_three_front_simultaneous_collision():
     v = rh_speed(BURGERS, 0.0, 3.0, 0.0)[0]
     assert float(f1.positions[0]) == pytest.approx(
         log[-1].position + v * (2.0 - log[-1].time), abs=1e-8)
+
+
+def _contact(left, right, t_lo, t_hi):
+    """First time in [t_lo, t_hi] at which two oracle trajectories meet."""
+    return brentq(lambda t: right(t) - left(t), t_lo, t_hi, xtol=1e-14, rtol=8.9e-16)
+
+
+def test_two_shock_collision_matches_independent_oracle():
+    # heterogeneous speeds: the contact has no closed form, so pin it against
+    # two scipy RK45 trajectories and brentq on their gap
+    f0 = initial_fronts([-1.0, 0.0], [4, 1, 0], 0.5)
+    tr = Tracker(MODULATED, 0.5, (-6, 6), h_ode=0.01)
+    _, log = tr.advance(f0, 2.0)
+    left = SingleFrontSolution(MODULATED, 2.0, 0.5, -1.0, 2.0)
+    right = SingleFrontSolution(MODULATED, 0.5, 0.0, 0.0, 2.0)
+    t_c = _contact(left.position, right.position, 0.0, 2.0)
+    assert len(log) == 1 and log[0].consumed == (0, 1)
+    assert abs(log[0].time - t_c) <= 1e-9
+    assert abs(log[0].position - left.position(t_c)) <= 1e-9
+
+
+def test_three_shock_cascade_matches_independent_oracle():
+    # the right pair merges first; the merged shock (g 2 -> 0), started at the
+    # oracle's own contact, is then caught by the leftmost shock
+    f0 = initial_fronts([-2.0, -1.0, 0.0], [6, 4, 1, 0], 0.5)
+    tr = Tracker(MODULATED, 0.5, (-6, 10), h_ode=0.01)
+    _, log = tr.advance(f0, 3.0)
+    a = SingleFrontSolution(MODULATED, 3.0, 2.0, -2.0, 3.0)
+    b = SingleFrontSolution(MODULATED, 2.0, 0.5, -1.0, 3.0)
+    c = SingleFrontSolution(MODULATED, 0.5, 0.0, 0.0, 3.0)
+    t1 = _contact(b.position, c.position, 0.0, 3.0)
+    merged = SingleFrontSolution(MODULATED, 2.0, 0.0, b.position(t1), 3.0 - t1)
+    t2 = _contact(a.position, lambda t: merged.position(t - t1), t1, 3.0)
+    assert [e.consumed for e in log] == [(1, 2), (0, 3)]
+    for e, t_c, x_c in ((log[0], t1, b.position(t1)), (log[1], t2, a.position(t2))):
+        assert abs(e.time - t_c) <= 1e-9
+        assert abs(e.position - x_c) <= 1e-9
+
+
+def _speed_log(tr):
+    """Wrap a tracker's speed and RK4 calls.  The returned list gets "v" for a
+    speed evaluation at a loop state, "k" for one inside an RK4 step and the
+    step length for each RK4 call."""
+    log, speeds, rk4, inside = [], tr._speeds, tr._rk4, []
+
+    def counted_speeds(st, y):
+        log.append("k" if inside else "v")
+        return speeds(st, y)
+
+    def counted_rk4(*args):
+        log.append(args[-1])
+        inside.append(True)
+        try:
+            return rk4(*args)
+        finally:
+            inside.pop()
+
+    tr._speeds, tr._rk4 = counted_speeds, counted_rk4
+    return log
+
+
+def test_one_regular_step_costs_four_speed_evaluations():
+    f0 = initial_fronts([0.0], [1, 0], 0.5)
+    tr = Tracker(MODULATED, 0.5, (-2, 2), h_ode=0.01)
+    log = _speed_log(tr)
+    tr.advance(f0, 0.01)
+    assert log.count("v") + log.count("k") == 4
+
+
+def test_located_merge_reuses_the_loop_speeds_and_does_not_restep():
+    f0 = initial_fronts([-1.0, 0.0], [4, 1, 0], 0.5)
+    tr = Tracker(MODULATED, 0.5, (-6, 6), h_ode=0.01)
+    log = _speed_log(tr)
+    _, events = tr.advance(f0, 1.2)
+    assert len(events) == 1
+    steps = []
+    for item in log:
+        if item == "v":
+            steps.append([])
+        steps[-1].append(item)
+    located = [s for s in steps if sum(not isinstance(i, str) for i in s) > 1]
+    assert len(located) == 1
+    hs = [i for i in located[0] if not isinstance(i, str)]
+    # the loop's speeds serve as every RK4 call's first stage, and the
+    # bisection's upper end is never integrated twice
+    assert located[0].count("v") + located[0].count("k") == 1 + 3 * len(hs)
+    assert len(set(hs)) == len(hs)
 
 
 def test_fan_then_shock_pile_up_keeps_invariants():
