@@ -23,6 +23,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import __version__
+from .expr import DomainError
 from .fluxes import make_builtin_flux, audit_assumptions, certify, default_envelope
 from .profiles import make_initial
 from .riemann import ApproxFlux
@@ -429,8 +430,11 @@ def run(cfg, out_dir, verbose=False):
     u0 = _from_config("initial", "profile", make_initial, cfg.u0_name, **cfg.u0_params)
     lo, hi = cfg.window
     probe = np.linspace(lo, hi, 4097)
-    with np.errstate(invalid="ignore", over="ignore"):  # reported just below
-        u_probe = np.asarray(u0(probe), dtype=float)
+    try:
+        with np.errstate(invalid="ignore", over="ignore"):  # reported just below
+            u_probe = np.asarray(u0(probe), dtype=float)
+    except DomainError as e:
+        raise ConfigError("initial", "profile", str(e)) from None
     if not np.all(np.isfinite(u_probe)):
         raise ConfigError("initial", "profile", "initial data not finite on the window")
     os.makedirs(out_dir, exist_ok=True)

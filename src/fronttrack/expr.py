@@ -31,14 +31,11 @@ class ParseError(ValueError):
 
 
 class DomainError(ArithmeticError):
-    """Evaluation produced a non-finite value at a mathematically undefined point."""
+    """Evaluation left the finite numbers: overflow, division by zero or an
+    invalid operation such as sqrt of a negative number."""
 
-    def __init__(self, node_id, node_text, x, u):
-        self.node_id = node_id
-        self.node_text = node_text
-        super().__init__(
-            f"non-finite value in node #{node_id} `{node_text}` at (x={x!r}, u={u!r})"
-        )
+    def __init__(self, text, reason):
+        super().__init__(f"cannot evaluate `{text}`: {reason}")
 
 
 @dataclass(frozen=True)
@@ -358,36 +355,24 @@ _FUNC_IMPL = {
     "sin": np.sin, "cos": np.cos, "tanh": np.tanh, "exp": np.exp, "sqrt": np.sqrt,
 }
 
-# nodes whose output can be non-finite for finite inputs
-_RISKY = ("sqrt", "exp")
-
-
-def _finite(value):
-    if np.ndim(value) == 0:
-        return np.isfinite(value)
-    return bool(np.all(np.isfinite(value)))
-
 
 def evaluate(node, x, u):
-    """Evaluate elementwise at (x, u); raises DomainError on non-finite results."""
-    counter = [0]
+    """Evaluate elementwise at (x, u); raises DomainError on non-finite results.
+
+    The whole walk runs under one floating-point guard: numpy raises on
+    overflow, division by zero or an invalid operation, Python floats raise
+    on division by zero or overflow in ``**``, and the single finiteness
+    check of the result catches what plain Python floats let through.
+    """
 
     def walk(n):
-        node_id = counter[0]
-        counter[0] += 1
         if isinstance(n, Const):
             return n.value
         if isinstance(n, Var):
             return x if n.name == "x" else u
         if isinstance(n, Unary):
             val = walk(n.arg)
-            if n.op == "neg":
-                return -val
-            with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-                out = _FUNC_IMPL[n.op](val)
-            if n.op in _RISKY and not _finite(out):
-                raise DomainError(node_id, pretty(n), x, u)
-            return out
+            return -val if n.op == "neg" else _FUNC_IMPL[n.op](val)
         if isinstance(n, Binary):
             a = walk(n.left)
             b = walk(n.right)
@@ -397,29 +382,20 @@ def evaluate(node, x, u):
                 return a - b
             if n.op == "*":
                 return a * b
-            try:
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    out = a / b
-            except ZeroDivisionError:
-                raise DomainError(node_id, pretty(n), x, u) from None
-            if not _finite(out):
-                raise DomainError(node_id, pretty(n), x, u)
-            return out
+            return a / b
         if isinstance(n, Power):
             base = walk(n.base)
-            if n.exponent >= 0:
-                return base ** n.exponent
-            try:
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    out = base ** float(n.exponent)
-            except ZeroDivisionError:
-                raise DomainError(node_id, pretty(n), x, u) from None
-            if not _finite(out):
-                raise DomainError(node_id, pretty(n), x, u)
-            return out
+            return base ** (n.exponent if n.exponent >= 0 else float(n.exponent))
         raise TypeError(f"not an expression node: {n!r}")
 
-    return walk(node)
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            out = walk(node)
+    except (FloatingPointError, ZeroDivisionError, OverflowError) as e:
+        raise DomainError(pretty(node), str(e)) from None
+    if not np.isfinite(out).all():
+        raise DomainError(pretty(node), "non-finite result")
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,6 @@ class Flux:
     alpha: Optional[float]
     family: str
     params: dict = field(default_factory=dict)
-    tol_audit: float = TOL_AUDIT_BUILTIN
 
     def require_alpha(self):
         if self.alpha is None or self.alpha <= 0.0:
@@ -113,6 +112,19 @@ class SpeedEnvelope:
 # builtin families
 # ---------------------------------------------------------------------------
 
+def _scaled_burgers(family, params, a_min, a, da):
+    """f = a(x) u^2/2 with a >= a_min > 0 and a' = da."""
+    return Flux(
+        f=lambda x, u: 0.5 * a(x) * u * u,
+        fu=lambda x, u: a(x) * u,
+        fx=lambda x, u: 0.5 * da(x) * u * u,
+        fuu=lambda x, u: a(x) + 0.0 * u,
+        alpha=a_min,
+        family=family,
+        params=params,
+    )
+
+
 def make_builtin_flux(family, **params):
     """Construct a flux from a named family.
 
@@ -124,14 +136,7 @@ def make_builtin_flux(family, **params):
     if family == "homogeneous_burgers":
         if params:
             raise InvalidFluxParams(f"homogeneous_burgers takes no params, got {params}")
-        return Flux(
-            f=lambda x, u: 0.5 * u * u + 0.0 * x,
-            fu=lambda x, u: u + 0.0 * x,
-            fx=lambda x, u: 0.0 * (x + u),
-            fuu=lambda x, u: 1.0 + 0.0 * (x + u),
-            alpha=1.0,
-            family=family,
-        )
+        return _scaled_burgers(family, {}, 1.0, lambda x: 1.0 + 0.0 * x, lambda x: 0.0 * x)
 
     if family == "modulated_burgers":
         base = float(params.pop("base", 1.0))
@@ -152,15 +157,8 @@ def make_builtin_flux(family, **params):
         def da(x):
             return amp * freq * np.cos(freq * x + phase)
 
-        return Flux(
-            f=lambda x, u: 0.5 * a(x) * u * u,
-            fu=lambda x, u: a(x) * u,
-            fx=lambda x, u: 0.5 * da(x) * u * u,
-            fuu=lambda x, u: a(x) + 0.0 * u,
-            alpha=a_min,
-            family=family,
-            params={"base": base, "amp": amp, "freq": freq, "phase": phase},
-        )
+        return _scaled_burgers(family, {"base": base, "amp": amp, "freq": freq,
+                                        "phase": phase}, a_min, a, da)
 
     if family == "custom_expr":
         source = params.pop("expr", None)
@@ -183,7 +181,6 @@ def make_builtin_flux(family, **params):
             alpha=None,
             family=family,
             params={"expr": source if isinstance(source, str) else fexpr.pretty(source)},
-            tol_audit=TOL_AUDIT_DSL,
         )
 
     raise InvalidFluxParams(f"unknown flux family {family!r}; choose from {BUILTIN_FAMILIES}")
@@ -209,7 +206,8 @@ def audit_assumptions(flux, box, grid=64):
     xs = np.linspace(x_lo, x_hi, nx)
     us = np.linspace(u_lo, u_hi, nu)
     X, U = np.meshgrid(xs, us, indexing="ij")
-    tol = flux.tol_audit
+    dsl = flux.family == "custom_expr"
+    tol = TOL_AUDIT_DSL if dsl else TOL_AUDIT_BUILTIN
     violations = []
 
     def record(mask, name, observed, xpts, upts):
@@ -220,46 +218,47 @@ def audit_assumptions(flux, box, grid=64):
         if len(idx) > 8:
             violations.append(Violation(name, ("...",), float(len(idx))))
 
-    # (S0) stationarity at zero, along the x-samples
-    zeros = np.zeros_like(xs)
-    f0 = np.asarray(flux.f(xs, zeros), dtype=float)
-    fu0 = np.asarray(flux.fu(xs, zeros), dtype=float)
-    record(np.abs(f0) > tol, "S0:f(x,0)=0", f0, xs, zeros)
-    record(np.abs(fu0) > tol, "S0:f_u(x,0)=0", fu0, xs, zeros)
+    certified = fuu_max = float("nan")  # stay nan if the flux cannot be sampled
+    try:
+        # (S0) stationarity at zero, along the x-samples
+        zeros = np.zeros_like(xs)
+        f0 = np.asarray(flux.f(xs, zeros), dtype=float)
+        fu0 = np.asarray(flux.fu(xs, zeros), dtype=float)
+        record(np.abs(f0) > tol, "S0:f(x,0)=0", f0, xs, zeros)
+        record(np.abs(fu0) > tol, "S0:f_u(x,0)=0", fu0, xs, zeros)
 
-    # (UC) uniform convexity on the full grid
-    fuu = np.asarray(flux.fuu(X, U), dtype=float)
-    record(fuu <= 0.0, "UC:f_uu>0", fuu, X, U)
-    alpha_sampled = float(np.min(fuu))
-    certified = alpha_sampled
-    if flux.family == "custom_expr":
-        certified = alpha_sampled * DSL_ALPHA_SAFETY
+        # (UC) uniform convexity on the full grid
+        fuu = np.asarray(flux.fuu(X, U), dtype=float)
+        record(fuu <= 0.0, "UC:f_uu>0", fuu, X, U)
+        fuu_max = float(np.max(fuu))
+        certified = float(np.min(fuu)) * (DSL_ALPHA_SAFETY if dsl else 1.0)
 
-    # (FSP) envelope values stay finite on the u-samples
-    fu_grid = np.asarray(flux.fu(X, U), dtype=float)
-    record(~np.isfinite(fu_grid), "FSP:theta finite", fu_grid, X, U)
+        # (FSP) envelope values stay finite on the u-samples
+        fu_grid = np.asarray(flux.fu(X, U), dtype=float)
+        record(~np.isfinite(fu_grid), "FSP:theta finite", fu_grid, X, U)
 
-    # consequences the rest of the library leans on, checked against the
-    # constant the audit actually exports: the sampled f_uu minimum can sit
-    # above the true infimum between u-samples, which is what the DSL safety
-    # factor absorbs (an analytically known alpha is a true bound already)
-    alpha_check = flux.alpha if flux.alpha is not None else certified
-    f_grid = np.asarray(flux.f(X, U), dtype=float)
-    if alpha_check > 0.0:
-        lower = 0.5 * alpha_check * U * U
-        record(f_grid < lower - tol, "f>=alpha*u^2/2", f_grid - lower, X, U)
-    nonzero = np.abs(U) > 1e-12
-    record(nonzero & (f_grid <= 0.0), "f>0 for u!=0", f_grid, X, U)
+        # consequences the rest of the library leans on, checked against the
+        # constant the audit actually exports: the sampled f_uu minimum can sit
+        # above the true infimum between u-samples, which is what the DSL safety
+        # factor absorbs (an analytically known alpha is a true bound already)
+        alpha_check = flux.alpha if flux.alpha is not None else certified
+        f_grid = np.asarray(flux.f(X, U), dtype=float)
+        if alpha_check > 0.0:
+            lower = 0.5 * alpha_check * U * U
+            record(f_grid < lower - tol, "f>=alpha*u^2/2", f_grid - lower, X, U)
+        nonzero = np.abs(U) > 1e-12
+        record(nonzero & (f_grid <= 0.0), "f>0 for u!=0", f_grid, X, U)
 
-    violations.extend(_derivative_consistency(flux, xs, us))
+        violations.extend(_derivative_consistency(flux, xs, us))
+    except fexpr.DomainError as e:
+        violations.append(Violation(f"domain: {e}", (), float("nan")))
 
-    passed = not violations
     return AssumptionReport(
-        passed=passed,
+        passed=not violations,
         violations=violations,
         certified_alpha=certified,
         sample_counts=(nx, nu),
-        fuu_max=float(np.max(fuu)),
+        fuu_max=fuu_max,
     )
 
 

@@ -179,15 +179,18 @@ def test_run_deterministic_artifacts(tmp_path):
 
 
 def test_run_aborts_on_audit_failure(tmp_path):
-    bad = GOOD_CONFIG.replace(
-        "family = modulated_burgers\nbase = 1.0\namp = 0.5",
-        "family = custom_expr\nexpr = u^3")
-    cfg = load_config(write_config(tmp_path, bad))
-    manifest, status = run(cfg, str(tmp_path / "out"))
-    assert status == 2
-    assert not manifest["audit"]["passed"]
-    assert "error" in manifest
-    assert not os.path.exists(str(tmp_path / "out" / "events.csv"))
+    # a convexity failure, and a domain error: f_u holds 1/sqrt(u)
+    for k, expr in enumerate(["u^3", "u^2/2 + sqrt(u)*u^3"]):
+        bad = GOOD_CONFIG.replace(
+            "family = modulated_burgers\nbase = 1.0\namp = 0.5",
+            f"family = custom_expr\nexpr = {expr}")
+        cfg = load_config(write_config(tmp_path, bad))
+        out = tmp_path / f"out{k}"
+        manifest, status = run(cfg, str(out))
+        assert status == 2
+        assert not manifest["audit"]["passed"]
+        assert manifest["error"] == "audit failed; solve aborted"
+        assert not os.path.exists(str(out / "events.csv"))
 
 
 def test_main_exit_codes(tmp_path, capsys):
@@ -229,6 +232,7 @@ def test_main_options_before_or_after_subcommand(tmp_path, capsys, before):
     ("profile = bump", "profile = piecewise\nvalues = 1, x", "[initial] values"),
     ("amp = 0.6", "amp = inf", "[initial] profile"),
     ("profile = bump", "profile = piecewise\nvalues = 1, inf\nbreaks = 0", "[initial] profile"),
+    ("profile = bump", "profile = expr\nexpr = sqrt(x)", "[initial] profile"),
 ])
 def test_main_bad_config_exits_2(tmp_path, capsys, old, new, option):
     bad = write_config(tmp_path, GOOD_CONFIG.replace(old, new))

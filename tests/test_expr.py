@@ -105,6 +105,29 @@ def test_domain_error_division_by_zero():
         fx.evaluate(tree, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("src", ["u*u", "u^2", "sin(u*u)", "u*u - u*u"])
+@pytest.mark.parametrize("u", [1e200, np.full(3, 1e200)], ids=["scalar", "array"])
+def test_domain_error_on_any_non_finite_value(src, u):
+    # overflow to inf, and the nan that follows from it, raise like sqrt(-1)
+    tree = fx.parse(src)
+    with pytest.raises(fx.DomainError) as info:
+        fx.evaluate(tree, np.zeros_like(u), u)
+    assert fx.pretty(tree) in str(info.value)
+
+
+def test_evaluate_is_the_numpy_expression_in_the_same_order():
+    tree = fx.parse("(1+0.5*sin(x))*u^2/2 + u^4/12")
+    du = fx.differentiate(tree, "u")
+    rng = np.random.default_rng(11)
+    x = np.append(rng.uniform(-3, 3, 64), [0.0, -0.0])
+    u = np.append(rng.uniform(-2, 2, 64), [-0.0, 0.0])
+    a = 1.0 + 0.5 * np.sin(x)
+    assert np.array_equal(fx.evaluate(tree, x, u), a * u ** 2 / 2.0 + u ** 4 / 12.0)
+    assert np.array_equal(fx.evaluate(du, x, u),
+                          a * (2.0 * u) * 2.0 / 4.0 + 4.0 * u ** 3 * 12.0 / 144.0)
+    assert fx.pretty(du) == "(1.0 + 0.5 * sin(x)) * (2.0 * u) * 2.0 / 4.0 + 4.0 * u^3 * 12.0 / 144.0"
+
+
 # ---------------------------------------------------------------------------
 # differentiation
 # ---------------------------------------------------------------------------

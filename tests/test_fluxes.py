@@ -27,6 +27,11 @@ def test_homogeneous_burgers_values(burgers):
     assert burgers.fx(2.0, 0.3) == 0.0
     assert burgers.fuu(0.0, 9.0) == 1.0
     assert burgers.alpha == 1.0
+    X, U = np.random.default_rng(8).uniform(-3, 3, (2, 200))
+    assert np.array_equal(burgers.f(X, U), 0.5 * U * U)
+    assert np.array_equal(burgers.fu(X, U), U)
+    assert np.array_equal(burgers.fx(X, U), np.zeros_like(U))
+    assert np.array_equal(burgers.fuu(X, U), np.ones_like(U))
 
 
 def test_modulated_burgers_values(modulated):
@@ -100,6 +105,17 @@ def test_audit_flags_s0_violation_for_shifted_flux():
     report = audit_assumptions(flux, ((-1.0, 1.0), (-1.0, 1.0)))
     assert not report.passed
     assert any(v.assumption.startswith("S0") for v in report.violations)
+
+
+def test_audit_reports_a_domain_error_as_a_violation():
+    # f_u holds 1/sqrt(u): undefined at u = 0 and for u < 0
+    flux = make_builtin_flux("custom_expr", expr="u^2/2 + sqrt(u)*u^3")
+    report = audit_assumptions(flux, ((-1.0, 1.0), (-1.0, 1.0)))
+    assert not report.passed
+    assert [v.assumption[:7] for v in report.violations] == ["domain:"]
+    assert "sqrt(u)" in report.violations[0].assumption
+    with pytest.raises(ValueError):
+        certify(flux, report)
 
 
 def test_audit_rejects_degenerate_box_or_coarse_grid(burgers):
