@@ -6,8 +6,9 @@ closure under the scheme (levels stay on the delta-grid), total-variation
 bookkeeping and merge detection are exact; floating point enters only through
 front positions.  Between interactions each front obeys its own autonomous
 Rankine-Hugoniot ODE; interactions are located by stepping onto predicted
-contact times with a bisection fallback, and always resolve into at most one
-front.
+contact times and, when a step overshoots, by a safeguarded Illinois
+false-position search on the step length, and always resolve into at most
+one front.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .stationary import solve_level, g_of
 
 # fronts closer than this at a common time are one interaction point
 TOL_POS = 1e-10
-# time resolution of the earliest-contact bisection
+# time resolution of the earliest-contact search (its final bracket width)
 TOL_EVENT = 1e-11
 # default integrator step before event capping
 H_ODE_DEFAULT = 0.01
@@ -35,16 +36,32 @@ class FrontFieldError(ValueError):
     pass
 
 
-class AdmissibilityError(RuntimeError):
-    """An interaction produced an upward jump above delta.
+class TrackerError(RuntimeError):
+    """A failure inside ``Tracker.advance``.
 
-    The theory rules this out, so it can only be a solver defect; the state
-    dump is attached for forensics.
+    Carries the time, the front positions and the state dump for forensics.
     """
 
-    def __init__(self, message, dump):
-        self.dump = dump
-        super().__init__(f"{message}\n{dump}")
+    def __init__(self, message, st):
+        self.time = st.t
+        self.positions = st.y.copy()
+        self.dump = st.dump()
+        super().__init__(f"{message}\n{self.dump}")
+
+
+class AdmissibilityError(TrackerError):
+    """An interaction produced an upward jump above delta.
+
+    The theory rules this out, so it can only be a solver defect.
+    """
+
+
+class OrderingLostError(TrackerError):
+    """Two fronts crossed within one step although no pair came into contact."""
+
+
+class LoopLimitError(TrackerError):
+    """``advance`` exceeded its iteration budget (suspect a grazing cycle)."""
 
 
 class DegenerateStatesError(RuntimeError):
@@ -52,11 +69,11 @@ class DegenerateStatesError(RuntimeError):
     (equal levels, or same-sign levels that should have merged)."""
 
 
-class WindowExitError(RuntimeError):
-    def __init__(self, position, time):
+class WindowExitError(TrackerError):
+    def __init__(self, position, st):
         self.position = position
-        self.time = time
-        super().__init__(f"front left the working window at x={position!r}, t={time!r}")
+        super().__init__(
+            f"front left the working window at x={position!r}, t={st.t!r}", st)
 
 
 @dataclass(frozen=True)
@@ -344,6 +361,43 @@ class _State:
                 f"ids={self.ids!r}")
 
 
+def _first_contact(step, h, f_lo, f_hi, y_hi):
+    """Earliest step length at which the contact function F reaches 0.
+
+    F(s) is the least gap of the troubled pairs, minus TOL_POS, after an RK4
+    step of length s; ``step(s)`` returns (F(s), positions).  The bracket
+    [0, h] starts from f_lo = F(0) and f_hi = F(h) <= 0, with y_hi the
+    positions at h.  Illinois false position (Dowell & Jarratt, BIT 11, 1971)
+    shrinks it: each trial point stays at least TOL_EVENT/4 inside the
+    bracket, and the bracket is halved instead while F(lo) <= 0 or after two
+    consecutive secant steps that each left more than half of it, so the
+    search costs at most about three times the halvings of bisection.
+    Returns (s, positions at s) at the upper end of the final bracket, where
+    F <= 0, once its width is at most TOL_EVENT.
+    """
+    lo, hi, y = 0.0, h, y_hi
+    side = stalls = 0  # side: +1 if the last point moved hi, -1 if it moved lo
+    while hi - lo > TOL_EVENT:
+        width = hi - lo
+        secant = f_lo > 0.0 and stalls < 2
+        if secant:
+            s = hi - f_hi * width / (f_hi - f_lo)
+            s = min(max(s, lo + 0.25 * TOL_EVENT), hi - 0.25 * TOL_EVENT)
+        else:
+            s = lo + 0.5 * width
+        f, y_s = step(s)
+        if f <= 0.0:
+            if side > 0:
+                f_lo *= 0.5
+            hi, f_hi, y, side = s, f, y_s, 1
+        else:
+            if side < 0:
+                f_hi *= 0.5
+            lo, f_lo, side = s, f, -1
+        stalls = stalls + 1 if secant and hi - lo > 0.5 * width else 0
+    return hi, y
+
+
 class Tracker:
     """Front tracking engine for one flux / delta / working window."""
 
@@ -396,7 +450,7 @@ class Tracker:
         if dz > 1:
             raise AdmissibilityError(
                 f"interaction at (t={st.t}, x={rho}) would create upward jump "
-                f"of {dz} levels (z_l={z_l}, z_r={z_r})", st.dump())
+                f"of {dz} levels (z_l={z_l}, z_r={z_r})", st)
         if dz == 0:
             st.remove_range(a, b)
             produced = None
@@ -409,7 +463,7 @@ class Tracker:
         if tv_after > tv_before:
             raise AdmissibilityError(
                 f"TV increased {tv_before} -> {tv_after} at (t={st.t}, x={rho})",
-                st.dump())
+                st)
         log.append(Event(
             time=st.t, position=rho, consumed=consumed, produced=produced,
             tv_before=self.delta * tv_before, tv_after=self.delta * tv_after,
@@ -461,31 +515,30 @@ class Tracker:
             trouble = (gaps_try <= TOL_POS) & (gaps_try < gaps)
             if not np.any(trouble):
                 if np.any(gaps_try <= 0.0):
-                    raise RuntimeError("ordering lost without a contact flag")
+                    raise OrderingLostError(
+                        f"ordering lost without a contact flag in a step of {h!r}", st)
                 st.y = y_try
                 st.t += h
                 self._check_window(st)
                 continue
 
-            # bisect the earliest time any troubled pair reaches contact range,
-            # keeping the positions at the upper end of the bracket
+            # locate the earliest step length at which a troubled pair reaches
+            # contact range; the next iteration resolves that contact
             t_idx = np.flatnonzero(trouble)
-            lo, hi = 0.0, h
-            while hi - lo > TOL_EVENT:
-                mid = 0.5 * (lo + hi)
-                y_mid = self._rk4(st, st.y, v, mid)
-                if np.min(y_mid[t_idx + 1] - y_mid[t_idx]) <= TOL_POS:
-                    hi, y_try = mid, y_mid
-                else:
-                    lo = mid
-            st.y = y_try
-            st.t += hi
+
+            def contact_gap(s):
+                y_s = self._rk4(st, st.y, v, s)
+                return float(np.min(y_s[t_idx + 1] - y_s[t_idx])) - TOL_POS, y_s
+
+            s, st.y = _first_contact(contact_gap, h,
+                                     float(np.min(gaps[t_idx])) - TOL_POS,
+                                     float(np.min(gaps_try[t_idx])) - TOL_POS, y_try)
+            st.t += s
             self._check_window(st)
-            # the triggering pair is now in contact; next iteration resolves it
         else:
-            raise RuntimeError(
-                f"advance exceeded {_MAX_LOOP} iterations at t={st.t} "
-                f"(front count {len(st.y)}); suspect a pathological grazing cycle")
+            raise LoopLimitError(
+                f"advance exceeded {_MAX_LOOP} iterations (front count "
+                f"{len(st.y)}); suspect a pathological grazing cycle", st)
 
         out = st.to_field(self.delta, quantization=field_.quantization)
         out = replace(out, time=t_target)
@@ -500,7 +553,7 @@ class Tracker:
         slack = 1e-12 * (1.0 + abs(hi - lo))
         if st.y[0] < lo - slack or st.y[-1] > hi + slack:
             pos = float(st.y[0]) if st.y[0] < lo - slack else float(st.y[-1])
-            raise WindowExitError(pos, st.t)
+            raise WindowExitError(pos, st)
 
 
 class TrackedSolution:

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -346,6 +347,43 @@ names = tvd, lipschitz_l1
     assert manifest["audit"]["passed"]
     assert 0.6 < manifest["audit"]["alpha"] <= 0.7 * 1.01  # sampled min * 0.99
     assert manifest["checks"]["passed"]
+
+
+def test_run_dsl_flux_resolves_events(tmp_path):
+    # a bump under a custom_expr flux: its fan fronts run into its shock, so
+    # contacts are located and resolved through the expression trees
+    cfg_text = """
+[flux]
+family = custom_expr
+expr = (1 + 0.3*cos(x))*u^2/2 + 0.05*u^4
+
+[initial]
+profile = bump
+amp = 0.6
+width = 1.0
+
+[run]
+delta = 0.05
+window = -3, 3
+cells = 120
+t_end = 1.0
+seed = 9
+
+[checks]
+names = tvd
+"""
+    cfg = load_config(write_config(tmp_path, cfg_text))
+    _, status = run(cfg, str(tmp_path / "out"))
+    assert status == 0
+    with open(tmp_path / "out" / "manifest.json") as fh:
+        assert json.load(fh)["event_count"] > 0
+    with open(tmp_path / "out" / "events.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows
+    tv = [(float(r["tv_before"]), float(r["tv_after"])) for r in rows]
+    for (_, after), (before, _) in zip(tv, tv[1:]):
+        assert before <= after  # nothing between events raises TV
+    assert all(after <= before for before, after in tv)
 
 
 def test_run_zero_data_trivially_passes(tmp_path):

@@ -7,7 +7,9 @@ from fronttrack.stationary import g_of, solve_level
 from fronttrack.tracker import (Tracker, TrackedSolution, FrontField, FrontFieldError,
                                 quantize_initial, initial_fronts, empty_field,
                                 rh_speed, sample_u, sample_g, tv_g, l1_g_distance,
-                                WindowExitError)
+                                TrackerError, OrderingLostError, LoopLimitError,
+                                WindowExitError, TOL_POS, TOL_EVENT, _State,
+                                _first_contact)
 from fronttrack.validation import SingleFrontSolution
 
 BURGERS = make_builtin_flux("homogeneous_burgers")
@@ -332,9 +334,77 @@ def test_located_merge_reuses_the_loop_speeds_and_does_not_restep():
     assert len(located) == 1
     hs = [i for i in located[0] if not isinstance(i, str)]
     # the loop's speeds serve as every RK4 call's first stage, and the
-    # bisection's upper end is never integrated twice
+    # search's upper end is never integrated twice
     assert located[0].count("v") + located[0].count("k") == 1 + 3 * len(hs)
     assert len(set(hs)) == len(hs)
+
+
+def test_located_merge_costs_at_most_six_rk4_calls():
+    f0 = initial_fronts([-1.0, 0.0], [4, 1, 0], 0.5)
+    tr = Tracker(MODULATED, 0.5, (-6, 6), h_ode=0.01)
+    log = _speed_log(tr)
+    tr.advance(f0, 1.2)
+    steps = []
+    for item in log:
+        if item == "v":
+            steps.append([])
+        steps[-1].append(item)
+    n_rk4 = [sum(not isinstance(i, str) for i in s) for s in steps]
+    # one overshooting step of length h, then the contact search
+    assert max(n_rk4) - 1 <= 6
+
+
+def test_located_contact_brackets_the_threshold():
+    f0 = initial_fronts([-1.0, 0.0], [4, 1, 0], 0.5)
+    tr = Tracker(MODULATED, 0.5, (-6, 6), h_ode=0.01)
+    rk4, calls = tr._rk4, []
+
+    def recorded_rk4(st, y, k1, h):
+        y_h = rk4(st, y, k1, h)
+        calls.append((st.t, y.copy(), k1.copy(), h, np.min(np.diff(y_h), initial=np.inf)))
+        return y_h
+
+    tr._rk4 = recorded_rk4
+    _, events = tr.advance(f0, 1.2)
+    tr._rk4 = rk4
+    assert len(events) == 1
+    t0 = max(c[0] for c in calls if sum(d[0] == c[0] for d in calls) > 1)
+    located = [c for c in calls if c[0] == t0]
+    # the search returns its upper end: the shortest step that reached contact
+    _, y, k1, s, gap = min((c for c in located if c[4] <= TOL_POS), key=lambda c: c[3])
+    assert events[0].time == t0 + s
+    assert gap <= TOL_POS
+    y_before = tr._rk4(_State(f0), y, k1, s - TOL_EVENT)
+    assert y_before[1] - y_before[0] > TOL_POS
+
+
+def _kinked(s):
+    # two troubled pairs: the lower gap switches from the first to the second
+    # at s = 0.00375, and the second reaches contact at s = 0.007
+    return min(0.002 - 0.1 * s, 0.0035 - 0.5 * s)
+
+
+@pytest.mark.parametrize("f", [
+    _kinked,
+    lambda s: 1e-9 * (0.0037 - s),                   # nearly flat
+    lambda s: 1e3 * (0.0037 - s) ** 3,               # flat at its root
+    lambda s: (0.0037 - s) * (1.0 + 1e4 * s * s),    # curved
+    lambda s: -1e-12 - s,                            # contact already at s = 0
+], ids=["kinked", "nearly_flat", "cubic", "curved", "improper"])
+def test_first_contact_ends_within_the_halving_bound(f):
+    h, evals = 0.01, []
+
+    def step(s):
+        evals.append(s)
+        return f(s), np.array([s])
+
+    s, y = _first_contact(step, h, f(0.0), f(h), np.array([h]))
+    assert f(s) <= 0.0 and y[0] == s
+    lo = max([e for e in evals if e < s], default=0.0)
+    assert s - lo <= TOL_EVENT
+    assert lo == 0.0 or f(lo) > 0.0
+    assert len(set(evals)) == len(evals) and 0.0 < min(evals + [s]) and h not in evals
+    assert len(evals) <= 3 * int(np.ceil(np.log2(h / TOL_EVENT)))
 
 
 def test_fan_then_shock_pile_up_keeps_invariants():
@@ -578,6 +648,40 @@ def test_degenerate_states_error_carries_time_and_state():
     assert isinstance(info.value, RuntimeError)
     msg = str(info.value)
     assert "t=0.25" in msg and "y=array([0.3])" in msg and "positions" in msg
+
+
+def _ordering_lost(monkeypatch):
+    # a fan pair given in the wrong order: it separates, yet stays crossed
+    f0 = FrontField(time=0.5, delta=0.1, positions=np.array([0.1, 0.0]),
+                    z=np.array([0, 1, 2], dtype=np.int64),
+                    ids=np.array([0, 1], dtype=np.int64), next_id=2)
+    return Tracker(BURGERS, 0.1, (-2, 2)), f0, 1.0
+
+
+def _window_exit(monkeypatch):
+    return Tracker(BURGERS, 0.1, (-1, 1)), initial_fronts([0.0], [5, 0], 0.1), 10.0
+
+
+def _loop_limit(monkeypatch):
+    monkeypatch.setattr("fronttrack.tracker._MAX_LOOP", 3)  # three regular steps
+    return Tracker(BURGERS, 0.1, (-2, 2)), initial_fronts([0.0], [5, 0], 0.1), 1.0
+
+
+@pytest.mark.parametrize("error, setup", [
+    (OrderingLostError, _ordering_lost),
+    (WindowExitError, _window_exit),
+    (LoopLimitError, _loop_limit),
+], ids=["ordering_lost", "window_exit", "loop_limit"])
+def test_advance_failures_carry_time_positions_and_dump(monkeypatch, error, setup):
+    tr, f0, t_end = setup(monkeypatch)
+    with pytest.raises(error) as info:
+        tr.advance(f0, t_end)
+    err = info.value
+    assert isinstance(err, TrackerError) and isinstance(err, RuntimeError)
+    assert f0.time <= err.time < t_end
+    assert f"t={err.time!r}" in err.dump
+    assert f"positions={err.positions!r}" in err.dump
+    assert err.dump in str(err)
 
 
 def test_profile_min_abs_diagnostic():
