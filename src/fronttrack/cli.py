@@ -363,8 +363,7 @@ def _check_inversion_bounds(ctx, report):
     for _ in range(50):
         g1 = float(rng.uniform(-g_scale, g_scale))
         g2 = float(rng.uniform(-g_scale, g_scale))
-        u1 = solve_level(ctx.flux, xs, np.full_like(xs, g1))
-        u2 = solve_level(ctx.flux, xs, np.full_like(xs, g2))
+        u1, u2 = solve_level(ctx.flux, xs, np.array([[g1], [g2]]))
         gap = float(np.max(np.abs(u1 - u2)))
         bound = inversion_gap_bound(g1, g2, alpha) + 1e-11
         worst = max(worst, gap - bound)

@@ -43,10 +43,9 @@ class ApproxFlux:
         return z, on_grid
 
     def _cell_states(self, x, z):
+        """U[delta z](x) and U[delta (z+1)](x), from one stacked inversion."""
         delta = self.delta
-        u0 = solve_level(self.base, x, delta * z)
-        u1 = solve_level(self.base, x, delta * (z + 1))
-        return u0, u1
+        return solve_level(self.base, x, np.array((delta * z, delta * (z + 1))))
 
     def eval(self, x, u):
         scalar = np.ndim(x) == 0 and np.ndim(u) == 0

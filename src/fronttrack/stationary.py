@@ -43,7 +43,10 @@ def solve_level(flux, x, g, guess=None):
     so no bisection safeguard is needed beyond clipping into [0, bracket].
     """
     alpha = flux.require_alpha()
-    x, g = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(g, dtype=float))
+    x = np.asarray(x, dtype=float)
+    g = np.asarray(g, dtype=float)
+    if x.shape != g.shape:
+        x, g = np.broadcast_arrays(x, g)
     g_abs = np.abs(g)
     s = np.sign(g)
     nonzero = g_abs > 0.0
@@ -53,20 +56,23 @@ def solve_level(flux, x, g, guess=None):
     if guess is None:
         w = u_hi / BRACKET_PAD
     else:
-        w = np.clip(np.abs(np.broadcast_to(np.asarray(guess, dtype=float), g.shape)),
-                    0.0, u_hi)
+        guess = np.asarray(guess, dtype=float)
+        if guess.shape != g.shape:
+            guess = np.broadcast_to(guess, g.shape)
+        w = np.minimum(np.abs(guess), u_hi)
         w = np.where(w > 0.0, w, u_hi / BRACKET_PAD)
     w = np.where(nonzero, w, 0.0)
 
     active = nonzero.copy()
     for _ in range(_MAX_NEWTON):
-        phi = flux.f(x, s * w) - g_abs
+        sw = s * w
+        phi = flux.f(x, sw) - g_abs
         active = nonzero & (np.abs(phi) > tol)
-        if not np.any(active):
+        if not active.any():
             break
-        dphi = s * flux.fu(x, s * w)  # |f_u| on the branch, > 0 away from u=0
+        dphi = s * flux.fu(x, sw)  # |f_u| on the branch, > 0 away from u=0
         step = np.where(active, phi / np.where(dphi > 0.0, dphi, 1.0), 0.0)
-        w = np.clip(w - step, 0.0, u_hi)
+        w = np.minimum(np.maximum(w - step, 0.0), u_hi)
     else:
         bad = np.argwhere(active)[0]
         raise InversionError(float(x[tuple(bad)]), float(g[tuple(bad)]))

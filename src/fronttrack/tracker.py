@@ -188,20 +188,34 @@ def sample_u(flux, field, x):
 def rh_speed(flux, y, g_l, g_r, guess_l=None, guess_r=None):
     """Rankine-Hugoniot speeds (|g_l| - |g_r|) / (U[g_l](y) - U[g_r](y)).
 
-    Vectorized over fronts and symmetric under swapping the two levels.
-    Returns (speeds, U[g_l](y), U[g_r](y)); the traces are the warm-start
-    guesses of the next call.  Raises DegenerateStatesError if the profile gap
-    underflows.
+    Vectorized over fronts and symmetric under swapping the two levels.  Both
+    traces come from one stacked inversion (Newton is elementwise, so they are
+    those of two separate calls).  Returns (speeds, U[g_l](y), U[g_r](y)); the
+    traces are the warm-start guesses of the next call.  Raises
+    DegenerateStatesError if the profile gap underflows.
     """
-    u_l = solve_level(flux, y, g_l, guess=guess_l)
-    u_r = solve_level(flux, y, g_r, guess=guess_r)
+    shape = np.broadcast(y, g_l, g_r).shape
+
+    def stacked(a, b):
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        if not a.shape == b.shape == shape:
+            a, b = np.broadcast_to(a, shape), np.broadcast_to(b, shape)
+        return np.array((a, b))
+
+    guess = None
+    if guess_l is not None or guess_r is not None:
+        # a zero guess starts Newton from the bracket, as no guess does
+        guess = stacked(0.0 if guess_l is None else guess_l,
+                        0.0 if guess_r is None else guess_r)
+    g = stacked(g_l, g_r)
+    u_l, u_r = solve_level(flux, stacked(y, y), g, guess=guess)
     den = u_l - u_r
     bad = np.abs(den) < 1e-9 * np.maximum(1.0, np.maximum(np.abs(u_l), np.abs(u_r)))
     if np.any(bad):
-        where = np.broadcast_to(y, np.shape(bad))[bad]
+        where = np.broadcast_to(y, shape)[bad]
         raise DegenerateStatesError(f"degenerate front states at y={where!r}; "
                                     "adjacent levels should have merged")
-    return (np.abs(g_l) - np.abs(g_r)) / den, u_l, u_r
+    return (np.abs(g[0]) - np.abs(g[1])) / den, u_l, u_r
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +352,13 @@ class _State:
     def remove_range(self, a, b, produced=None):
         """Delete fronts a..b (inclusive), then insert the front ``produced =
         (rho, fid)`` between the outer levels if there is one; without it the
-        (equal) outer levels become one piece."""
+        (equal) outer levels become one piece.  The survivors keep the
+        warm-start traces of the speed evaluation that found the contact; the
+        produced front starts from the cluster's outer traces (ul[a], ur[b]),
+        its own left and right states there."""
+        ul_a, ur_b = self.ul[a], self.ur[b]
+        self.ul = np.delete(self.ul, np.s_[a:b + 1])
+        self.ur = np.delete(self.ur, np.s_[a:b + 1])
         self.y = np.delete(self.y, np.s_[a:b + 1])
         self.ids = np.delete(self.ids, np.s_[a:b + 1])
         self.z = np.delete(self.z, np.s_[a + 1:b + 1])
@@ -347,7 +367,8 @@ class _State:
         else:
             self.y = np.insert(self.y, a, produced[0])
             self.ids = np.insert(self.ids, a, produced[1])
-        self.ul = self.ur = None
+            self.ul = np.insert(self.ul, a, ul_a)
+            self.ur = np.insert(self.ur, a, ur_b)
 
     def to_field(self, delta, quantization=None):
         return FrontField(
@@ -482,6 +503,7 @@ class Tracker:
             raise ValueError(f"cannot advance backwards: {field_.time} -> {t_target}")
         if field_.delta != self.delta:
             raise ValueError("field delta does not match tracker delta")
+        field_.validate(strict_positions=False)
         log = []
         st = _State(field_)
 

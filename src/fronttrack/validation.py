@@ -467,8 +467,7 @@ def l1_u_fields(flux, field_a, field_b, lo, hi, pts_per_piece=8):
         if ga == gb:
             continue
         xs = a + (np.arange(pts_per_piece) + 0.5) * (b - a) / pts_per_piece
-        ua = solve_level(flux, xs, np.full(pts_per_piece, ga))
-        ub = solve_level(flux, xs, np.full(pts_per_piece, gb))
+        ua, ub = solve_level(flux, xs, np.array([[ga], [gb]]))
         total += float(np.sum(np.abs(ua - ub))) * (b - a) / pts_per_piece
     return total
 

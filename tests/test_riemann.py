@@ -95,6 +95,15 @@ def test_front_speed_swap_symmetric():
         assert front_speed(MODULATED, g_l, g_r, y) == front_speed(MODULATED, g_r, g_l, y)
 
 
+def test_cell_states_are_two_separate_inversions():
+    approx = ApproxFlux(MODULATED, 0.05)
+    x = np.linspace(-3.0, 3.0, 101)
+    z = np.arange(-50, 51)
+    u0, u1 = approx._cell_states(x, z)
+    assert np.array_equal(u0, solve_level(MODULATED, x, 0.05 * z))
+    assert np.array_equal(u1, solve_level(MODULATED, x, 0.05 * (z + 1)))
+
+
 def test_front_speed_degenerate_cases():
     with pytest.raises(DegenerateStatesError):
         front_speed(BURGERS, 0.4, 0.4, 0.0)

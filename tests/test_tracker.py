@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -423,6 +425,105 @@ def test_fan_then_shock_pile_up_keeps_invariants():
 
 
 # ---------------------------------------------------------------------------
+# one stacked inversion per speed evaluation, warm-started across events
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def dsl_fan_flux():
+    # the benchmark's dsl_fan flux: no closed-form inverse
+    flux = make_builtin_flux("custom_expr", expr="(1+0.5*sin(x))*u^2/2 + u^4/12")
+    return certify(flux, audit_assumptions(flux, ((-3.0, 3.0), (-2.6, 2.6)), grid=48))
+
+
+@pytest.mark.parametrize("which", ["modulated", "dsl_fan"])
+def test_rh_speed_traces_are_two_separate_inversions(which, request):
+    flux = MODULATED if which == "modulated" else request.getfixturevalue("dsl_fan_flux")
+    rng = np.random.default_rng(8)
+    y = rng.uniform(-3.0, 3.0, 40)
+    g_l = rng.uniform(-0.6, 0.6, 40)
+    g_r = g_l - rng.uniform(0.05, 0.3, 40)
+    warm_l = solve_level(flux, y - 0.01, g_l)
+    warm_r = solve_level(flux, y + 0.01, g_r)
+    cases = [
+        (0.3, 0.4, -0.2, None, None),
+        (0.3, 0.4, -0.2, 0.95, -0.6),
+        (0.3, g_l, g_r, None, None),  # scalar y, array levels
+        (y, g_l, g_r, None, None),
+        (y, g_l, g_r, warm_l, warm_r),
+        (y, g_l, g_r, warm_l, None),
+        (y, g_l, g_r, None, warm_r),
+    ]
+    for yy, gl, gr, ql, qr in cases:
+        _, u_l, u_r = rh_speed(flux, yy, gl, gr, ql, qr)
+        assert np.array_equal(u_l, solve_level(flux, yy, gl, guess=ql))
+        assert np.array_equal(u_r, solve_level(flux, yy, gr, guess=qr))
+        assert np.shape(u_l) == np.shape(u_r) == np.broadcast(yy, gl, gr).shape
+
+
+def test_remove_range_keeps_the_warm_starts():
+    f0 = initial_fronts([-2.0, -1.0, 0.0, 1.0, 2.0], [4, 3, 2, 1, 2, 0], 0.1)
+    ul, ur = np.arange(5.0) + 0.1, np.arange(5.0) + 0.6
+    st = _State(f0)
+    st.ul, st.ur = ul.copy(), ur.copy()
+    st.remove_range(1, 3, produced=(0.0, 99))
+    # survivors keep their traces; the produced front gets (ul[a], ur[b])
+    assert list(st.ids) == [0, 99, 4]
+    assert np.array_equal(st.ul, [ul[0], ul[1], ul[4]])
+    assert np.array_equal(st.ur, [ur[0], ur[3], ur[4]])
+    st = _State(f0)
+    st.ul, st.ur = ul.copy(), ur.copy()
+    st.remove_range(1, 2)  # annihilation: no produced front
+    assert list(st.ids) == [0, 3, 4]
+    assert np.array_equal(st.ul, ul[[0, 3, 4]])
+    assert np.array_equal(st.ur, ur[[0, 3, 4]])
+
+
+def test_speed_evaluation_after_a_merge_starts_warm():
+    calls = []
+
+    def f(x, u):
+        calls.append(1)
+        return MODULATED.f(x, u)
+
+    tr = Tracker(replace(MODULATED, f=f), 0.5, (-6, 6), h_ode=0.01)
+    speeds, resolve, after = tr._speeds, tr._resolve_leftmost_cluster, []
+
+    def counted_speeds(st, y):
+        n = len(calls)
+        v = speeds(st, y)
+        if after and after[-1] is None:
+            after[-1] = len(calls) - n
+        return v
+
+    def flagged_resolve(*args):
+        resolve(*args)
+        after.append(None)
+
+    tr._speeds, tr._resolve_leftmost_cluster = counted_speeds, flagged_resolve
+    f0 = initial_fronts([-1.0, 0.0, 0.5], [4, 1, 0, -1], 0.5)
+    _, events = tr.advance(f0, 2.0)
+    assert len(events) == 2
+    # one stacked Newton call from the kept traces: one step, one residual check
+    assert after == [2, 2]
+
+
+@pytest.mark.parametrize("positions, z, message", [
+    ([0.1, 0.0], [0, 1, 2], "not ordered"),  # a fan pair in the wrong order
+    ([0.0, 0.1], [0, 1, 1], "null front"),
+], ids=["out_of_order", "null_front"])
+def test_advance_rejects_an_invalid_field(positions, z, message):
+    f0 = FrontField(time=0.5, delta=0.1, positions=np.array(positions),
+                    z=np.array(z, dtype=np.int64),
+                    ids=np.array([0, 1], dtype=np.int64), next_id=2)
+    tr = Tracker(BURGERS, 0.1, (-2, 2))
+    steps = []
+    tr._rk4 = lambda *args: steps.append(args)
+    with pytest.raises(FrontFieldError, match=message):
+        tr.advance(f0, 1.0)
+    assert steps == []
+
+
+# ---------------------------------------------------------------------------
 # sampling and totals
 # ---------------------------------------------------------------------------
 
@@ -636,25 +737,29 @@ def test_impossible_interaction_aborts_with_forensics():
 
 def test_degenerate_states_error_carries_time_and_state():
     from fronttrack.tracker import DegenerateStatesError
+    # a valid field whose two states, U = sqrt(2e-24) and 0, differ by less
+    # than the Rankine-Hugoniot quotient's floor of 1e-9
     f0 = FrontField(
-        time=0.25, delta=0.1,
+        time=0.25, delta=1e-24,
         positions=np.array([0.3]),
-        z=np.array([1, 1], dtype=np.int64),  # a null front: equal levels
+        z=np.array([1, 0], dtype=np.int64),
         ids=np.array([0], dtype=np.int64),
         next_id=1,
     )
     with pytest.raises(DegenerateStatesError) as info:
-        Tracker(BURGERS, 0.1, (-2, 2)).advance(f0, 1.0)
+        Tracker(BURGERS, 1e-24, (-2, 2)).advance(f0, 1.0)
     assert isinstance(info.value, RuntimeError)
     msg = str(info.value)
     assert "t=0.25" in msg and "y=array([0.3])" in msg and "positions" in msg
 
 
 def _ordering_lost(monkeypatch):
-    # a fan pair given in the wrong order: it separates, yet stays crossed
-    f0 = FrontField(time=0.5, delta=0.1, positions=np.array([0.1, 0.0]),
+    # a valid fan pair whose every RK4 step lands crossed: the contact search
+    # stops on the crossed pair, which separates there, yet stays crossed
+    f0 = FrontField(time=0.5, delta=0.1, positions=np.array([0.0, 0.1]),
                     z=np.array([0, 1, 2], dtype=np.int64),
                     ids=np.array([0, 1], dtype=np.int64), next_id=2)
+    monkeypatch.setattr(Tracker, "_rk4", lambda self, st, y, k1, h: np.array([0.1, 0.0]))
     return Tracker(BURGERS, 0.1, (-2, 2)), f0, 1.0
 
 
