@@ -29,7 +29,7 @@ from .profiles import make_initial
 from .riemann import ApproxFlux
 from .stationary import solve_level, g_of, inversion_gap_bound
 from .tracker import (H_ODE_DEFAULT, Tracker, TrackedSolution, quantize_initial,
-                      sample_u, sample_g, tv_g, l1_g_distance)
+                      sample_initial, sample_u, sample_g, tv_g, l1_g_distance)
 from .validation import (QuadSpec, entropy_battery, characteristic_check,
                          flux_convergence_check, fv_reference, l1_distance,
                          ValidationReport)
@@ -357,8 +357,10 @@ def _check_flux_convergence(ctx, report):
 def _check_inversion_bounds(ctx, report):
     rng = ctx.rng("inversion_bounds")
     alpha = ctx.flux.require_alpha()
-    xs = np.linspace(*ctx.config.window, 257)
-    g_scale = max(ctx.config.delta, g_of(ctx.flux, 0.0, ctx.u_sup) if ctx.u_sup else 1.0)
+    lo, hi = ctx.config.window
+    xs = np.linspace(lo, hi, 257)
+    g_scale = max(ctx.config.delta,
+                  g_of(ctx.flux, 0.5 * (lo + hi), ctx.u_sup) if ctx.u_sup else 1.0)
     worst = -np.inf
     for _ in range(50):
         g1 = float(rng.uniform(-g_scale, g_scale))
@@ -430,12 +432,10 @@ def run(cfg, out_dir, verbose=False):
     lo, hi = cfg.window
     probe = np.linspace(lo, hi, 4097)
     try:
-        with np.errstate(invalid="ignore", over="ignore"):  # reported just below
-            u_probe = np.asarray(u0(probe), dtype=float)
-    except DomainError as e:
+        with np.errstate(invalid="ignore", over="ignore"):  # sample_initial reports them
+            u_probe = sample_initial(u0, probe)
+    except (DomainError, ValueError) as e:
         raise ConfigError("initial", "profile", str(e)) from None
-    if not np.all(np.isfinite(u_probe)):
-        raise ConfigError("initial", "profile", "initial data not finite on the window")
     os.makedirs(out_dir, exist_ok=True)
     u0_sup = float(np.max(np.abs(u_probe))) if u_probe.size else 0.0
     u0_l1 = float(np.sum(0.5 * (np.abs(u_probe[:-1]) + np.abs(u_probe[1:]))

@@ -69,8 +69,8 @@ def make_initial(name, **params):
         bad = fexpr.free_vars(tree) - {"x"}
         if bad:
             raise ValueError(f"initial-data expression uses unknown variables {bad}")
-        return lambda x: np.asarray(
-            fexpr.evaluate(tree, np.asarray(x, dtype=float),
-                           np.zeros_like(np.asarray(x, dtype=float))), dtype=float)
+        # np.full gives a constant expression (one number) the shape of x
+        return lambda x: np.full(np.shape(x), fexpr.evaluate(
+            tree, np.asarray(x, dtype=float), np.zeros(np.shape(x))))
 
     raise ValueError(f"unknown initial profile {name!r}; choose from {PROFILE_NAMES}")

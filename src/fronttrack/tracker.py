@@ -230,6 +230,17 @@ class QuantizationDiagnostics:
     dx: float
 
 
+def sample_initial(u0, x):
+    """u0(x) as a float array; an initial-data sampler must return x's shape,
+    and finite values."""
+    u = np.asarray(u0(x), dtype=float)
+    if u.shape != x.shape:
+        raise ValueError(f"initial data returned shape {u.shape} on points of shape {x.shape}")
+    if not np.all(np.isfinite(u)):
+        raise ValueError(f"initial data is not finite at x={x[~np.isfinite(u)][0]!r}")
+    return u
+
+
 def _round_toward_zero(t):
     # nearest integer with ties broken toward 0
     return np.copysign(np.ceil(np.abs(t) - 0.5), t).astype(np.int64)
@@ -254,15 +265,7 @@ def quantize_initial(flux, u0, delta, window, cells):
     dx = (hi - lo) / cells
     mids = lo + (np.arange(cells) + 0.5) * dx
 
-    try:
-        u_samples = np.asarray(u0(mids), dtype=float)
-        if u_samples.shape != mids.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        u_samples = np.array([float(u0(x)) for x in mids])
-    if not np.all(np.isfinite(u_samples)):
-        bad = mids[~np.isfinite(u_samples)][0]
-        raise ValueError(f"initial data is not finite at x={bad!r}")
+    u_samples = sample_initial(u0, mids)
 
     g0 = np.asarray(g_of(flux, mids, u_samples), dtype=float)
     z_cells = _round_toward_zero(g0 / delta)
@@ -606,8 +609,9 @@ class TrackedSolution:
         return sample_u(self.tracker.flux, self.field_at(t), x)
 
 
-def l1_g_distance(field_a, field_b, lo, hi):
-    """Exact L1 distance between two piecewise-constant g-fields on [lo, hi]."""
+def common_pieces(field_a, field_b, lo, hi):
+    """The common refinement of two fields on [lo, hi]: the merged cut points,
+    and each field's g-level on every piece between consecutive cuts."""
     cuts = np.unique(np.concatenate((
         [lo, hi],
         field_a.positions[(field_a.positions > lo) & (field_a.positions < hi)],
@@ -616,4 +620,10 @@ def l1_g_distance(field_a, field_b, lo, hi):
     mids = 0.5 * (cuts[:-1] + cuts[1:])
     ga = field_a.delta * field_a.z[piece_index(field_a, mids)].astype(float)
     gb = field_b.delta * field_b.z[piece_index(field_b, mids)].astype(float)
+    return cuts, ga, gb
+
+
+def l1_g_distance(field_a, field_b, lo, hi):
+    """Exact L1 distance between two piecewise-constant g-fields on [lo, hi]."""
+    cuts, ga, gb = common_pieces(field_a, field_b, lo, hi)
     return float(np.sum(np.abs(ga - gb) * np.diff(cuts)))

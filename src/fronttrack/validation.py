@@ -19,7 +19,8 @@ from .fluxes import speed_envelope
 from .profiles import smooth_bump, smooth_bump_prime
 from .riemann import ApproxFlux
 from .stationary import g_of, profile_slope, solve_level
-from .tracker import H_ODE_DEFAULT, Tracker, piece_index, quantize_initial
+from .tracker import (H_ODE_DEFAULT, Tracker, common_pieces, quantize_initial,
+                      sample_initial)
 
 # peak of |d/ds bump(s)|, fixed numerically once (the bump is a module constant)
 _S = np.linspace(-1.0, 1.0, 400001)
@@ -122,30 +123,29 @@ class TestFunction:
 # ---------------------------------------------------------------------------
 
 def _sample_rows(solution, quad, f):
-    """u on every quadrature row, f(x, u) on those rows, and u at t_lo."""
+    """u on the (nt, nx) quadrature grid (one snapshot per time row), f(x, u)
+    on that grid from one call, and u at t_lo."""
     u_of = solution.sample_u if hasattr(solution, "sample_u") else solution
     xs = quad.x_mids()
-    u_rows = [np.asarray(u_of(xs, t), dtype=float) for t in quad.t_mids()]
-    f_rows = [f(xs, u) for u in u_rows]
-    return u_rows, f_rows, np.asarray(u_of(xs, quad.t_lo), dtype=float)
+    u = np.array([u_of(xs, t) for t in quad.t_mids()], dtype=float)
+    return u, np.asarray(f(xs, u), dtype=float), np.asarray(u_of(xs, quad.t_lo), dtype=float)
 
 
 def _residual(samples, f, fx, k, phi, quad):
-    """Residual of one (k, phi) pair over sampled rows with the flux pair
+    """Residual of one (k, phi) pair over the sampled grid with the flux pair
     (f, fx); returns it with the source row fx(x, k)."""
-    u_rows, f_rows, u0 = samples
+    u, f_u, u0 = samples
     xs = quad.x_mids()
+    ts = quad.t_mids()[:, None]
     k_row = np.full_like(xs, k)
     f_row_k = np.asarray(f(xs, k_row), dtype=float)
     fx_row_k = np.asarray(fx(xs, k_row), dtype=float)
-    total = 0.0
-    for t, u, f_u in zip(quad.t_mids(), u_rows, f_rows):
-        sgn = np.sign(u - k)
-        q = sgn * (f_u - f_row_k)
-        total += float(np.sum(np.abs(u - k) * phi.phi_t(xs, t)
-                              + q * phi.phi_x(xs, t)
-                              - sgn * fx_row_k * phi.phi(xs, t)))
-    total *= quad.dx * quad.dt
+    sgn = np.sign(u - k)
+    rows = np.sum(np.abs(u - k) * phi.phi_t(xs, ts)
+                  + sgn * (f_u - f_row_k) * phi.phi_x(xs, ts)
+                  - sgn * fx_row_k * phi.phi(xs, ts), axis=1)
+    # the row sums added in row order: the value of a running total over rows
+    total = float(np.cumsum(rows)[-1]) * (quad.dx * quad.dt)
     total += float(np.sum(np.abs(u0 - k) * phi.phi(xs, quad.t_lo))) * quad.dx
     return total, fx_row_k
 
@@ -394,11 +394,7 @@ def fv_reference(flux, u0, window, cells, T, cfl=0.45):
     mids = lo + (np.arange(cells) + 0.5) * dx
     ifaces = lo + np.arange(cells + 1) * dx  # includes both window edges
 
-    u = np.asarray(u0(mids), dtype=float)
-    if u.shape != mids.shape:
-        u = np.array([float(u0(x)) for x in mids])
-    if not np.all(np.isfinite(u)):
-        raise ValueError("initial data not finite on the grid")
+    u = sample_initial(u0, mids)
 
     g_max = float(np.max(np.abs(g_of(flux, mids, u)))) if cells else 0.0
     m_bound = math.sqrt(2.0 * max(g_max, 1e-300) / alpha) * 1.05 + 1e-9
@@ -450,26 +446,15 @@ def l1_u_fields(flux, field_a, field_b, lo, hi, pts_per_piece=8):
     """L1 distance in u between two front fields on [lo, hi].
 
     Pieces with identical integer levels contribute exactly zero; differing
-    pieces are integrated by midpoint rule on the piece.
+    pieces are integrated by midpoint rule on the piece, all of them inverted
+    in one stacked call.
     """
-    cuts = np.unique(np.concatenate((
-        [lo, hi],
-        field_a.positions[(field_a.positions > lo) & (field_a.positions < hi)],
-        field_b.positions[(field_b.positions > lo) & (field_b.positions < hi)],
-    )))
-    total = 0.0
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        mid = 0.5 * (a + b)
-        za = field_a.z[int(piece_index(field_a, mid))]
-        zb = field_b.z[int(piece_index(field_b, mid))]
-        ga = field_a.delta * float(za)
-        gb = field_b.delta * float(zb)
-        if ga == gb:
-            continue
-        xs = a + (np.arange(pts_per_piece) + 0.5) * (b - a) / pts_per_piece
-        ua, ub = solve_level(flux, xs, np.array([[ga], [gb]]))
-        total += float(np.sum(np.abs(ua - ub))) * (b - a) / pts_per_piece
-    return total
+    cuts, ga, gb = common_pieces(field_a, field_b, lo, hi)
+    differ = ga != gb
+    width = np.diff(cuts)[differ, None]
+    xs = cuts[:-1][differ, None] + (np.arange(pts_per_piece) + 0.5) * width / pts_per_piece
+    ua, ub = solve_level(flux, xs, np.array((ga[differ], gb[differ]))[:, :, None])
+    return float(np.sum(np.abs(ua - ub) * width / pts_per_piece))
 
 
 def domain_of_dependence_check(flux, u0, u0_perturbed, delta, window, cells, T, R,

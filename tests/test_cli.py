@@ -394,3 +394,44 @@ def test_run_zero_data_trivially_passes(tmp_path):
     assert status == 0
     assert manifest["initial_front_count"] == 0
     assert manifest["event_count"] == 0
+
+
+def test_inversion_bounds_reads_the_flux_inside_the_window(tmp_path):
+    # the flux is undefined at x < 0.5, so the check may not evaluate it at x = 0
+    cfg_text = """
+[flux]
+family = custom_expr
+expr = (1 + sqrt(x - 0.5)) * u^2/2
+
+[initial]
+profile = bump
+amp = 0.5
+center = 2.0
+width = 0.5
+
+[run]
+delta = 0.05
+window = 1, 3
+cells = 200
+t_end = 0.2
+seed = 3
+
+[checks]
+names = tvd, inversion_bounds
+"""
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "run", write_config(tmp_path, cfg_text)]) == 0
+    with open(out / "manifest.json") as fh:
+        checks = {c["name"]: c for c in json.load(fh)["checks"]["checks"]}
+    assert checks["inversion_bounds"]["passed"]
+
+
+def test_run_constant_expr_initial_data(tmp_path):
+    cfg_text = GOOD_CONFIG.replace(
+        "profile = bump\namp = 0.6\nwidth = 1.0", "profile = expr\nexpr = 0.3")
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "run", write_config(tmp_path, cfg_text)]) == 0
+    with open(out / "manifest.json") as fh:
+        manifest = json.load(fh)
+    assert manifest["checks"]["passed"]
+    assert manifest["initial_front_count"] > 0

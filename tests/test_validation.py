@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from fronttrack import validation
 from fronttrack.fluxes import make_builtin_flux
 from fronttrack.riemann import ApproxFlux
 from fronttrack.profiles import make_initial
-from fronttrack.tracker import Tracker, TrackedSolution, initial_fronts, sample_u
+from fronttrack.tracker import (Tracker, TrackedSolution, initial_fronts, quantize_initial,
+                                sample_u)
 from fronttrack.validation import (TestFunction, QuadSpec, SupportError,
                                    kruzkov_residual, approx_kruzkov_residual,
                                    entropy_battery, entropy_tol,
@@ -191,6 +193,73 @@ def test_entropy_battery_samples_the_solution_once(pairs):
         assert r["residual"] == approx_kruzkov_residual(sol, af, r["k"], r["phi"], quad)
 
 
+def _row_loop_residual(solution, f, fx, k, phi, quad):
+    """The residual as a loop over time rows, one f call and one test-function
+    evaluation per row: the reference the grid expression must reproduce."""
+    u_of = solution.sample_u if hasattr(solution, "sample_u") else solution
+    xs = quad.x_mids()
+    u_rows = [np.asarray(u_of(xs, t), dtype=float) for t in quad.t_mids()]
+    f_rows = [f(xs, u) for u in u_rows]
+    u0 = np.asarray(u_of(xs, quad.t_lo), dtype=float)
+    k_row = np.full_like(xs, k)
+    f_row_k = np.asarray(f(xs, k_row), dtype=float)
+    fx_row_k = np.asarray(fx(xs, k_row), dtype=float)
+    total = 0.0
+    for t, u, f_u in zip(quad.t_mids(), u_rows, f_rows):
+        sgn = np.sign(u - k)
+        q = sgn * (f_u - f_row_k)
+        total += float(np.sum(np.abs(u - k) * phi.phi_t(xs, t)
+                              + q * phi.phi_x(xs, t)
+                              - sgn * fx_row_k * phi.phi(xs, t)))
+    total *= quad.dx * quad.dt
+    total += float(np.sum(np.abs(u0 - k) * phi.phi(xs, quad.t_lo))) * quad.dx
+    return total, fx_row_k
+
+
+@pytest.mark.parametrize("solution", ["tracked", "single_front"])
+@pytest.mark.parametrize("approx", [False, True], ids=["exact_flux", "approx_flux"])
+def test_grid_residual_equals_the_row_loop_bit_for_bit(solution, approx):
+    if solution == "tracked":
+        f0 = initial_fronts([-0.8, 0.3], [0, 6, 0], 0.1)  # fan then shock
+        sol = TrackedSolution(Tracker(MODULATED, 0.1, (-3.5, 3.5)), f0)
+    else:
+        sol = SingleFrontSolution(MODULATED, 0.0, 0.5, 0.0, 1.0)
+    af = ApproxFlux(MODULATED, 0.1)
+    f, fx = (af.eval, af.eval_dx) if approx else (MODULATED.f, MODULATED.fx)
+    quad = QuadSpec(-2.5, 2.5, 0.0, 1.0, nx=96, nt=72)
+    samples = validation._sample_rows(sol, quad, f)
+    for k in (-0.3, 0.05, 0.62, 1.4):
+        for phi in (PHI, TestFunction(0.0, 1.2, 0.1, 0.3)):  # the second touches t = 0
+            total, fx_row = validation._residual(samples, f, fx, k, phi, quad)
+            ref_total, ref_fx_row = _row_loop_residual(sol, f, fx, k, phi, quad)
+            assert total == ref_total
+            assert np.array_equal(fx_row, ref_fx_row)
+
+
+@pytest.mark.parametrize("nt", [16, 40])
+def test_entropy_battery_call_budget(monkeypatch, nt):
+    # the test function is evaluated once per pair on the whole grid (phi_t,
+    # phi_x and phi, two bumps each, plus phi at t_lo), and f^delta(x, u) is
+    # sampled in one call: the row loop made 6 nt + 2 and nt + pairs calls
+    bumps = []
+    for name in ("smooth_bump", "smooth_bump_prime"):
+        real = getattr(validation, name)
+        monkeypatch.setattr(validation, name,
+                            lambda s, real=real: bumps.append(1) or real(s))
+    evals = []
+    real_eval = ApproxFlux.eval
+    monkeypatch.setattr(ApproxFlux, "eval",
+                        lambda self, x, u: evals.append(1) or real_eval(self, x, u))
+    pairs = 3
+    rng = np.random.Generator(np.random.Philox(key=np.array([7, nt], dtype=np.uint64)))
+    records = entropy_battery(burgers_shock_solution(), ApproxFlux(BURGERS, 0.1),
+                              QuadSpec(-2.0, 2.0, 0.0, 1.0, nx=32, nt=nt), rng, pairs,
+                              k_bound=1.1, tv_u=1.0, speed_bound=1.2)
+    assert len(records) == pairs
+    assert len(bumps) <= 8 * pairs
+    assert len(evals) == 1 + pairs
+
+
 # ---------------------------------------------------------------------------
 # characteristics
 # ---------------------------------------------------------------------------
@@ -283,6 +352,17 @@ def test_fv_rejects_large_cfl():
         fv_reference(BURGERS, make_initial("zero"), (-2, 2), 64, 1.0, cfl=0.6)
 
 
+@pytest.mark.parametrize("build", [
+    lambda u0: quantize_initial(BURGERS, u0, 0.1, (-2, 2), 64),
+    lambda u0: fv_reference(BURGERS, u0, (-2, 2), 64, 1.0),
+], ids=["quantize_initial", "fv_reference"])
+def test_initial_data_of_the_wrong_shape_raises(build):
+    # samplers are vectorized: one number for the whole grid is rejected
+    with pytest.raises(ValueError, match="shape"):
+        build(lambda x: 0.5)
+    build(make_initial("expr", expr="0.5"))  # a constant expression has x's shape
+
+
 def test_fv_modulated_mass_conserved_in_interior():
     # compact support and zero boundary flux: cell sums are conserved
     u0 = make_initial("bump", amp=0.6, center=0.0, width=1.0)
@@ -308,6 +388,14 @@ def test_l1_distance_examples():
 def test_l1_u_fields_zero_iff_identical_levels():
     a = initial_fronts([0.0], [5, 0], 0.1)
     assert l1_u_fields(BURGERS, a, a, -2.0, 2.0) == 0.0
+
+
+def test_l1_u_fields_of_two_shifted_shocks():
+    # u = 1 against u = 0 on [0, 0.25]; every other piece has equal levels
+    a = initial_fronts([0.0], [5, 0], 0.1)
+    b = initial_fronts([0.25], [5, 0], 0.1)
+    assert l1_u_fields(BURGERS, a, b, -2.0, 2.0) == pytest.approx(0.25, abs=1e-12)
+    assert l1_u_fields(BURGERS, b, a, -2.0, 2.0) == pytest.approx(0.25, abs=1e-12)
 
 
 def test_domain_of_dependence():
