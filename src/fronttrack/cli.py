@@ -559,11 +559,16 @@ def main(argv=None):
             print(f"no configs match {args.pattern!r}", file=sys.stderr)
             return 2
 
+    # a sweep writes each config's artifacts under the config's file stem
+    stems = [os.path.splitext(os.path.basename(path))[0] for path in paths]
+    clashing = [path for path, stem in zip(paths, stems) if stems.count(stem) > 1]
+    if clashing:
+        print(f"configs would share an output directory: {', '.join(clashing)}", file=sys.stderr)
+        return 2
+
     worst = 0
-    for path in paths:
-        stem = os.path.splitext(os.path.basename(path))[0]
-        out_dir = os.path.join(out_base, stem) if len(paths) > 1 or args.command == "sweep" \
-            else out_base
+    for path, stem in zip(paths, stems):
+        out_dir = os.path.join(out_base, stem) if args.command == "sweep" else out_base
         try:
             manifest, status = run(load_config(path), out_dir, verbose=verbose)
         except ConfigError as e:

@@ -9,8 +9,10 @@ and evaluation works elementwise on numpy arrays as well as scalars.
 from __future__ import annotations
 
 import math
+import re
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -32,37 +34,48 @@ class ParseError(ValueError):
 
 class DomainError(ArithmeticError):
     """Evaluation left the finite numbers: overflow, division by zero or an
-    invalid operation such as sqrt of a negative number."""
+    invalid operation such as sqrt of a negative number.  A tree whose printed
+    form nests more parentheses than Python's parser takes (200) cannot be
+    compiled, and raises it too."""
 
     def __init__(self, text, reason):
         super().__init__(f"cannot evaluate `{text}`: {reason}")
 
 
+class _Node:
+    @cached_property
+    def _code(self):
+        """The printed tree compiled as Python, once.  A negative exponent is
+        a float: numpy takes ``x**-1`` (an int) as a reciprocal, not a power."""
+        source = re.sub(r"\^(-\d+)", lambda m: f"**{float(int(m[1]))}", pretty(self))
+        return compile(source.replace("^", "**"), "<expr>", "eval")
+
+
 @dataclass(frozen=True)
-class Const:
+class Const(_Node):
     value: float
 
 
 @dataclass(frozen=True)
-class Var:
+class Var(_Node):
     name: str  # "x" or "u"
 
 
 @dataclass(frozen=True)
-class Unary:
+class Unary(_Node):
     op: str  # "neg" or a function name
     arg: "Node"
 
 
 @dataclass(frozen=True)
-class Binary:
+class Binary(_Node):
     op: str  # "+", "-", "*", "/"
     left: "Node"
     right: "Node"
 
 
 @dataclass(frozen=True)
-class Power:
+class Power(_Node):
     base: "Node"
     exponent: int
 
@@ -302,7 +315,10 @@ def _pow(base, n):
     if n == 1:
         return base
     if _is_const(base):
-        return Const(base.value ** n)
+        try:
+            return Const(base.value ** n)
+        except (ZeroDivisionError, OverflowError):
+            pass  # 0^-n or an overflow: evaluate reports it as a DomainError
     return Power(base, n)
 
 
@@ -351,47 +367,24 @@ def differentiate(node, var):
 # evaluation
 # ---------------------------------------------------------------------------
 
-_FUNC_IMPL = {
-    "sin": np.sin, "cos": np.cos, "tanh": np.tanh, "exp": np.exp, "sqrt": np.sqrt,
-}
+# the names a compiled tree may read besides x and u
+_NAMESPACE = {"__builtins__": {}, "inf": math.inf, "nan": math.nan,
+              **{name: getattr(np, name) for name in FUNCTIONS}}
 
 
 def evaluate(node, x, u):
     """Evaluate elementwise at (x, u); raises DomainError on non-finite results.
 
-    The whole walk runs under one floating-point guard: numpy raises on
-    overflow, division by zero or an invalid operation, Python floats raise
-    on division by zero or overflow in ``**``, and the single finiteness
-    check of the result catches what plain Python floats let through.
+    The tree, compiled on its first evaluation, runs under one floating-point
+    guard: numpy raises on overflow, division by zero or an invalid operation,
+    Python floats raise on division by zero or overflow in ``**``, and the
+    single finiteness check of the result catches what plain Python floats
+    let through.
     """
-
-    def walk(n):
-        if isinstance(n, Const):
-            return n.value
-        if isinstance(n, Var):
-            return x if n.name == "x" else u
-        if isinstance(n, Unary):
-            val = walk(n.arg)
-            return -val if n.op == "neg" else _FUNC_IMPL[n.op](val)
-        if isinstance(n, Binary):
-            a = walk(n.left)
-            b = walk(n.right)
-            if n.op == "+":
-                return a + b
-            if n.op == "-":
-                return a - b
-            if n.op == "*":
-                return a * b
-            return a / b
-        if isinstance(n, Power):
-            base = walk(n.base)
-            return base ** (n.exponent if n.exponent >= 0 else float(n.exponent))
-        raise TypeError(f"not an expression node: {n!r}")
-
     try:
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            out = walk(node)
-    except (FloatingPointError, ZeroDivisionError, OverflowError) as e:
+            out = eval(node._code, _NAMESPACE, {"x": x, "u": u})
+    except (FloatingPointError, ZeroDivisionError, OverflowError, SyntaxError) as e:
         raise DomainError(pretty(node), str(e)) from None
     if not np.isfinite(out).all():
         raise DomainError(pretty(node), "non-finite result")

@@ -30,47 +30,52 @@ def smooth_bump_prime(s):
 
 
 def make_initial(name, **params):
-    """Build a vectorized initial-data sampler x -> u0(x) from a named profile."""
+    """Build a vectorized initial-data sampler x -> u0(x) from a named profile;
+    a parameter the profile does not take is a ValueError."""
     if name == "zero":
-        return lambda x: np.zeros_like(np.asarray(x, dtype=float))
+        sampler = lambda x: np.zeros_like(np.asarray(x, dtype=float))
 
-    if name == "step":
-        left = float(params.get("left", 1.0))
-        right = float(params.get("right", 0.0))
-        pos = float(params.get("pos", 0.0))
-        return lambda x: np.where(np.asarray(x, dtype=float) < pos, left, right)
+    elif name == "step":
+        left = float(params.pop("left", 1.0))
+        right = float(params.pop("right", 0.0))
+        pos = float(params.pop("pos", 0.0))
+        sampler = lambda x: np.where(np.asarray(x, dtype=float) < pos, left, right)
 
-    if name == "piecewise":
-        values = np.asarray(params["values"], dtype=float)
-        breaks = np.asarray(params["breaks"], dtype=float)
+    elif name == "piecewise":
+        values = np.asarray(params.pop("values"), dtype=float)
+        breaks = np.asarray(params.pop("breaks"), dtype=float)
         if len(values) != len(breaks) + 1:
             raise ValueError("piecewise needs one more value than breaks")
         if np.any(np.diff(breaks) <= 0):
             raise ValueError("piecewise breaks must be strictly increasing")
-        return lambda x: values[np.searchsorted(breaks, np.asarray(x, dtype=float),
-                                                side="right")]
+        sampler = lambda x: values[np.searchsorted(breaks, np.asarray(x, dtype=float),
+                                                   side="right")]
 
-    if name == "bump":
-        amp = float(params.get("amp", 1.0))
-        center = float(params.get("center", 0.0))
-        width = float(params.get("width", 1.0))
+    elif name == "bump":
+        amp = float(params.pop("amp", 1.0))
+        center = float(params.pop("center", 0.0))
+        width = float(params.pop("width", 1.0))
         if width <= 0:
             raise ValueError("bump width must be positive")
-        return lambda x: amp * smooth_bump((np.asarray(x, dtype=float) - center) / width)
+        sampler = lambda x: amp * smooth_bump((np.asarray(x, dtype=float) - center) / width)
 
-    if name == "sine":
-        amp = float(params.get("amp", 1.0))
-        freq = float(params.get("freq", 1.0))
-        phase = float(params.get("phase", 0.0))
-        return lambda x: amp * np.sin(freq * np.asarray(x, dtype=float) + phase)
+    elif name == "sine":
+        amp = float(params.pop("amp", 1.0))
+        freq = float(params.pop("freq", 1.0))
+        phase = float(params.pop("phase", 0.0))
+        sampler = lambda x: amp * np.sin(freq * np.asarray(x, dtype=float) + phase)
 
-    if name == "expr":
-        tree = fexpr.parse(params["expr"])
+    elif name == "expr":
+        tree = fexpr.parse(params.pop("expr"))
         bad = fexpr.free_vars(tree) - {"x"}
         if bad:
             raise ValueError(f"initial-data expression uses unknown variables {bad}")
         # np.full gives a constant expression (one number) the shape of x
-        return lambda x: np.full(np.shape(x), fexpr.evaluate(
+        sampler = lambda x: np.full(np.shape(x), fexpr.evaluate(
             tree, np.asarray(x, dtype=float), np.zeros(np.shape(x))))
 
-    raise ValueError(f"unknown initial profile {name!r}; choose from {PROFILE_NAMES}")
+    else:
+        raise ValueError(f"unknown initial profile {name!r}; choose from {PROFILE_NAMES}")
+    if params:
+        raise ValueError(f"unknown {name} params {params}")
+    return sampler

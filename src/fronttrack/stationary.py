@@ -35,12 +35,14 @@ def g_of(flux, x, u):
     return np.sign(u) * flux.f(x, u)
 
 
-def solve_level(flux, x, g, guess=None):
+def solve_level(flux, x, g, guess=0.0):
     """Vectorized inversion: u with f(x, u) = |g| and sgn(u) = sgn(g).
 
-    Newton on the monotone branch, started from the analytic upper bracket
-    (or a warm ``guess``).  Convexity makes the from-above iteration monotone,
-    so no bisection safeguard is needed beyond clipping into [0, bracket].
+    Newton on the monotone branch, started from a warm ``guess`` clipped to
+    the analytic upper bracket, or from the bracket where the guess is zero
+    (the default) or not a number.  Convexity makes the from-above iteration
+    monotone, so no bisection safeguard is needed beyond clipping into
+    [0, bracket].
     """
     alpha = flux.require_alpha()
     x = np.asarray(x, dtype=float)
@@ -53,15 +55,8 @@ def solve_level(flux, x, g, guess=None):
     u_hi = np.sqrt(2.0 * g_abs / alpha) * BRACKET_PAD
     tol = TOL_INV * np.maximum(1.0, g_abs)
 
-    if guess is None:
-        w = u_hi / BRACKET_PAD
-    else:
-        guess = np.asarray(guess, dtype=float)
-        if guess.shape != g.shape:
-            guess = np.broadcast_to(guess, g.shape)
-        w = np.minimum(np.abs(guess), u_hi)
-        w = np.where(w > 0.0, w, u_hi / BRACKET_PAD)
-    w = np.where(nonzero, w, 0.0)
+    w = np.minimum(np.abs(np.asarray(guess, dtype=float)), u_hi)
+    w = np.where(nonzero, np.where(w > 0.0, w, u_hi / BRACKET_PAD), 0.0)
 
     active = nonzero.copy()
     for _ in range(_MAX_NEWTON):

@@ -185,7 +185,7 @@ def sample_u(flux, field, x):
 # Rankine-Hugoniot speeds
 # ---------------------------------------------------------------------------
 
-def rh_speed(flux, y, g_l, g_r, guess_l=None, guess_r=None):
+def rh_speed(flux, y, g_l, g_r, guess_l=0.0, guess_r=0.0):
     """Rankine-Hugoniot speeds (|g_l| - |g_r|) / (U[g_l](y) - U[g_r](y)).
 
     Vectorized over fronts and symmetric under swapping the two levels.  Both
@@ -202,13 +202,8 @@ def rh_speed(flux, y, g_l, g_r, guess_l=None, guess_r=None):
             a, b = np.broadcast_to(a, shape), np.broadcast_to(b, shape)
         return np.array((a, b))
 
-    guess = None
-    if guess_l is not None or guess_r is not None:
-        # a zero guess starts Newton from the bracket, as no guess does
-        guess = stacked(0.0 if guess_l is None else guess_l,
-                        0.0 if guess_r is None else guess_r)
     g = stacked(g_l, g_r)
-    u_l, u_r = solve_level(flux, stacked(y, y), g, guess=guess)
+    u_l, u_r = solve_level(flux, stacked(y, y), g, guess=stacked(guess_l, guess_r))
     den = u_l - u_r
     bad = np.abs(den) < 1e-9 * np.maximum(1.0, np.maximum(np.abs(u_l), np.abs(u_r)))
     if np.any(bad):
@@ -349,8 +344,8 @@ class _State:
         self.z = f.z.copy()
         self.ids = f.ids.copy()
         self.next_id = f.next_id
-        self.ul = None  # warm-start caches for the profile inversions
-        self.ur = None
+        # warm starts of the profile inversions; zero starts from the bracket
+        self.ul, self.ur = np.zeros((2, len(self.y)))
 
     def remove_range(self, a, b, produced=None):
         """Delete fronts a..b (inclusive), then insert the front ``produced =
@@ -430,9 +425,12 @@ class Tracker:
         for name, value in (("delta", delta), ("h_ode", h_ode)):
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        lo, hi = float(window[0]), float(window[1])
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise ValueError(f"window must be two finite, increasing numbers, got {window!r}")
         self.flux = flux
         self.delta = float(delta)
-        self.window = (float(window[0]), float(window[1]))
+        self.window = (lo, hi)
         self.h_ode = float(h_ode)
 
     # -- speeds -------------------------------------------------------------
@@ -502,6 +500,8 @@ class Tracker:
         Returns (new field, list of Events).  The input field is not modified.
         """
         t_target = float(t_target)
+        if not math.isfinite(t_target):
+            raise ValueError(f"t_target must be finite, got {t_target!r}")
         if t_target < field_.time:
             raise ValueError(f"cannot advance backwards: {field_.time} -> {t_target}")
         if field_.delta != self.delta:

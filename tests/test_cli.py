@@ -180,8 +180,10 @@ def test_run_deterministic_artifacts(tmp_path):
 
 
 def test_run_aborts_on_audit_failure(tmp_path):
-    # a convexity failure, and a domain error: f_u holds 1/sqrt(u)
-    for k, expr in enumerate(["u^3", "u^2/2 + sqrt(u)*u^3"]):
+    # a convexity failure, a domain error (f_u holds 1/sqrt(u)), and two
+    # constant powers that differentiate cannot fold (0^-1, 1e200^3)
+    for k, expr in enumerate(["u^3", "u^2/2 + sqrt(u)*u^3", "u^2/2 + 0^0",
+                              "u^2/2 + 1e200^4*0"]):
         bad = GOOD_CONFIG.replace(
             "family = modulated_burgers\nbase = 1.0\namp = 0.5",
             f"family = custom_expr\nexpr = {expr}")
@@ -232,8 +234,11 @@ def test_main_options_before_or_after_subcommand(tmp_path, capsys, before):
     ("window = -3, 3", "window = -inf, 3", "[run] window"),
     ("profile = bump", "profile = piecewise\nvalues = 1, x", "[initial] values"),
     ("amp = 0.6", "amp = inf", "[initial] profile"),
-    ("profile = bump", "profile = piecewise\nvalues = 1, inf\nbreaks = 0", "[initial] profile"),
-    ("profile = bump", "profile = expr\nexpr = sqrt(x)", "[initial] profile"),
+    ("profile = bump\namp = 0.6\nwidth = 1.0", "profile = piecewise\nvalues = 1, inf\nbreaks = 0",
+     "[initial] profile"),
+    ("profile = bump\namp = 0.6\nwidth = 1.0", "profile = expr\nexpr = sqrt(x)",
+     "[initial] profile"),
+    ("width = 1.0", "width = 1.0\ncentre = 1.5", "[initial] profile"),
 ])
 def test_main_bad_config_exits_2(tmp_path, capsys, old, new, option):
     bad = write_config(tmp_path, GOOD_CONFIG.replace(old, new))
@@ -250,6 +255,19 @@ def test_main_sweep(tmp_path):
     assert main(["--out", out, "sweep", str(tmp_path / "s*.ini")]) == 0
     assert os.path.exists(os.path.join(out, "s1", "manifest.json"))
     assert os.path.exists(os.path.join(out, "s2", "manifest.json"))
+
+
+def test_main_sweep_refuses_configs_with_one_output_directory(tmp_path, capsys):
+    # a/run.ini and b/run.ini would both write to out/run
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+        write_config(tmp_path / sub, GOOD_CONFIG)
+    out = tmp_path / "sw"
+    assert main(["--out", str(out), "sweep", str(tmp_path / "*" / "run.ini")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert str(tmp_path / "a" / "run.ini") in err[0] and str(tmp_path / "b" / "run.ini") in err[0]
+    assert not out.exists()
 
 
 def test_env_var_output_dir(tmp_path, monkeypatch):

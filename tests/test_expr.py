@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fronttrack import expr as fx
 
@@ -113,6 +113,18 @@ def test_domain_error_on_any_non_finite_value(src, u):
     with pytest.raises(fx.DomainError) as info:
         fx.evaluate(tree, np.zeros_like(u), u)
     assert fx.pretty(tree) in str(info.value)
+
+
+def test_a_tree_too_deep_to_compile_is_a_domain_error():
+    # the quotient rule nests about two parentheses per level, past the 200
+    # that Python's parser takes
+    src = "u"
+    for _ in range(120):
+        src = f"u/(1+{src})"
+    tree = fx.parse(src)
+    assert np.isfinite(fx.evaluate(tree, 0.3, 0.2))
+    with pytest.raises(fx.DomainError, match="too many nested parentheses"):
+        fx.evaluate(fx.differentiate(tree, "u"), 0.3, 0.2)
 
 
 def test_evaluate_is_the_numpy_expression_in_the_same_order():
@@ -228,3 +240,97 @@ def test_derivative_of_derivative_tree_round_trips():
     again = fx.parse(fx.pretty(duu))
     for x, u in [(0.1, 0.2), (-1.0, 1.5)]:
         assert fx.evaluate(duu, x, u) == fx.evaluate(again, x, u)
+
+
+# ---------------------------------------------------------------------------
+# compiled evaluation against the tree walk it replaced
+# ---------------------------------------------------------------------------
+
+def walk_evaluate(node, x, u):
+    """The tree-walking evaluator that compiled trees replaced, kept as the
+    reference: the same operations in the same order, under the same guard."""
+
+    def walk(n):
+        if isinstance(n, fx.Const):
+            return n.value
+        if isinstance(n, fx.Var):
+            return x if n.name == "x" else u
+        if isinstance(n, fx.Unary):
+            val = walk(n.arg)
+            return -val if n.op == "neg" else getattr(np, n.op)(val)
+        if isinstance(n, fx.Binary):
+            a = walk(n.left)
+            b = walk(n.right)
+            if n.op == "+":
+                return a + b
+            if n.op == "-":
+                return a - b
+            if n.op == "*":
+                return a * b
+            return a / b
+        base = walk(n.base)
+        return base ** (n.exponent if n.exponent >= 0 else float(n.exponent))
+
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            out = walk(node)
+    except (FloatingPointError, ZeroDivisionError, OverflowError) as e:
+        raise fx.DomainError(fx.pretty(node), str(e)) from None
+    if not np.isfinite(out).all():
+        raise fx.DomainError(fx.pretty(node), "non-finite result")
+    return out
+
+
+def outcome(evaluator, node, x, u):
+    """Result type and bits, or the DomainError message."""
+    try:
+        out = evaluator(node, x, u)
+    except fx.DomainError as e:
+        return "DomainError", str(e)
+    return type(out), np.asarray(out).dtype, np.asarray(out).view(np.uint64).tolist()
+
+
+@st.composite
+def all_op_trees(draw, depth=0):
+    if depth > 3 or draw(st.booleans()):
+        leaf = draw(st.sampled_from(["x", "u", "const"]))
+        if leaf == "const":
+            return fx.Const(draw(st.sampled_from([0.0, -0.0, 1.0, 2.0]) | st.floats(
+                min_value=-4, max_value=4, allow_nan=False, allow_infinity=False)))
+        return fx.Var(leaf)
+    kind = draw(st.sampled_from(["+", "-", "*", "/", "neg", "pow"] + list(fx.FUNCTIONS)))
+    if kind in "+-*/":
+        return fx.Binary(kind, draw(all_op_trees(depth=depth + 1)),
+                         draw(all_op_trees(depth=depth + 1)))
+    if kind == "pow":
+        return fx.Power(draw(all_op_trees(depth=depth + 1)),
+                        draw(st.integers(min_value=-3, max_value=4)))
+    return fx.Unary(kind, draw(all_op_trees(depth=depth + 1)))
+
+
+WALK_X = np.array([0.0, -0.0, 0.7, -1.3, 2.5, 1e-3])
+WALK_U = np.array([-0.0, 0.0, 1.1, -0.4, -3.0, 40.0])
+
+
+@given(all_op_trees())
+@example(fx.Power(fx.Var("u"), -1))  # numpy's int -1 power is a reciprocal
+@example(fx.Binary("/", fx.Const(1.0), fx.Power(fx.Var("x"), -2)))
+@settings(max_examples=300, deadline=None)
+def test_compiled_evaluation_matches_the_tree_walk_bit_for_bit(tree):
+    for node in (tree, fx.differentiate(tree, "x"), fx.differentiate(tree, "u")):
+        assert outcome(fx.evaluate, node, WALK_X, WALK_U) == \
+            outcome(walk_evaluate, node, WALK_X, WALK_U)
+        for x, u in zip(WALK_X.tolist(), WALK_U.tolist()):
+            assert outcome(fx.evaluate, node, x, u) == outcome(walk_evaluate, node, x, u)
+
+
+def test_each_tree_compiles_once(monkeypatch):
+    tree = fx.parse("(1+0.5*sin(x))*u^2/2 + u^-2")
+    compiled = []
+    real_compile = compile
+    monkeypatch.setattr(fx, "compile", lambda *a: compiled.append(a[0]) or real_compile(*a),
+                        raising=False)
+    for _ in range(3):
+        fx.evaluate(tree, np.ones(4), np.full(4, 2.0))
+    assert compiled == ["(1.0 + 0.5 * sin(x)) * u**2 / 2.0 + u**-2.0"]
+

@@ -67,6 +67,26 @@ def test_tracker_rejects_bad_step_or_delta(kwargs):
         Tracker(BURGERS, args["delta"], (-2, 2), h_ode=args["h_ode"])
 
 
+@pytest.mark.parametrize("window, t", [
+    ((float("nan"), 2.0), 1.0),
+    ((2.0, -2.0), 1.0),
+    ((-2.0, float("inf")), 1.0),
+    ((-2.0, 2.0), float("nan")),
+    ((-2.0, 2.0), float("inf")),
+], ids=["nan_window", "reversed_window", "infinite_window", "nan_time", "infinite_time"])
+@pytest.mark.parametrize("via", ["advance", "field_at"])
+def test_tracker_rejects_a_bad_window_or_time(window, t, via):
+    # each would otherwise integrate until the shock leaves the window, or
+    # never check the window at all
+    shock = initial_fronts([0.0], [2, 0], 0.1)
+    with pytest.raises(ValueError):
+        tr = Tracker(BURGERS, 0.1, window)
+        if via == "advance":
+            tr.advance(shock, t)
+        else:
+            TrackedSolution(tr, shock).field_at(t)
+
+
 def test_quantize_rejects_bad_input():
     with pytest.raises(ValueError):
         quantize_initial(BURGERS, lambda x: np.full_like(x, np.nan), 0.1, (-1, 1), 32)
