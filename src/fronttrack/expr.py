@@ -8,8 +8,10 @@ and evaluation works elementwise on numpy arrays as well as scalars.
 
 from __future__ import annotations
 
+import ast
 import math
 import re
+import warnings
 
 from dataclasses import dataclass
 from functools import cached_property
@@ -84,161 +86,79 @@ Node = Union[Const, Var, Unary, Binary, Power]
 
 
 # ---------------------------------------------------------------------------
-# tokenizer / parser
+# parsing: Python's parser reads the source, one pass maps its nodes
 # ---------------------------------------------------------------------------
 
-_OPERATORS = set("+-*/^()")
-
-
-def _tokenize(src):
-    """Yield (kind, text, offset) triples; kind is num, ident or op."""
-    tokens = []
-    i, n = 0, len(src)
-    while i < n:
-        c = src[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in _OPERATORS:
-            tokens.append(("op", c, i))
-            i += 1
-            continue
-        if c.isdigit() or c == ".":
-            j = i
-            seen_dot = False
-            while j < n and (src[j].isdigit() or (src[j] == "." and not seen_dot)):
-                seen_dot = seen_dot or src[j] == "."
-                j += 1
-            if j < n and src[j] in "eE":
-                k = j + 1
-                if k < n and src[k] in "+-":
-                    k += 1
-                if k < n and src[k].isdigit():
-                    j = k
-                    while j < n and src[j].isdigit():
-                        j += 1
-            text = src[i:j]
-            try:
-                float(text)
-            except ValueError:
-                raise ParseError(i, f"bad number literal {text!r}") from None
-            tokens.append(("num", text, i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            tokens.append(("ident", src[i:j], i))
-            i = j
-            continue
-        raise ParseError(i, f"unexpected character {c!r}")
-    tokens.append(("end", "", n))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, src):
-        self.src = src
-        self.tokens = _tokenize(src)
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect_op(self, op):
-        kind, text, off = self.peek()
-        if kind != "op" or text != op:
-            raise ParseError(off, f"got {text or 'end of input'!r}", expected=(repr(op),))
-        return self.advance()
-
-    def parse(self):
-        node = self.expr()
-        kind, text, off = self.peek()
-        if kind != "end":
-            raise ParseError(off, f"trailing input {text!r}")
-        return node
-
-    def expr(self):
-        node = self.term()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                node = Binary(text, node, self.term())
-            else:
-                return node
-
-    def term(self):
-        node = self.factor()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "*/":
-                self.advance()
-                node = Binary(text, node, self.factor())
-            else:
-                return node
-
-    def factor(self):
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "-":
-            self.advance()
-            return Unary("neg", self.factor())
-        return self.power()
-
-    def power(self):
-        node = self.atom()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text == "^":
-                self.advance()
-                node = Power(node, self.exponent())
-            else:
-                return node
-
-    def exponent(self):
-        sign = 1
-        kind, text, off = self.peek()
-        if kind == "op" and text == "-":
-            self.advance()
-            sign = -1
-            kind, text, off = self.peek()
-        if kind != "num" or "." in text or "e" in text or "E" in text:
-            raise ParseError(off, f"got {text or 'end of input'!r}",
-                             expected=("integer exponent",))
-        self.advance()
-        return sign * int(text)
-
-    def atom(self):
-        kind, text, off = self.advance()
-        if kind == "num":
-            return Const(float(text))
-        if kind == "ident":
-            if text in VARIABLES:
-                return Var(text)
-            if text in FUNCTIONS:
-                self.expect_op("(")
-                arg = self.expr()
-                self.expect_op(")")
-                return Unary(text, arg)
-            raise ParseError(off, f"unknown identifier {text!r}",
-                             expected=VARIABLES + FUNCTIONS)
-        if kind == "op" and text == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        raise ParseError(off, f"got {text or 'end of input'!r}",
-                         expected=("operand",))
+_NUMBER = re.compile(r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")  # not 0x1, 1_0, 1j, True
+_AFTER_POW = re.compile(r"\*\* *(- *)?\Z")  # what may precede an exponent literal
+_BINARY = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
 
 
 def parse(src):
-    """Parse an expression string into a tree; raises ParseError on bad input."""
-    return _Parser(src).parse()
+    """Parse an expression string into a tree; raises ParseError on bad input.
+
+    Python's parser reads the source with ^ as **, once whitespace (a config
+    value may span lines) and the leading zeros it refuses (``007``) are spaces.
+    """
+    text = "".join(" " if c.isspace() else c for c in src)
+    # any other character, non-ASCII too (Python reads ｕ as u), and a literal **
+    bad = re.search(r"[^A-Za-z0-9_.+\-*/^() ]|\*\*", text)
+    if bad:
+        raise ParseError(bad.start(), f"unexpected {bad[0]!r}")
+    text = re.sub(r"(?<![\w.])(?<![eE][+-])0+(?=\d)", lambda m: " " * len(m[0]), text)
+    body = text.lstrip()
+    py = body.replace("^", "**")
+    origin = [len(text) - len(body) + i  # the source offset of each character of py
+              for i, c in enumerate(body) for _ in c.replace("^", "**")] + [len(src)]
+
+    def segment(n):
+        return py[n.col_offset:n.end_col_offset]
+
+    def fail(n, message, expected=()):
+        raise ParseError(origin[n.col_offset], message, expected)
+
+    def build(n):
+        if isinstance(n, ast.Constant) and _NUMBER.fullmatch(segment(n)):
+            return Const(float(segment(n)))
+        if isinstance(n, ast.Name):
+            if n.id not in VARIABLES:
+                fail(n, f"unknown identifier {n.id!r}", expected=VARIABLES + FUNCTIONS)
+            return Var(n.id)
+        if isinstance(n, ast.UnaryOp) and isinstance(n.op, ast.USub):
+            return Unary("neg", build(n.operand))
+        if (isinstance(n, ast.Call) and getattr(n.func, "id", None) in FUNCTIONS
+                and len(n.args) == 1  # and not (sin)(u):
+                and py[n.func.end_col_offset:n.args[0].col_offset].lstrip().startswith("(")):
+            return Unary(n.func.id, build(n.args[0]))
+        if isinstance(n, ast.BinOp) and type(n.op) in _BINARY:
+            return Binary(_BINARY[type(n.op)], build(n.left), build(n.right))
+        if not (isinstance(n, ast.BinOp) and isinstance(n.op, ast.Pow)):
+            fail(n, f"unexpected {segment(n)!r}")
+        # ^ chains left: u^-2^3 is (u^-2)^3, which Python reads as u**(-(2**3)),
+        # so walk the right spine one integer literal at a time
+        tree, right = build(n.left), n.right
+        while right is not None:
+            sign, literal, right = 1, right, None
+            if isinstance(literal, ast.UnaryOp) and isinstance(literal.op, ast.USub):
+                sign, literal = -1, literal.operand
+            if isinstance(literal, ast.BinOp) and isinstance(literal.op, ast.Pow):
+                literal, right = literal.left, literal.right
+            if not (isinstance(literal, ast.Constant) and segment(literal).isdigit()
+                    and _AFTER_POW.search(py, 0, literal.col_offset)):  # not u^(2)
+                fail(literal, f"got {segment(literal)!r}", expected=("integer exponent",))
+            tree = Power(tree, sign * int(segment(literal)))
+        return tree
+
+    try:
+        with warnings.catch_warnings():  # a warning (as in 1if) rejects, and prints nothing
+            warnings.simplefilter("error")
+            return build(ast.parse(py, mode="eval").body)
+    except SyntaxError as e:
+        if not e.offset:  # the input ended early
+            raise ParseError(len(src), e.msg, expected=("operand",)) from None
+        raise ParseError(origin[e.offset - 1], e.msg) from None
+    except (RecursionError, MemoryError):  # the parser's stack overflow is a MemoryError
+        raise ParseError(0, "expression nested too deeply") from None
 
 
 def free_vars(node):

@@ -218,23 +218,27 @@ def audit_assumptions(flux, box, grid=64):
         if len(idx) > 8:
             violations.append(Violation(name, ("...",), float(len(idx))))
 
+    def sample(fn, xpts, upts):
+        # on the sample grid's shape: a constant, such as the f_uu of -u^2/2, is one number
+        return np.broadcast_to(np.asarray(fn(xpts, upts), dtype=float), xpts.shape)
+
     certified = fuu_max = float("nan")  # stay nan if the flux cannot be sampled
     try:
         # (S0) stationarity at zero, along the x-samples
         zeros = np.zeros_like(xs)
-        f0 = np.asarray(flux.f(xs, zeros), dtype=float)
-        fu0 = np.asarray(flux.fu(xs, zeros), dtype=float)
+        f0 = sample(flux.f, xs, zeros)
+        fu0 = sample(flux.fu, xs, zeros)
         record(np.abs(f0) > tol, "S0:f(x,0)=0", f0, xs, zeros)
         record(np.abs(fu0) > tol, "S0:f_u(x,0)=0", fu0, xs, zeros)
 
         # (UC) uniform convexity on the full grid
-        fuu = np.asarray(flux.fuu(X, U), dtype=float)
+        fuu = sample(flux.fuu, X, U)
         record(fuu <= 0.0, "UC:f_uu>0", fuu, X, U)
         fuu_max = float(np.max(fuu))
         certified = float(np.min(fuu)) * (DSL_ALPHA_SAFETY if dsl else 1.0)
 
         # (FSP) envelope values stay finite on the u-samples
-        fu_grid = np.asarray(flux.fu(X, U), dtype=float)
+        fu_grid = sample(flux.fu, X, U)
         record(~np.isfinite(fu_grid), "FSP:theta finite", fu_grid, X, U)
 
         # consequences the rest of the library leans on, checked against the
@@ -242,7 +246,7 @@ def audit_assumptions(flux, box, grid=64):
         # above the true infimum between u-samples, which is what the DSL safety
         # factor absorbs (an analytically known alpha is a true bound already)
         alpha_check = flux.alpha if flux.alpha is not None else certified
-        f_grid = np.asarray(flux.f(X, U), dtype=float)
+        f_grid = sample(flux.f, X, U)
         if alpha_check > 0.0:
             lower = 0.5 * alpha_check * U * U
             record(f_grid < lower - tol, "f>=alpha*u^2/2", f_grid - lower, X, U)

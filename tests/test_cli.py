@@ -180,10 +180,11 @@ def test_run_deterministic_artifacts(tmp_path):
 
 
 def test_run_aborts_on_audit_failure(tmp_path):
-    # a convexity failure, a domain error (f_u holds 1/sqrt(u)), and two
-    # constant powers that differentiate cannot fold (0^-1, 1e200^3)
+    # a convexity failure, a domain error (f_u holds 1/sqrt(u)), two
+    # constant powers that differentiate cannot fold (0^-1, 1e200^3), and two
+    # fluxes whose f_uu folds to a constant (-1, 0)
     for k, expr in enumerate(["u^3", "u^2/2 + sqrt(u)*u^3", "u^2/2 + 0^0",
-                              "u^2/2 + 1e200^4*0"]):
+                              "u^2/2 + 1e200^4*0", "-u^2/2", "sin(x)"]):
         bad = GOOD_CONFIG.replace(
             "family = modulated_burgers\nbase = 1.0\namp = 0.5",
             f"family = custom_expr\nexpr = {expr}")
@@ -246,6 +247,37 @@ def test_main_bad_config_exits_2(tmp_path, capsys, old, new, option):
     err = capsys.readouterr().err
     assert option in err
     assert len(err.strip().splitlines()) == 1  # one line, no traceback
+
+
+LONG_SUM = " + ".join(["u^2"] * 1500)
+
+
+@pytest.mark.parametrize("old, new, option", [
+    ("family = modulated_burgers\nbase = 1.0\namp = 0.5",
+     f"family = custom_expr\nexpr = {LONG_SUM}", "[flux] family"),
+    ("profile = bump\namp = 0.6\nwidth = 1.0", f"profile = expr\nexpr = {LONG_SUM}",
+     "[initial] profile"),
+], ids=["flux", "initial"])
+def test_main_long_flat_expression_exits_2(tmp_path, capsys, old, new, option):
+    bad = write_config(tmp_path, GOOD_CONFIG.replace(old, new))
+    assert main(["run", bad, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert option in err and "ParseError" in err
+    assert len(err.strip().splitlines()) == 1  # one line, no traceback
+
+
+@pytest.mark.parametrize("depth, status", [(200, 0), (250, 2)])
+def test_main_deeply_nested_initial_data(tmp_path, capsys, depth, status):
+    # Python's parser takes 200 nested parentheses: sin(sin(...(x)...)) 200
+    # deep is initial data, 250 deep a one-line config error
+    nested = "sin(" * depth + "x" + ")" * depth
+    cfg = write_config(tmp_path, GOOD_CONFIG.replace(
+        "profile = bump\namp = 0.6\nwidth = 1.0", f"profile = expr\nexpr = {nested}"))
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == status
+    err = capsys.readouterr().err
+    if status:
+        assert "[initial] profile" in err and "ParseError" in err
+        assert len(err.strip().splitlines()) == 1
 
 
 def test_main_sweep(tmp_path):

@@ -334,3 +334,274 @@ def test_each_tree_compiles_once(monkeypatch):
         fx.evaluate(tree, np.ones(4), np.full(4, 2.0))
     assert compiled == ["(1.0 + 0.5 * sin(x)) * u**2 / 2.0 + u**-2.0"]
 
+
+
+# ---------------------------------------------------------------------------
+# Python's parser against the hand-written parser it replaced
+# ---------------------------------------------------------------------------
+
+_REFERENCE_OPERATORS = set("+-*/^()")
+
+
+def reference_tokenize(src):
+    """The tokenizer of the recursive-descent parser that `parse` replaced,
+    kept as the reference: (kind, text, offset) triples."""
+    tokens = []
+    i, n = 0, len(src)
+    while i < n:
+        c = src[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c in _REFERENCE_OPERATORS:
+            tokens.append(("op", c, i))
+            i += 1
+            continue
+        if c.isdigit() or c == ".":
+            j = i
+            seen_dot = False
+            while j < n and (src[j].isdigit() or (src[j] == "." and not seen_dot)):
+                seen_dot = seen_dot or src[j] == "."
+                j += 1
+            if j < n and src[j] in "eE":
+                k = j + 1
+                if k < n and src[k] in "+-":
+                    k += 1
+                if k < n and src[k].isdigit():
+                    j = k
+                    while j < n and src[j].isdigit():
+                        j += 1
+            text = src[i:j]
+            try:
+                float(text)
+            except ValueError:
+                raise fx.ParseError(i, f"bad number literal {text!r}") from None
+            tokens.append(("num", text, i))
+            i = j
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (src[j].isalnum() or src[j] == "_"):
+                j += 1
+            tokens.append(("ident", src[i:j], i))
+            i = j
+            continue
+        raise fx.ParseError(i, f"unexpected character {c!r}")
+    tokens.append(("end", "", n))
+    return tokens
+
+
+class ReferenceParser:
+    """The recursive-descent parser that `parse` replaced, kept as the
+    reference: ^ chains left and takes an optionally negated integer literal."""
+
+    def __init__(self, src):
+        self.src = src
+        self.tokens = reference_tokenize(src)
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def advance(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect_op(self, op):
+        kind, text, off = self.peek()
+        if kind != "op" or text != op:
+            raise fx.ParseError(off, f"got {text or 'end of input'!r}", expected=(repr(op),))
+        return self.advance()
+
+    def parse(self):
+        node = self.expr()
+        kind, text, off = self.peek()
+        if kind != "end":
+            raise fx.ParseError(off, f"trailing input {text!r}")
+        return node
+
+    def expr(self):
+        node = self.term()
+        while True:
+            kind, text, _ = self.peek()
+            if kind == "op" and text in "+-":
+                self.advance()
+                node = fx.Binary(text, node, self.term())
+            else:
+                return node
+
+    def term(self):
+        node = self.factor()
+        while True:
+            kind, text, _ = self.peek()
+            if kind == "op" and text in "*/":
+                self.advance()
+                node = fx.Binary(text, node, self.factor())
+            else:
+                return node
+
+    def factor(self):
+        kind, text, _ = self.peek()
+        if kind == "op" and text == "-":
+            self.advance()
+            return fx.Unary("neg", self.factor())
+        return self.power()
+
+    def power(self):
+        node = self.atom()
+        while True:
+            kind, text, _ = self.peek()
+            if kind == "op" and text == "^":
+                self.advance()
+                node = fx.Power(node, self.exponent())
+            else:
+                return node
+
+    def exponent(self):
+        sign = 1
+        kind, text, off = self.peek()
+        if kind == "op" and text == "-":
+            self.advance()
+            sign = -1
+            kind, text, off = self.peek()
+        if kind != "num" or "." in text or "e" in text or "E" in text:
+            raise fx.ParseError(off, f"got {text or 'end of input'!r}",
+                                expected=("integer exponent",))
+        self.advance()
+        return sign * int(text)
+
+    def atom(self):
+        kind, text, off = self.advance()
+        if kind == "num":
+            return fx.Const(float(text))
+        if kind == "ident":
+            if text in fx.VARIABLES:
+                return fx.Var(text)
+            if text in fx.FUNCTIONS:
+                self.expect_op("(")
+                arg = self.expr()
+                self.expect_op(")")
+                return fx.Unary(text, arg)
+            raise fx.ParseError(off, f"unknown identifier {text!r}",
+                                expected=fx.VARIABLES + fx.FUNCTIONS)
+        if kind == "op" and text == "(":
+            node = self.expr()
+            self.expect_op(")")
+            return node
+        raise fx.ParseError(off, f"got {text or 'end of input'!r}",
+                            expected=("operand",))
+
+
+def parse_outcome(parse, src):
+    """The tree, or "ParseError" after checking that its offset lies in the source."""
+    try:
+        return parse(src)
+    except fx.ParseError as e:
+        assert 0 <= e.position <= len(src)
+        return "ParseError"
+
+
+DSL_TOKENS = ["u", "x", "2", "3", "0", "0.5", "(", ")", "+", "-", "*", "/", "^", " ",
+              "sin(", "cos(", "tanh(", "exp(", "sqrt("]
+# each trap of reading the DSL with Python's parser, with its neighbours
+TRAPS = ["^-", "^2^3", "^-2^-3^4", "^(2)", "^-(2)", "^2.0", "^x", "**", "+", "^+2",
+         "sin(u,)", ",", "0x1", "1_0", "1j", "True", "None", "...", "007", "02", "00", "1e-00",
+         "1e5", "1.", ".5", ".", "e", "\n", "\t", "\x0c", "  ", "ｕ", "２", "é", "(sin)",
+         "#", "1if", "not", "//", ".real", "_"]
+token_strings = st.lists(st.sampled_from(2 * DSL_TOKENS + TRAPS), max_size=14).map("".join)
+# sources built by the grammar, a few traps among their pieces, most with a
+# token or two spliced in, so that many parse
+dsl_strings = st.recursive(
+    st.sampled_from(["u", "x", "2", "0.5", "007", "1e-00", ".5", "1.", "0", "(sin)(u)"]),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from(["+", "-", "*", "/", " - "]), inner).map("".join),
+        inner.map("-{}".format),
+        st.tuples(st.sampled_from(fx.FUNCTIONS), inner).map("{0[0]}({0[1]})".format),
+        inner.map("({})".format),
+        st.tuples(inner, st.sampled_from(
+            ["^2", "^-2^3", "^ - 1", "^02", "^2^-3^4", "^(2)", "^-(2)"])).map("".join)),
+    max_leaves=8)
+
+
+@st.composite
+def spliced_strings(draw):
+    src = draw(dsl_strings)
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(src)))
+        src = src[:at] + draw(st.sampled_from(DSL_TOKENS + TRAPS)) + src[at:]
+    return src
+
+
+@given(token_strings | spliced_strings())
+@settings(max_examples=2000, deadline=None)
+def test_parse_matches_the_recursive_descent_parser(src):
+    got = parse_outcome(fx.parse, src)
+    want = parse_outcome(lambda s: ReferenceParser(s).parse(), src)
+    if got == "ParseError" and any(not c.isascii() and c.isdigit() for c in src):
+        return  # a Unicode digit such as ２ was a number to the reference
+    assert got == want
+
+
+def test_power_chains_read_left_to_right():
+    u = fx.Var("u")
+    assert fx.parse("u^2^3") == fx.Power(fx.Power(u, 2), 3)
+    assert fx.parse("u^-2^-3^4") == fx.Power(fx.Power(fx.Power(u, -2), -3), 4)
+    assert fx.parse("(u^2)^3") == fx.parse("u ^ 2 ^ 3")
+    assert fx.parse("-u^2^3") == fx.Unary("neg", fx.parse("u^2^3"))
+    assert fx.parse("u ^ - 2") == fx.Power(u, -2)
+
+
+@pytest.mark.parametrize("src", ["u^(2)", "u^-(2)", "u^(-2)", "u^2^(3)", "u^2.0", "u^2e0",
+                                 "u^x", "u^--2"])
+def test_exponents_are_integer_literals(src):
+    with pytest.raises(fx.ParseError) as info:
+        fx.parse(src)
+    assert info.value.expected == ("integer exponent",)
+
+
+@pytest.mark.parametrize("src", ["u**2", "+u", "u^+2", "sin(u,)", "0x1", "1_0", "1j*u",
+                                 "True", "None", "(sin)(u)", "u # note", "1if u else x",
+                                 "u//2", "u.real", "not u", "sin(*u)"])
+def test_python_syntax_outside_the_dsl_is_rejected(src):
+    with pytest.raises(fx.ParseError):
+        fx.parse(src)
+
+
+def test_dsl_inputs_python_refuses_are_read():
+    u = fx.Var("u")
+    assert fx.parse("007") == fx.Const(7.0)
+    assert fx.parse("u^02") == fx.Power(u, 2)
+    assert fx.parse("1e-00*u") == fx.Binary("*", fx.Const(1.0), u)
+    assert fx.parse("00.5") == fx.Const(0.5)
+    # a configparser value continues on indented lines
+    assert fx.parse("  u^2/2\n    + x\t") == fx.parse("u^2/2 + x")
+
+
+@pytest.mark.parametrize("src, position", [
+    ("u +", 3),              # the input ended early
+    ("  u ^ 2 ^ x", 10),     # ^ is read as **, and leading blanks are stripped
+    ("u^2^3 )", 6),
+    ("u^2 ** 3", 4),
+    ("\n u ^ 2 + foo", 10),
+    ("u^2 + ｕ", 6),
+])
+def test_parse_error_positions_are_source_offsets(src, position):
+    with pytest.raises(fx.ParseError) as info:
+        fx.parse(src)
+    assert info.value.position == position
+
+
+def test_non_ascii_is_rejected():
+    # Python would read the fullwidth ｕ as u; a Unicode digit is no longer a number
+    for src in ["ｕ^2", "u^２", "２*u", "sin(é)"]:
+        with pytest.raises(fx.ParseError, match="unexpected"):
+            fx.parse(src)
+
+
+@pytest.mark.parametrize("src", ["(" * 300 + "u" + ")" * 300, "-" * 20000 + "u",
+                                 "u" + "^2" * 3000, " + ".join(["u^2"] * 1500)],
+                         ids=["parentheses", "minus", "powers", "sum"])
+def test_deep_nesting_is_a_parse_error(src):
+    with pytest.raises(fx.ParseError):
+        fx.parse(src)

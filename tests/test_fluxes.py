@@ -100,6 +100,17 @@ def test_audit_flags_uc_violation_for_cubic():
     assert report.certified_alpha < 0.0
 
 
+def test_audit_flags_a_constant_negative_f_uu():
+    # differentiate folds the f_uu of -u^2/2 to the constant -1: one number,
+    # which the audit samples over its whole grid
+    flux = make_builtin_flux("custom_expr", expr="-u^2/2")
+    report = audit_assumptions(flux, ((-1.0, 1.0), (-1.0, 1.0)), grid=16)
+    assert not report.passed
+    witnesses = [v for v in report.violations if v.assumption == "UC:f_uu>0"]
+    assert witnesses[-1] == ("UC:f_uu>0", ("...",), 16.0 * 16.0)
+    assert report.fuu_max == -1.0 and report.certified_alpha < 0.0
+
+
 def test_audit_flags_s0_violation_for_shifted_flux():
     flux = make_builtin_flux("custom_expr", expr="u^2/2 + x")
     report = audit_assumptions(flux, ((-1.0, 1.0), (-1.0, 1.0)))
