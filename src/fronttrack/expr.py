@@ -11,6 +11,7 @@ from __future__ import annotations
 import ast
 import math
 import re
+import sys
 import warnings
 
 from dataclasses import dataclass
@@ -45,6 +46,11 @@ class DomainError(ArithmeticError):
 
 
 class _Node:
+    @cached_property
+    def _text(self):
+        """The printed tree, once: printing recurses once per tree level."""
+        return _render(self)
+
     @cached_property
     def _code(self):
         """The printed tree compiled as Python, once.  A negative exponent is
@@ -91,6 +97,7 @@ Node = Union[Const, Var, Unary, Binary, Power]
 
 _NUMBER = re.compile(r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")  # not 0x1, 1_0, 1j, True
 _AFTER_POW = re.compile(r"\*\* *(- *)?\Z")  # what may precede an exponent literal
+_INTEGER = re.compile(r"(?<![\w.])(?<![eE][+-])\d+(?![\w.])")  # not in 1.5, 1e+5, u1
 _BINARY = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
 
 
@@ -154,9 +161,16 @@ def parse(src):
             warnings.simplefilter("error")
             return build(ast.parse(py, mode="eval").body)
     except SyntaxError as e:
-        if not e.offset:  # the input ended early
-            raise ParseError(len(src), e.msg, expected=("operand",)) from None
-        raise ParseError(origin[e.offset - 1], e.msg) from None
+        if e.offset:
+            raise ParseError(origin[e.offset - 1], e.msg) from None
+        # no offset: the input ended early, or an integer literal has more
+        # digits than Python converts (it does not say which literal)
+        limit = sys.get_int_max_str_digits()  # 0 is no limit
+        huge = [m for m in _INTEGER.finditer(py) if limit and len(m[0]) > limit]
+        if huge:
+            raise ParseError(origin[huge[0].start()],
+                             f"number literal longer than {limit} digits") from None
+        raise ParseError(len(src), e.msg, expected=("operand",)) from None
     except (RecursionError, MemoryError):  # the parser's stack overflow is a MemoryError
         raise ParseError(0, "expression nested too deeply") from None
 
@@ -331,20 +345,25 @@ def _prec(node):
 
 
 def pretty(node):
-    """Render with minimal parentheses; reparses to an equivalent tree."""
+    """Render with minimal parentheses; reparses to an equivalent tree.  The
+    text is kept on the node, so a tree is printed (and recursed) only once."""
+    return node._text if isinstance(node, _Node) else _render(node)
+
+
+def _render(node):
     if isinstance(node, Const):
         return repr(node.value)
     if isinstance(node, Var):
         return node.name
     if isinstance(node, Unary):
         if node.op == "neg":
-            inner = pretty(node.arg)
+            inner = _render(node.arg)
             if _prec(node.arg) < _PRECEDENCE["neg"]:
                 inner = f"({inner})"
             return f"-{inner}"
-        return f"{node.op}({pretty(node.arg)})"
+        return f"{node.op}({_render(node.arg)})"
     if isinstance(node, Binary):
-        lp, rp = pretty(node.left), pretty(node.right)
+        lp, rp = _render(node.left), _render(node.right)
         p = _PRECEDENCE[node.op]
         if _prec(node.left) < p:
             lp = f"({lp})"
@@ -353,7 +372,7 @@ def pretty(node):
             rp = f"({rp})"
         return f"{lp} {node.op} {rp}"
     if isinstance(node, Power):
-        bp = pretty(node.base)
+        bp = _render(node.base)
         if _prec(node.base) <= _PRECEDENCE["^"]:
             bp = f"({bp})"
         return f"{bp}^{node.exponent}"

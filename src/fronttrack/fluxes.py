@@ -170,9 +170,17 @@ def make_builtin_flux(family, **params):
         extra = fexpr.free_vars(tree) - set(fexpr.VARIABLES)
         if extra:
             raise InvalidFluxParams(f"flux expression uses unknown variables {extra}")
-        d_u = fexpr.differentiate(tree, "u")
-        d_x = fexpr.differentiate(tree, "x")
-        d_uu = fexpr.differentiate(d_u, "u")
+        # differentiating and printing recurse once per tree level; a printed
+        # tree keeps its text, so evaluate compiles it at any stack depth
+        try:
+            d_u = fexpr.differentiate(tree, "u")
+            d_x = fexpr.differentiate(tree, "x")
+            d_uu = fexpr.differentiate(d_u, "u")
+            for t in (tree, d_u, d_x, d_uu):
+                fexpr.pretty(t)
+        except RecursionError:
+            raise InvalidFluxParams("flux expression nested too deeply to "
+                                    "differentiate") from None
         return Flux(
             f=lambda x, u, t=tree: fexpr.evaluate(t, x, u),
             fu=lambda x, u, t=d_u: fexpr.evaluate(t, x, u),

@@ -240,6 +240,14 @@ def test_main_options_before_or_after_subcommand(tmp_path, capsys, before):
     ("profile = bump\namp = 0.6\nwidth = 1.0", "profile = expr\nexpr = sqrt(x)",
      "[initial] profile"),
     ("width = 1.0", "width = 1.0\ncentre = 1.5", "[initial] profile"),
+    # they parse, but the product and quotient rules add a tree level per
+    # factor, past the stack that differentiating and printing recurse on
+    pytest.param("modulated_burgers\nbase = 1.0\namp = 0.5",
+                 "custom_expr\nexpr = " + "*".join(["u"] * 500),
+                 "[flux] family", id="product-too-deep-to-differentiate"),
+    pytest.param("modulated_burgers\nbase = 1.0\namp = 0.5",
+                 "custom_expr\nexpr = u^2" + "/(1+x^2)" * 400,
+                 "[flux] family", id="quotient-too-deep-to-differentiate"),
 ])
 def test_main_bad_config_exits_2(tmp_path, capsys, old, new, option):
     bad = write_config(tmp_path, GOOD_CONFIG.replace(old, new))

@@ -48,6 +48,17 @@ def test_parse_error_position_and_expected():
     assert "operand" in " ".join(info.value.expected)
 
 
+@pytest.mark.parametrize("src, position", [("u^" + "1" * 5000, 2),
+                                           ("u + 2.5*" + "7" * 4301 + "*u", 8)],
+                         ids=["exponent", "factor"])
+def test_parse_error_on_an_over_long_integer_literal(src, position):
+    # Python refuses to convert it without saying where; the input did not end
+    with pytest.raises(fx.ParseError) as info:
+        fx.parse(src)
+    assert info.value.position == position
+    assert "number literal" in info.value.message and not info.value.expected
+
+
 def test_parse_error_position_within_input():
     for bad in ["", "sin(", "2 ** 3", "u^x", "foo(u)", "(u"]:
         with pytest.raises(fx.ParseError) as info:

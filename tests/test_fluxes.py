@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,23 @@ def test_custom_expr_flux_matches_modulated(modulated):
         assert dsl.fu(x, u) == pytest.approx(modulated.fu(x, u), rel=1e-12, abs=1e-12)
         assert dsl.fx(x, u) == pytest.approx(modulated.fx(x, u), rel=1e-12, abs=1e-12)
         assert dsl.fuu(x, u) == pytest.approx(modulated.fuu(x, u), rel=1e-12)
+
+
+def test_custom_expr_flux_evaluates_deep_in_the_stack():
+    # building the flux prints each tree once, so evaluating it, which
+    # compiles the printed text, does not recurse once per tree level again
+    flux = make_builtin_flux("custom_expr", expr=" + ".join(["u^2/2"] * 150))
+
+    def nested(levels):
+        if levels:
+            return nested(levels - 1)
+        return [g(0.3, 0.2) for g in (flux.f, flux.fu, flux.fx, flux.fuu)]
+
+    frame, depth = sys._getframe(), 0
+    while frame:
+        frame, depth = frame.f_back, depth + 1
+    values = nested(sys.getrecursionlimit() - depth - 100)  # 100 frames left
+    assert values == pytest.approx([3.0, 30.0, 0.0, 150.0])
 
 
 def test_custom_expr_rejects_unknown_variable():

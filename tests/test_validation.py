@@ -1,10 +1,14 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from fronttrack import validation
 from fronttrack.fluxes import make_builtin_flux
 from fronttrack.riemann import ApproxFlux
-from fronttrack.profiles import make_initial
+from fronttrack.profiles import make_initial, smooth_bump_prime
 from fronttrack.tracker import (Tracker, TrackedSolution, initial_fronts, quantize_initial,
                                 sample_u)
 from fronttrack.validation import (TestFunction, QuadSpec, SupportError,
@@ -50,6 +54,21 @@ def test_test_function_derivatives_match_fd():
         fd_t = (phi.phi(x, t + h) - phi.phi(x, t - h)) / (2 * h)
         assert phi.phi_x(x, t) == pytest.approx(fd_x, rel=1e-6, abs=1e-9)
         assert phi.phi_t(x, t) == pytest.approx(fd_t, rel=1e-6, abs=1e-9)
+
+
+def test_bump_prime_max_is_the_bits_of_its_grid_scan():
+    s = np.linspace(-1.0, 1.0, 400001)
+    assert validation.BUMP_PRIME_MAX == float(np.max(np.abs(smooth_bump_prime(s))))
+
+
+def test_import_loads_no_scipy():
+    # scipy is imported by SingleFrontSolution only, when an oracle is built
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = ("import fronttrack, fronttrack.cli, sys; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
 
 
 def test_support_escape_raises():
