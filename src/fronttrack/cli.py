@@ -26,13 +26,11 @@ from . import __version__
 from .expr import DomainError
 from .fluxes import make_builtin_flux, audit_assumptions, certify, default_envelope
 from .profiles import make_initial
-from .riemann import ApproxFlux
-from .stationary import solve_level, g_of, inversion_gap_bound
+from .stationary import g_of
 from .tracker import (H_ODE_DEFAULT, Tracker, TrackedSolution, quantize_initial,
-                      sample_initial, sample_u, sample_g, tv_g, l1_g_distance)
-from .validation import (QuadSpec, entropy_battery, characteristic_check,
-                         flux_convergence_check, fv_reference, l1_distance,
-                         ValidationReport)
+                      sample_initial, sample_u, sample_g, tv_g)
+# perfbench/tracing.py wraps the entries of this very dict in place
+from .validation import CHECKS as _CHECK_IMPL, RunContext, ValidationReport
 
 ENV_OUT = "FRONTTRACK_OUT"
 
@@ -222,189 +220,6 @@ def read_profile(path):
 
 
 # ---------------------------------------------------------------------------
-# checks
-# ---------------------------------------------------------------------------
-
-@dataclass
-class RunContext:
-    config: RunConfig
-    flux: object
-    field0: object
-    fields: dict        # time -> FrontField snapshots at output times (and t_end)
-    log: list           # Events of the whole run, in order
-    solution: TrackedSolution  # snapshots on demand, shared by the checks
-    envelope: object
-    u_sup: float
-    u0_l1: float
-
-    def rng(self, check_name):
-        stream = list(_CHECK_IMPL).index(check_name)
-        key = np.array([self.config.seed % (2 ** 63), stream], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
-
-
-def _check_tvd(ctx, report):
-    """TV non-increasing at every event, front count budget, grid closure."""
-    entries = list(ctx.log)
-    worst = 0.0
-    for e in entries:
-        worst = max(worst, e.tv_after - e.tv_before)
-    report.add("tvd.events", worst, 0.0, worst <= 0.0, events=len(entries))
-
-    n0 = ctx.field0.n_fronts
-    report.add("tvd.event_budget", float(len(entries)),
-               float(max(0, n0 - 1)), len(entries) <= max(0, n0 - 1),
-               initial_fronts=n0)
-
-    final = ctx.fields[max(ctx.fields)]
-    dz = np.diff(final.z) if final.n_fronts else np.zeros(0, dtype=np.int64)
-    max_up = float(np.max(dz)) if dz.size else 0.0
-    report.add("admissibility.upward_jumps", max_up, 1.0, max_up <= 1.0)
-
-    # levels stay on the delta-grid: reconstruct g from samples and compare
-    xs = np.linspace(*ctx.config.window, 257)
-    worst_grid = 0.0
-    for f_ in ctx.fields.values():
-        u = sample_u(ctx.flux, f_, xs)
-        g = g_of(ctx.flux, xs, u)
-        z = np.round(g / f_.delta)
-        worst_grid = max(worst_grid, float(np.max(np.abs(g - z * f_.delta))))
-    report.add("closure.delta_grid", worst_grid, 1e-9, worst_grid <= 1e-9)
-
-
-def _check_entropy(ctx, report):
-    pairs = int(ctx.config.tolerances.get("entropy_pairs", 20))
-    quad_n = int(ctx.config.tolerances.get("entropy_quad", 256))
-    if ctx.config.t_end <= 0:
-        report.add("entropy.battery", 0.0, 0.0, True, pairs=0)
-        return
-    quad = QuadSpec(ctx.config.window[0], ctx.config.window[1],
-                    0.0, ctx.config.t_end, nx=quad_n, nt=quad_n)
-    af = ApproxFlux(ctx.flux, ctx.config.delta)
-    tv_u = _tv_u_estimate(ctx)
-    speed = ctx.envelope.lipschitz_L(ctx.u_sup)
-    rng = ctx.rng("entropy")
-    records = entropy_battery(ctx.solution, af, quad, rng, pairs,
-                              k_bound=1.2 * ctx.u_sup + 1e-6,
-                              tv_u=tv_u, speed_bound=speed)
-    worst = min((r["residual"] + r["tol"] for r in records), default=0.0)
-    ok = all(r["residual"] >= -r["tol"] for r in records)
-    report.add("entropy.battery", worst, 0.0, ok and worst >= 0.0,
-               pairs=pairs, quad=quad_n,
-               min_residual=min((r["residual"] for r in records), default=0.0),
-               max_tol=max((r["tol"] for r in records), default=0.0))
-
-
-def _tv_u_estimate(ctx):
-    xs = np.linspace(*ctx.config.window, 1025)
-    worst = 0.0
-    for f_ in ctx.fields.values():
-        u = sample_u(ctx.flux, f_, xs)
-        worst = max(worst, float(np.sum(np.abs(np.diff(u)))))
-    return worst
-
-
-LIPSCHITZ_PAIRS = 20
-
-
-def _check_lipschitz_l1(ctx, report):
-    if ctx.config.t_end <= 0 or ctx.field0.n_fronts == 0:
-        report.add("lipschitz_l1", 0.0, 0.0, True, pairs=0)
-        return
-    rng = ctx.rng("lipschitz_l1")
-    tv0 = tv_g(ctx.field0)
-    L = ctx.envelope.lipschitz_L(ctx.u_sup)
-    worst = -np.inf
-    for _ in range(LIPSCHITZ_PAIRS):
-        t = float(rng.uniform(0.0, 0.8 * ctx.config.t_end))
-        h = float(rng.uniform(1e-3, max(1e-3, 0.5 * (ctx.config.t_end - t))))
-        fa = ctx.solution.field_at(t)
-        fb = ctx.solution.field_at(t + h)
-        dist = l1_g_distance(fa, fb, *ctx.config.window)
-        worst = max(worst, dist - L * tv0 * h)
-    report.add("lipschitz_l1", worst, 1e-8, worst <= 1e-8,
-               pairs=LIPSCHITZ_PAIRS, L=L, tv0=tv0)
-
-
-def _check_characteristics(ctx, report):
-    lo, hi = ctx.config.window
-    x0 = lo + 0.37 * (hi - lo)
-    u0 = max(ctx.u_sup, 0.1)
-    T = min(1.0, max(ctx.config.t_end, 0.25))
-    drift = characteristic_check(ctx.flux, x0, u0, T, 10_000)
-    report.add("characteristics.drift", drift, 1e-10, drift <= 1e-10,
-               x0=x0, u0=u0, T=T, steps=10_000)
-    coarse = characteristic_check(ctx.flux, x0, u0, T, 100)
-    fine = characteristic_check(ctx.flux, x0, u0, T, 200)
-    ratio = coarse / fine if fine > 0 else float("inf")
-    ok = 16 * 0.7 <= ratio <= 16 * 1.3 or coarse < 1e-13
-    report.add("characteristics.order", ratio, 16.0, ok, coarse=coarse, fine=fine)
-
-
-def _check_flux_convergence(ctx, report):
-    lo, hi = ctx.config.window
-    m = max(ctx.u_sup, 0.25)
-    deltas = (0.1, 0.05, 0.02, 0.01)
-    rows = flux_convergence_check(ctx.flux, deltas, ((lo, hi), (-m, m)))
-    ok = all(r.ok for r in rows)
-    errs = [r.sup_f_err for r in rows]
-    monotone = all(b <= a * 1.000001 for a, b in zip(errs, errs[1:]))
-    worst = max(max(r.sup_f_err - r.bound_f, r.sup_fx_err - r.bound_fx) for r in rows)
-    report.add("flux_convergence", worst, 0.0, ok and monotone,
-               deltas=list(deltas), sup_f_err=errs)
-
-
-def _check_inversion_bounds(ctx, report):
-    rng = ctx.rng("inversion_bounds")
-    alpha = ctx.flux.require_alpha()
-    lo, hi = ctx.config.window
-    xs = np.linspace(lo, hi, 257)
-    g_scale = max(ctx.config.delta,
-                  g_of(ctx.flux, 0.5 * (lo + hi), ctx.u_sup) if ctx.u_sup else 1.0)
-    worst = -np.inf
-    for _ in range(50):
-        g1 = float(rng.uniform(-g_scale, g_scale))
-        g2 = float(rng.uniform(-g_scale, g_scale))
-        u1, u2 = solve_level(ctx.flux, xs, np.array([[g1], [g2]]))
-        gap = float(np.max(np.abs(u1 - u2)))
-        bound = inversion_gap_bound(g1, g2, alpha) + 1e-11
-        worst = max(worst, gap - bound)
-    report.add("inversion_bounds", worst, 0.0, worst <= 0.0, samples=50)
-
-
-FV_CELLS = 2000
-FV_CFL = 0.45
-FV_REL_TOL = 0.05  # L1 bound relative to the L1 norm of u0
-
-
-def _check_fv_crossval(ctx, report):
-    if ctx.config.t_end <= 0:
-        report.add("fv_crossval", 0.0, 0.0, True)
-        return
-    u0 = make_initial(ctx.config.u0_name, **ctx.config.u0_params)
-    fv = fv_reference(ctx.flux, u0, ctx.config.window, FV_CELLS, ctx.config.t_end,
-                      FV_CFL)
-    final = ctx.fields[max(ctx.fields)]
-    ft_sampler = lambda x: sample_u(ctx.flux, final, x)
-    dist = l1_distance(ft_sampler, fv.sampler(), ctx.config.window, FV_CELLS)
-    bound = FV_REL_TOL * max(ctx.u0_l1, 1e-12)
-    report.add("fv_crossval", dist, bound, dist <= bound,
-               fv_cells=FV_CELLS, cfl=FV_CFL, u0_l1=ctx.u0_l1)
-
-
-# the checks in run order; a check's position is its random-stream key
-_CHECK_IMPL = {
-    "tvd": _check_tvd,
-    "entropy": _check_entropy,
-    "lipschitz_l1": _check_lipschitz_l1,
-    "characteristics": _check_characteristics,
-    "flux_convergence": _check_flux_convergence,
-    "inversion_bounds": _check_inversion_bounds,
-    "fv_crossval": _check_fv_crossval,
-}
-
-
-# ---------------------------------------------------------------------------
 # the runner
 # ---------------------------------------------------------------------------
 
@@ -421,7 +236,7 @@ def run(cfg, out_dir, verbose=False):
     """Execute one configured experiment; returns (manifest dict, exit status).
 
     Raises ConfigError if the flux, the initial profile or the tracker cannot
-    be built from the config.
+    be built from the config, or if the flux does not evaluate on the working window.
     """
     started = _time.perf_counter()
     say = print if verbose else (lambda *_: None)
@@ -473,7 +288,13 @@ def run(cfg, out_dir, verbose=False):
     # the envelope speed, so the data window plus L*T margin holds all activity
     margin = envelope.lipschitz_L(u_sup) * cfg.t_end + 0.05 * (hi - lo) + cfg.delta
     work_window = (lo - margin, hi + margin)
-    envelope = default_envelope(flux, work_window, u_sup + cfg.delta)
+    # the checks' speed bound: fronts may reach the whole working window, so
+    # the flux must evaluate there too, not only on the audited data window
+    try:
+        speed_bound = default_envelope(flux, work_window, u_sup + cfg.delta).lipschitz_L(u_sup)
+    except DomainError as e:
+        raise ConfigError("flux", "family", f"on the working window "
+                          f"[{work_window[0]:.6g}, {work_window[1]:.6g}]: {e}") from None
     tracker = _from_config("tolerances", "h_ode", Tracker, flux, cfg.delta,
                            work_window, h_ode=h_ode)
     field0 = quantize_initial(flux, u0, cfg.delta, cfg.window, cfg.cells)
@@ -496,7 +317,7 @@ def run(cfg, out_dir, verbose=False):
     emit_events(log, os.path.join(out_dir, "events.csv"))
 
     ctx = RunContext(config=cfg, flux=flux, field0=field0, fields=fields, log=log,
-                     solution=TrackedSolution(tracker, field0), envelope=envelope,
+                     solution=TrackedSolution(tracker, field0), speed_bound=speed_bound,
                      u_sup=u_sup, u0_l1=u0_l1)
     report = ValidationReport()
     for name in sorted(cfg.checks, key=list(_CHECK_IMPL).index):

@@ -4,6 +4,8 @@ Entropy residuals (exact and delta-approximate flux), flux conservation along
 characteristics, domain of dependence, flux-convergence bounds, plus an
 independent first-order Godunov oracle and L1 comparison tooling.  All checks
 are pure functions over immutable inputs and report measured-vs-bound pairs.
+``CHECKS`` is the ordered registry of the checks a run can request: each one
+reads a ``RunContext`` and adds its measured-vs-bound rows to a report.
 
 Importing the package loads numpy and nothing heavier: scipy is imported
 inside ``SingleFrontSolution``, the one oracle that uses it, and any other
@@ -18,11 +20,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fluxes import speed_envelope
-from .profiles import smooth_bump, smooth_bump_prime
+from .profiles import make_initial, smooth_bump, smooth_bump_prime
 from .riemann import ApproxFlux
-from .stationary import g_of, profile_slope, solve_level
-from .tracker import (H_ODE_DEFAULT, Tracker, common_pieces, quantize_initial,
-                      sample_initial)
+from .stationary import g_of, inversion_gap_bound, profile_slope, solve_level
+from .tracker import (H_ODE_DEFAULT, Tracker, TrackedSolution, common_pieces,
+                      l1_g_distance, quantize_initial, sample_initial, sample_u, tv_g)
 
 # peak of |d/ds bump(s)| over np.linspace(-1, 1, 400001), the bits of that scan
 BUMP_PRIME_MAX = 2.1703570856905516
@@ -567,3 +569,178 @@ class ValidationReport:
 
     def to_dict(self):
         return {"passed": self.passed, "checks": [c.to_dict() for c in self.checks]}
+
+
+# ---------------------------------------------------------------------------
+# the run checks
+# ---------------------------------------------------------------------------
+
+LIPSCHITZ_PAIRS = 20
+FV_CELLS = 2000
+FV_CFL = 0.45
+FV_REL_TOL = 0.05  # L1 bound relative to the L1 norm of u0
+
+
+@dataclass
+class RunContext:
+    config: object      # the run's config (cli.RunConfig)
+    flux: object
+    field0: object
+    fields: dict        # time -> FrontField snapshots at output times (and t_end)
+    log: list           # Events of the whole run, in order
+    solution: TrackedSolution  # snapshots on demand, shared by the checks
+    speed_bound: float  # max |f_u| over the working window for |u| <= u_sup
+    u_sup: float
+    u0_l1: float
+
+    def rng(self, check_name):
+        stream = list(CHECKS).index(check_name)
+        key = np.array([self.config.seed % (2 ** 63), stream], dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(key=key))
+
+
+def _check_tvd(ctx, report):
+    """TV non-increasing at every event, front count budget, grid closure."""
+    worst = max([0.0] + [e.tv_after - e.tv_before for e in ctx.log])
+    report.add("tvd.events", worst, 0.0, worst <= 0.0, events=len(ctx.log))
+
+    n0 = ctx.field0.n_fronts
+    report.add("tvd.event_budget", float(len(ctx.log)),
+               float(max(0, n0 - 1)), len(ctx.log) <= max(0, n0 - 1),
+               initial_fronts=n0)
+
+    dz = np.diff(ctx.fields[max(ctx.fields)].z)
+    max_up = float(np.max(dz)) if dz.size else 0.0
+    report.add("admissibility.upward_jumps", max_up, 1.0, max_up <= 1.0)
+
+    # levels stay on the delta-grid: reconstruct g from samples and compare
+    xs = np.linspace(*ctx.config.window, 257)
+    worst_grid = 0.0
+    for f_ in ctx.fields.values():
+        u = sample_u(ctx.flux, f_, xs)
+        g = g_of(ctx.flux, xs, u)
+        z = np.round(g / f_.delta)
+        worst_grid = max(worst_grid, float(np.max(np.abs(g - z * f_.delta))))
+    report.add("closure.delta_grid", worst_grid, 1e-9, worst_grid <= 1e-9)
+
+
+def _check_entropy(ctx, report):
+    pairs = int(ctx.config.tolerances.get("entropy_pairs", 20))
+    quad_n = int(ctx.config.tolerances.get("entropy_quad", 256))
+    if ctx.config.t_end <= 0:
+        report.add("entropy.battery", 0.0, 0.0, True, pairs=0)
+        return
+    quad = QuadSpec(ctx.config.window[0], ctx.config.window[1],
+                    0.0, ctx.config.t_end, nx=quad_n, nt=quad_n)
+    af = ApproxFlux(ctx.flux, ctx.config.delta)
+    tv_u = _tv_u_estimate(ctx)
+    rng = ctx.rng("entropy")
+    records = entropy_battery(ctx.solution, af, quad, rng, pairs,
+                              k_bound=1.2 * ctx.u_sup + 1e-6,
+                              tv_u=tv_u, speed_bound=ctx.speed_bound)
+    worst = min((r["residual"] + r["tol"] for r in records), default=0.0)
+    ok = all(r["residual"] >= -r["tol"] for r in records)
+    report.add("entropy.battery", worst, 0.0, ok and worst >= 0.0,
+               pairs=pairs, quad=quad_n,
+               min_residual=min((r["residual"] for r in records), default=0.0),
+               max_tol=max((r["tol"] for r in records), default=0.0))
+
+
+def _tv_u_estimate(ctx):
+    xs = np.linspace(*ctx.config.window, 1025)
+    worst = 0.0
+    for f_ in ctx.fields.values():
+        u = sample_u(ctx.flux, f_, xs)
+        worst = max(worst, float(np.sum(np.abs(np.diff(u)))))
+    return worst
+
+
+def _check_lipschitz_l1(ctx, report):
+    if ctx.config.t_end <= 0 or ctx.field0.n_fronts == 0:
+        report.add("lipschitz_l1", 0.0, 0.0, True, pairs=0)
+        return
+    rng = ctx.rng("lipschitz_l1")
+    tv0 = tv_g(ctx.field0)
+    L = ctx.speed_bound
+    worst = -np.inf
+    for _ in range(LIPSCHITZ_PAIRS):
+        t = float(rng.uniform(0.0, 0.8 * ctx.config.t_end))
+        h = float(rng.uniform(1e-3, max(1e-3, 0.5 * (ctx.config.t_end - t))))
+        fa = ctx.solution.field_at(t)
+        fb = ctx.solution.field_at(t + h)
+        dist = l1_g_distance(fa, fb, *ctx.config.window)
+        worst = max(worst, dist - L * tv0 * h)
+    report.add("lipschitz_l1", worst, 1e-8, worst <= 1e-8,
+               pairs=LIPSCHITZ_PAIRS, L=L, tv0=tv0)
+
+
+def _check_characteristics(ctx, report):
+    lo, hi = ctx.config.window
+    x0 = lo + 0.37 * (hi - lo)
+    u0 = max(ctx.u_sup, 0.1)
+    T = min(1.0, max(ctx.config.t_end, 0.25))
+    drift = characteristic_check(ctx.flux, x0, u0, T, 10_000)
+    report.add("characteristics.drift", drift, 1e-10, drift <= 1e-10,
+               x0=x0, u0=u0, T=T, steps=10_000)
+    coarse = characteristic_check(ctx.flux, x0, u0, T, 100)
+    fine = characteristic_check(ctx.flux, x0, u0, T, 200)
+    ratio = coarse / fine if fine > 0 else float("inf")
+    ok = 16 * 0.7 <= ratio <= 16 * 1.3 or coarse < 1e-13
+    report.add("characteristics.order", ratio, 16.0, ok, coarse=coarse, fine=fine)
+
+
+def _check_flux_convergence(ctx, report):
+    lo, hi = ctx.config.window
+    m = max(ctx.u_sup, 0.25)
+    deltas = (0.1, 0.05, 0.02, 0.01)
+    rows = flux_convergence_check(ctx.flux, deltas, ((lo, hi), (-m, m)))
+    ok = all(r.ok for r in rows)
+    errs = [r.sup_f_err for r in rows]
+    monotone = all(b <= a * 1.000001 for a, b in zip(errs, errs[1:]))
+    worst = max(max(r.sup_f_err - r.bound_f, r.sup_fx_err - r.bound_fx) for r in rows)
+    report.add("flux_convergence", worst, 0.0, ok and monotone,
+               deltas=list(deltas), sup_f_err=errs)
+
+
+def _check_inversion_bounds(ctx, report):
+    rng = ctx.rng("inversion_bounds")
+    alpha = ctx.flux.require_alpha()
+    lo, hi = ctx.config.window
+    xs = np.linspace(lo, hi, 257)
+    g_scale = max(ctx.config.delta, g_of(ctx.flux, 0.5 * (lo + hi), ctx.u_sup))
+    worst = -np.inf
+    for _ in range(50):
+        g1 = float(rng.uniform(-g_scale, g_scale))
+        g2 = float(rng.uniform(-g_scale, g_scale))
+        u1, u2 = solve_level(ctx.flux, xs, np.array([[g1], [g2]]))
+        gap = float(np.max(np.abs(u1 - u2)))
+        bound = inversion_gap_bound(g1, g2, alpha) + 1e-11
+        worst = max(worst, gap - bound)
+    report.add("inversion_bounds", worst, 0.0, worst <= 0.0, samples=50)
+
+
+def _check_fv_crossval(ctx, report):
+    if ctx.config.t_end <= 0:
+        report.add("fv_crossval", 0.0, 0.0, True)
+        return
+    u0 = make_initial(ctx.config.u0_name, **ctx.config.u0_params)
+    fv = fv_reference(ctx.flux, u0, ctx.config.window, FV_CELLS, ctx.config.t_end,
+                      FV_CFL)
+    final = ctx.fields[max(ctx.fields)]
+    dist = l1_distance(lambda x: sample_u(ctx.flux, final, x), fv.sampler(),
+                       ctx.config.window, FV_CELLS)
+    bound = FV_REL_TOL * max(ctx.u0_l1, 1e-12)
+    report.add("fv_crossval", dist, bound, dist <= bound,
+               fv_cells=FV_CELLS, cfl=FV_CFL, u0_l1=ctx.u0_l1)
+
+
+# the checks in run order; a check's position is its random-stream key
+CHECKS = {
+    "tvd": _check_tvd,
+    "entropy": _check_entropy,
+    "lipschitz_l1": _check_lipschitz_l1,
+    "characteristics": _check_characteristics,
+    "flux_convergence": _check_flux_convergence,
+    "inversion_bounds": _check_inversion_bounds,
+    "fv_crossval": _check_fv_crossval,
+}

@@ -5,10 +5,12 @@ import os
 import numpy as np
 import pytest
 
+from fronttrack import cli, validation
 from fronttrack.cli import (load_config, run, main, ConfigError, emit_events,
-                            emit_profile, read_profile, LIPSCHITZ_PAIRS)
+                            emit_profile, read_profile)
 from fronttrack.fluxes import make_builtin_flux
 from fronttrack.tracker import Event, Tracker, initial_fronts
+from fronttrack.validation import LIPSCHITZ_PAIRS
 
 GOOD_CONFIG = """
 [flux]
@@ -80,6 +82,14 @@ def test_load_config_rejects_unknown_check(tmp_path):
     broken = GOOD_CONFIG.replace("names = tvd, entropy", "names = tvd, vibes")
     with pytest.raises(ConfigError):
         load_config(write_config(tmp_path, broken))
+
+
+def test_check_registry_order_and_identity():
+    # a check's position keys its random stream, and perfbench/tracing.py
+    # wraps the entries of the runner's table in place
+    assert list(validation.CHECKS) == ["tvd", "entropy", "lipschitz_l1", "characteristics",
+                                       "flux_convergence", "inversion_bounds", "fv_crossval"]
+    assert cli._CHECK_IMPL is validation.CHECKS
 
 
 def test_load_config_rejects_unsorted_output_times(tmp_path):
@@ -248,6 +258,11 @@ def test_main_options_before_or_after_subcommand(tmp_path, capsys, before):
     pytest.param("modulated_burgers\nbase = 1.0\namp = 0.5",
                  "custom_expr\nexpr = u^2" + "/(1+x^2)" * 400,
                  "[flux] family", id="quotient-too-deep-to-differentiate"),
+    # the audit passes on the data window, but sqrt(3.5 - x) has no value at
+    # the right end of the working window, [-3.68, 3.68]
+    pytest.param("modulated_burgers\nbase = 1.0\namp = 0.5",
+                 "custom_expr\nexpr = (1 + 0.1*sqrt(3.5 - x))*u^2/2",
+                 "[flux] family", id="undefined-on-the-working-window"),
 ])
 def test_main_bad_config_exits_2(tmp_path, capsys, old, new, option):
     bad = write_config(tmp_path, GOOD_CONFIG.replace(old, new))
@@ -255,6 +270,7 @@ def test_main_bad_config_exits_2(tmp_path, capsys, old, new, option):
     err = capsys.readouterr().err
     assert option in err
     assert len(err.strip().splitlines()) == 1  # one line, no traceback
+    assert not os.path.exists(str(tmp_path / "o" / "events.csv"))
 
 
 LONG_SUM = " + ".join(["u^2"] * 1500)
