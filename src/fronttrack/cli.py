@@ -251,7 +251,6 @@ def run(cfg, out_dir, verbose=False):
             u_probe = sample_initial(u0, probe)
     except (DomainError, ValueError) as e:
         raise ConfigError("initial", "profile", str(e)) from None
-    os.makedirs(out_dir, exist_ok=True)
     u0_sup = float(np.max(np.abs(u_probe))) if u_probe.size else 0.0
     u0_l1 = float(np.sum(0.5 * (np.abs(u_probe[:-1]) + np.abs(u_probe[1:]))
                          * np.diff(probe)))
@@ -272,6 +271,7 @@ def run(cfg, out_dir, verbose=False):
     }
     if not report_audit.passed:
         manifest["error"] = "audit failed; solve aborted"
+        os.makedirs(out_dir, exist_ok=True)
         _write_manifest(manifest, out_dir, started)
         return manifest, 2
 
@@ -311,6 +311,7 @@ def run(cfg, out_dir, verbose=False):
         log.extend(piece_log)
         fields[t] = current
 
+    os.makedirs(out_dir, exist_ok=True)  # past every ConfigError: none leaves it empty
     for k, t in enumerate(cfg.output_times):
         path = os.path.join(out_dir, f"profile_{k:03d}.csv")
         emit_profile(flux, fields[t], cfg.window, cfg.resolution, path)

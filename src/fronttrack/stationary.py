@@ -8,6 +8,8 @@ the tracker; everything else is evaluated through these profiles.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 # inversion residual target, relative to max(1, |level|); root-finding on a
@@ -35,6 +37,24 @@ def g_of(flux, x, u):
     return np.sign(u) * flux.f(x, u)
 
 
+class LevelConstants(NamedTuple):
+    s: np.ndarray        # sign of g: the branch
+    g_abs: np.ndarray    # the target value of f
+    u_hi: np.ndarray     # analytic upper bracket
+    start: np.ndarray    # Newton's start without a guess
+    tol: np.ndarray      # residual target; infinite at g = 0, whose U is 0
+
+
+def level_constants(flux, g):
+    """solve_level's constants for levels g, which are free of x: build them
+    once to invert the same levels at many positions."""
+    alpha = flux.require_alpha()
+    g_abs = np.abs(np.asarray(g, dtype=float))
+    u_hi = np.sqrt(2.0 * g_abs / alpha) * BRACKET_PAD
+    tol = np.where(g_abs > 0.0, TOL_INV * np.maximum(1.0, g_abs), np.inf)
+    return LevelConstants(np.sign(g, dtype=float), g_abs, u_hi, u_hi / BRACKET_PAD, tol)
+
+
 def solve_level(flux, x, g, guess=0.0):
     """Vectorized inversion: u with f(x, u) = |g| and sgn(u) = sgn(g).
 
@@ -42,36 +62,31 @@ def solve_level(flux, x, g, guess=0.0):
     the analytic upper bracket, or from the bracket where the guess is zero
     (the default) or not a number.  Convexity makes the from-above iteration
     monotone, so no bisection safeguard is needed beyond clipping into
-    [0, bracket].
+    [0, bracket].  ``g`` is levels or their ``level_constants``; x keeps its
+    shape, so levels stacked on shared x evaluate its part of f once per point.
     """
-    alpha = flux.require_alpha()
+    s, g_abs, u_hi, start, tol = g if isinstance(g, LevelConstants) else \
+        level_constants(flux, g)
     x = np.asarray(x, dtype=float)
-    g = np.asarray(g, dtype=float)
-    if x.shape != g.shape:
-        x, g = np.broadcast_arrays(x, g)
-    g_abs = np.abs(g)
-    s = np.sign(g)
-    nonzero = g_abs > 0.0
-    u_hi = np.sqrt(2.0 * g_abs / alpha) * BRACKET_PAD
-    tol = TOL_INV * np.maximum(1.0, g_abs)
-
     w = np.minimum(np.abs(np.asarray(guess, dtype=float)), u_hi)
-    w = np.where(nonzero, np.where(w > 0.0, w, u_hi / BRACKET_PAD), 0.0)
+    w = np.where(w > 0.0, w, start)  # 0 at g = 0, where the bracket is 0
 
-    active = nonzero.copy()
     for _ in range(_MAX_NEWTON):
         sw = s * w
         phi = flux.f(x, sw) - g_abs
-        active = nonzero & (np.abs(phi) > tol)
+        active = np.abs(phi) > tol
         if not active.any():
             break
         dphi = s * flux.fu(x, sw)  # |f_u| on the branch, > 0 away from u=0
         step = np.where(active, phi / np.where(dphi > 0.0, dphi, 1.0), 0.0)
         w = np.minimum(np.maximum(w - step, 0.0), u_hi)
     else:
-        bad = np.argwhere(active)[0]
-        raise InversionError(float(x[tuple(bad)]), float(g[tuple(bad)]))
-    return s * w
+        x, g, active = np.broadcast_arrays(x, s * g_abs, active)
+        bad = tuple(np.argwhere(active)[0])
+        raise InversionError(float(x[bad]), float(g[bad]))
+    u = s * w  # narrower than x if the flux is free of x or the guess solves it
+    shape = np.broadcast(x, u).shape
+    return u if u.shape == shape else np.broadcast_to(u, shape).copy()
 
 
 def profile_slope(flux, x, u):

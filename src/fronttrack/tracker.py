@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .stationary import solve_level, g_of
+from .stationary import g_of, level_constants, solve_level
 
 # fronts closer than this at a common time are one interaction point
 TOL_POS = 1e-10
@@ -195,22 +195,24 @@ def rh_speed(flux, y, g_l, g_r, guess_l=0.0, guess_r=0.0):
     DegenerateStatesError if the profile gap underflows.
     """
     shape = np.broadcast(y, g_l, g_r).shape
+    g, guess = (np.array([np.broadcast_to(np.asarray(a, dtype=float), shape) for a in pair])
+                for pair in ((g_l, g_r), (guess_l, guess_r)))
+    c = level_constants(flux, g)
+    u = solve_level(flux, y, c, guess=guess)
+    return _rh_quotient(c.g_abs[0] - c.g_abs[1], u, y), u[0], u[1]
 
-    def stacked(a, b):
-        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-        if not a.shape == b.shape == shape:
-            a, b = np.broadcast_to(a, shape), np.broadcast_to(b, shape)
-        return np.array((a, b))
 
-    g = stacked(g_l, g_r)
-    u_l, u_r = solve_level(flux, stacked(y, y), g, guess=stacked(guess_l, guess_r))
+def _rh_quotient(num, u, y):
+    """num / (u_l - u_r) for the stacked traces u = (u_l, u_r) at y; raises
+    DegenerateStatesError where the profile gap underflows."""
+    u_l, u_r = u
     den = u_l - u_r
     bad = np.abs(den) < 1e-9 * np.maximum(1.0, np.maximum(np.abs(u_l), np.abs(u_r)))
-    if np.any(bad):
-        where = np.broadcast_to(y, shape)[bad]
+    if bad.any():
+        where = np.broadcast_to(y, den.shape)[bad]
         raise DegenerateStatesError(f"degenerate front states at y={where!r}; "
                                     "adjacent levels should have merged")
-    return (np.abs(g[0]) - np.abs(g[1])) / den, u_l, u_r
+    return num / den
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +338,7 @@ def initial_fronts(breaks, levels, delta, time=0.0):
 class _State:
     """Mutable working copy of a FrontField during one advance call."""
 
-    __slots__ = ("t", "y", "z", "ids", "next_id", "ul", "ur")
+    __slots__ = ("t", "y", "z", "ids", "next_id", "trace", "levels", "num")
 
     def __init__(self, f):
         self.t = f.time
@@ -344,19 +346,20 @@ class _State:
         self.z = f.z.copy()
         self.ids = f.ids.copy()
         self.next_id = f.next_id
-        # warm starts of the profile inversions; zero starts from the bracket
-        self.ul, self.ur = np.zeros((2, len(self.y)))
+        # warm starts, each front's (left, right) traces; zeros start from the bracket
+        self.trace = np.zeros((2, len(self.y)))
+        self.levels = self.num = None  # level constants, |g_l| - |g_r|; events clear them
 
     def remove_range(self, a, b, produced=None):
         """Delete fronts a..b (inclusive), then insert the front ``produced =
         (rho, fid)`` between the outer levels if there is one; without it the
         (equal) outer levels become one piece.  The survivors keep the
         warm-start traces of the speed evaluation that found the contact; the
-        produced front starts from the cluster's outer traces (ul[a], ur[b]),
-        its own left and right states there."""
-        ul_a, ur_b = self.ul[a], self.ur[b]
-        self.ul = np.delete(self.ul, np.s_[a:b + 1])
-        self.ur = np.delete(self.ur, np.s_[a:b + 1])
+        produced front starts from the cluster's outer traces (left of a,
+        right of b), its own left and right states there."""
+        outer = (self.trace[0, a], self.trace[1, b])
+        self.trace = np.delete(self.trace, np.s_[a:b + 1], axis=1)
+        self.levels = self.num = None
         self.y = np.delete(self.y, np.s_[a:b + 1])
         self.ids = np.delete(self.ids, np.s_[a:b + 1])
         self.z = np.delete(self.z, np.s_[a + 1:b + 1])
@@ -365,8 +368,7 @@ class _State:
         else:
             self.y = np.insert(self.y, a, produced[0])
             self.ids = np.insert(self.ids, a, produced[1])
-            self.ul = np.insert(self.ul, a, ul_a)
-            self.ur = np.insert(self.ur, a, ur_b)
+            self.trace = np.insert(self.trace, a, outer, axis=1)
 
     def to_field(self, delta, quantization=None):
         return FrontField(
@@ -437,13 +439,15 @@ class Tracker:
 
     def _speeds(self, st, y):
         """Rankine-Hugoniot speeds of all fronts at positions y (warm-started)."""
-        d = self.delta
+        if st.levels is None:
+            g = self.delta * st.z.astype(float)
+            st.levels = level_constants(self.flux, np.array((g[:-1], g[1:])))
+            st.num = st.levels.g_abs[0] - st.levels.g_abs[1]
+        st.trace = solve_level(self.flux, y, st.levels, guess=st.trace)
         try:
-            v, st.ul, st.ur = rh_speed(self.flux, y, d * st.z[:-1].astype(float),
-                                       d * st.z[1:].astype(float), st.ul, st.ur)
+            return _rh_quotient(st.num, st.trace, y)
         except DegenerateStatesError as e:
             raise DegenerateStatesError(f"t={st.t!r}: {e}\n{st.dump()}") from None
-        return v
 
     def _rk4(self, st, y, k1, h):
         """One RK4 step of length h from y, whose speeds k1 the caller holds."""
@@ -525,21 +529,21 @@ class Tracker:
             # resolve contacts at the current time (approaching or grazing only;
             # freshly split fan siblings separate and are excluded naturally)
             contact = (gaps <= TOL_POS) & (v_app >= -graze_v)
-            if np.any(contact):
+            if contact.any():
                 self._resolve_leftmost_cluster(st, contact, v_app, graze_v, log)
                 continue
 
             # step: aim at the earliest predicted pairwise contact
             h = min(self.h_ode, t_target - st.t)
             approaching = v_app > 0.0
-            if np.any(approaching):
+            if approaching.any():
                 h = min(h, float(np.min(gaps[approaching] / v_app[approaching])))
             y_try = self._rk4(st, st.y, v, h)
 
             gaps_try = np.diff(y_try)
             trouble = (gaps_try <= TOL_POS) & (gaps_try < gaps)
-            if not np.any(trouble):
-                if np.any(gaps_try <= 0.0):
+            if not trouble.any():
+                if (gaps_try <= 0.0).any():
                     raise OrderingLostError(
                         f"ordering lost without a contact flag in a step of {h!r}", st)
                 st.y = y_try

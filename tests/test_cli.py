@@ -270,7 +270,18 @@ def test_main_bad_config_exits_2(tmp_path, capsys, old, new, option):
     err = capsys.readouterr().err
     assert option in err
     assert len(err.strip().splitlines()) == 1  # one line, no traceback
-    assert not os.path.exists(str(tmp_path / "o" / "events.csv"))
+    assert not os.path.exists(str(tmp_path / "o"))
+
+
+def test_config_error_after_the_audit_leaves_no_output_directory(tmp_path, capsys):
+    # benchmark.ini with a bad step: the audit passes, the tracker refuses h_ode
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "benchmark.ini")) as fh:
+        text = fh.read()
+    bad = write_config(tmp_path, text.replace("[tolerances]", "[tolerances]\nh_ode = -0.01"))
+    out = tmp_path / "results"
+    assert main(["--out", str(out), "run", bad]) == 2
+    assert "[tolerances] h_ode" in capsys.readouterr().err
+    assert not os.path.exists(str(out))
 
 
 LONG_SUM = " + ".join(["u^2"] * 1500)

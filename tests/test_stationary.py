@@ -136,3 +136,17 @@ def test_inversion_error_reports_position():
     with pytest.raises(InversionError) as info:
         solve_level(lying, 1.5, 2.0)
     assert info.value.x == 1.5
+
+
+def test_solution_takes_the_shape_of_x_and_levels_together():
+    # a flux free of x returns the levels' shape; the solution still spans x
+    free = make_builtin_flux("custom_expr", expr="u^2/2")
+    free = dataclasses.replace(free, alpha=1.0)
+    xs = np.linspace(-1.0, 1.0, 5)
+    assert np.array_equal(solve_level(free, xs, 0.5), np.ones(5))
+    assert np.array_equal(solve_level(free, xs, np.array([[0.5], [0.0]]), guess=1.0),
+                          np.array([np.ones(5), np.zeros(5)]))
+    lying = dataclasses.replace(free, alpha=4.0)
+    with pytest.raises(InversionError) as info:
+        solve_level(lying, xs, np.array([[0.0], [2.0]]))
+    assert (info.value.x, info.value.level) == (-1.0, 2.0)

@@ -479,23 +479,54 @@ def test_rh_speed_traces_are_two_separate_inversions(which, request):
         assert np.array_equal(u_r, solve_level(flux, yy, gr, guess=qr))
         assert np.shape(u_l) == np.shape(u_r) == np.broadcast(yy, gl, gr).shape
 
+    # Newton evaluates x at its own shape; broadcasting it up to the levels'
+    # shape first changes no bit: the tracker's (n,) against (2, n), and
+    # l1_u_fields' (m,) or (k, m) against (2, k, 1)
+    g_stack = np.array((g_l, g_r))
+    g_cells = np.array((g_l[:5], g_r[:5]))[:, :, None]
+    xm = np.linspace(-2.0, 2.0, 7)
+    for x, g, q in ((y, g_stack, None), (y, g_stack, np.array((warm_l, warm_r))),
+                    (xm, g_cells, None), (xm + y[:5, None], g_cells, None)):
+        wide = np.broadcast_to(x, np.broadcast_shapes(x.shape, g.shape)).copy()
+        assert np.array_equal(solve_level(flux, x, g, guess=q),
+                              solve_level(flux, wide, g, guess=q))
+
+    # the tracker's cached level constants give rh_speed's speeds and traces,
+    # before and after a merge
+    f0 = initial_fronts(list(np.sort(y[:6])), [3, 2, 1, -1, 0, 1, -2], 0.1)
+    tr = Tracker(flux, 0.1, (-6, 6))
+    st = _State(f0)
+    for merge in (None, (1, 2), (0, 1)):
+        if merge is not None:
+            st.remove_range(*merge, produced=(float(st.y[merge[0]]), st.next_id))
+        yy = np.sort(y[:len(st.y)])
+        g = 0.1 * st.z.astype(float)
+        want = rh_speed(flux, yy, g[:-1], g[1:], *st.trace)
+        assert np.array_equal(tr._speeds(st, yy), want[0])
+        assert np.array_equal(st.trace, want[1:])
+
 
 def test_remove_range_keeps_the_warm_starts():
     f0 = initial_fronts([-2.0, -1.0, 0.0, 1.0, 2.0], [4, 3, 2, 1, 2, 0], 0.1)
     ul, ur = np.arange(5.0) + 0.1, np.arange(5.0) + 0.6
     st = _State(f0)
-    st.ul, st.ur = ul.copy(), ur.copy()
+    st.trace = np.array((ul, ur))
+    Tracker(BURGERS, 0.1, (-3, 3))._speeds(st, st.y + np.arange(5.0) * 0.01)
+    assert st.levels is not None
+    st.trace = np.array((ul, ur))
     st.remove_range(1, 3, produced=(0.0, 99))
     # survivors keep their traces; the produced front gets (ul[a], ur[b])
     assert list(st.ids) == [0, 99, 4]
-    assert np.array_equal(st.ul, [ul[0], ul[1], ul[4]])
-    assert np.array_equal(st.ur, [ur[0], ur[3], ur[4]])
+    assert np.array_equal(st.trace[0], [ul[0], ul[1], ul[4]])
+    assert np.array_equal(st.trace[1], [ur[0], ur[3], ur[4]])
+    # the levels changed, so their cached constants are rebuilt on next use
+    assert st.levels is None and st.num is None
     st = _State(f0)
-    st.ul, st.ur = ul.copy(), ur.copy()
+    st.trace = np.array((ul, ur))
     st.remove_range(1, 2)  # annihilation: no produced front
     assert list(st.ids) == [0, 3, 4]
-    assert np.array_equal(st.ul, ul[[0, 3, 4]])
-    assert np.array_equal(st.ur, ur[[0, 3, 4]])
+    assert np.array_equal(st.trace[0], ul[[0, 3, 4]])
+    assert np.array_equal(st.trace[1], ur[[0, 3, 4]])
 
 
 def test_speed_evaluation_after_a_merge_starts_warm():
