@@ -297,7 +297,9 @@ def run(cfg, out_dir, verbose=False):
                           f"[{work_window[0]:.6g}, {work_window[1]:.6g}]: {e}") from None
     tracker = _from_config("tolerances", "h_ode", Tracker, flux, cfg.delta,
                            work_window, h_ode=h_ode)
-    field0 = quantize_initial(flux, u0, cfg.delta, cfg.window, cfg.cells)
+    # a delta too small for the data puts levels past 2**53
+    field0 = _from_config("run", "delta", quantize_initial, flux, u0, cfg.delta,
+                          cfg.window, cfg.cells)
     say(f"quantized: {field0.n_fronts} fronts, TV(g) = {tv_g(field0)}")
 
     log = []

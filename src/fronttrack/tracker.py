@@ -140,6 +140,8 @@ class FrontField:
             raise FrontFieldError("upward jump above delta")
         if len(np.unique(self.ids)) != n:
             raise FrontFieldError("duplicate front ids")
+        if self.next_id <= self.ids.max():
+            raise FrontFieldError(f"next_id {self.next_id} is not above every front id")
         return self
 
 
@@ -149,35 +151,27 @@ def tv_g(field):
 
 
 def empty_field(delta, time=0.0):
-    return FrontField(
-        time=time, delta=delta,
-        positions=np.empty(0), z=np.zeros(1, dtype=np.int64),
-        ids=np.empty(0, dtype=np.int64), next_id=0,
-    )
+    return initial_fronts([], [0], delta, time)
 
 
 # ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------
 
-def piece_index(field, x):
-    """Index of the constant piece containing x, right-continuous at fronts."""
-    return np.searchsorted(field.positions, np.asarray(x, dtype=float), side="right")
-
-
-def sample_z(field, x):
-    return field.z[piece_index(field, x)]
+def _g_at(field, x):
+    """g on the piece containing x, right-continuous at fronts."""
+    k = np.searchsorted(field.positions, np.asarray(x, dtype=float), side="right")
+    return field.delta * field.z[k].astype(float)
 
 
 def sample_g(field, x):
-    out = field.delta * sample_z(field, x).astype(float)
+    out = _g_at(field, x)
     return float(out) if np.ndim(x) == 0 else out
 
 
 def sample_u(flux, field, x):
     """u = U[g-level](x) on the piece containing x (cadlag at fronts)."""
-    g = field.delta * sample_z(field, x).astype(float)
-    u = solve_level(flux, np.asarray(x, dtype=float), g)
+    u = solve_level(flux, np.asarray(x, dtype=float), _g_at(field, x))
     return float(u) if np.ndim(x) == 0 else u
 
 
@@ -239,8 +233,8 @@ def sample_initial(u0, x):
 
 
 def _round_toward_zero(t):
-    # nearest integer with ties broken toward 0
-    return np.copysign(np.ceil(np.abs(t) - 0.5), t).astype(np.int64)
+    # nearest whole number (as a float) with ties broken toward 0
+    return np.copysign(np.ceil(np.abs(t) - 0.5), t)
 
 
 def quantize_initial(flux, u0, delta, window, cells):
@@ -267,20 +261,11 @@ def quantize_initial(flux, u0, delta, window, cells):
     g0 = np.asarray(g_of(flux, mids, u_samples), dtype=float)
     z_cells = _round_toward_zero(g0 / delta)
 
-    # run-length encode the cells, with zero-level padding outside the window
-    change = np.flatnonzero(np.diff(z_cells)) + 1
-    starts = np.concatenate(([0], change))
-    levels = list(z_cells[starts])
-    breaks = list(lo + change * dx)
-    levels = [0] + levels + [0]
-    breaks = [lo] + breaks + [hi]
-    # drop boundary breaks that separate equal levels
-    k = 0
-    while k < len(breaks):
-        if levels[k] == levels[k + 1]:
-            del breaks[k], levels[k + 1]
-        else:
-            k += 1
+    # run-length encode the cells, with zero-level padding outside the window;
+    # edges[k] is the left edge of cell k, and edges[cells] = hi
+    z = np.concatenate(([0.0], z_cells, [0.0]))
+    jumps = np.flatnonzero(np.diff(z))
+    edges = np.concatenate(([lo], lo + np.arange(1, cells) * dx, [hi]))
 
     lip = float(np.max(np.abs(np.diff(g0)))) / dx if cells > 1 else 0.0
     diag = QuantizationDiagnostics(
@@ -289,7 +274,7 @@ def quantize_initial(flux, u0, delta, window, cells):
         lipschitz_est=lip,
         dx=dx,
     )
-    field_ = initial_fronts(breaks, levels, delta)
+    field_ = initial_fronts(edges[jumps], z[np.concatenate(([0], jumps + 1))], delta)
     return replace(field_, quantization=diag)
 
 
@@ -298,33 +283,32 @@ def initial_fronts(breaks, levels, delta, time=0.0):
 
     Downward jumps become one entropic shock; an upward jump of m levels
     becomes its m-front fan, all co-located at the jump (convexity separates
-    them on the first step).  Levels are integer multiples of delta.
+    them on the first step).  Levels are whole multiples of delta, at most
+    2**53 in magnitude so that g = delta * z is exact.
     """
-    levels = [int(z) for z in levels]
-    breaks = [float(b) for b in breaks]
-    if len(levels) != len(breaks) + 1:
+    breaks = np.asarray(breaks, dtype=float)
+    z = np.asarray(levels, dtype=float)
+    if len(z) != len(breaks) + 1:
         raise FrontFieldError("need one more level than break positions")
-    if any(b2 <= b1 for b1, b2 in zip(breaks, breaks[1:])):
+    if np.any(np.diff(breaks) <= 0):
         raise FrontFieldError("break positions must be strictly increasing")
+    whole = (np.abs(z) <= 2.0 ** 53) & (z == np.round(z))
+    if not whole.all():
+        raise FrontFieldError(f"level {z[~whole][0]} is not a whole number "
+                              "of magnitude at most 2**53")
+    z = z.astype(np.int64)
+    dz = np.diff(z)
+    if np.any(dz == 0):
+        raise FrontFieldError(f"null jump at x={breaks[dz == 0][0]}")
 
-    pos, zs = [], [levels[0]]
-    for k, b in enumerate(breaks):
-        z_l, z_r = levels[k], levels[k + 1]
-        dz = z_r - z_l
-        if dz == 0:
-            raise FrontFieldError(f"null jump at x={b}")
-        if dz < 0:
-            pos.append(b)
-            zs.append(z_r)
-        else:
-            for step in range(dz):
-                pos.append(b)
-                zs.append(z_l + step + 1)
-    n = len(pos)
+    # a shock takes its jump in one step, a fan front one level up
+    count = np.where(dz < 0, 1, dz)
+    steps = np.repeat(np.where(dz < 0, dz, 1), count)
+    n = len(steps)
     field_ = FrontField(
         time=time, delta=float(delta),
-        positions=np.asarray(pos, dtype=float),
-        z=np.asarray(zs, dtype=np.int64),
+        positions=np.repeat(breaks, count),
+        z=np.concatenate((z[:1], z[0] + np.cumsum(steps))),
         ids=np.arange(n, dtype=np.int64),
         next_id=n,
     )
@@ -622,9 +606,7 @@ def common_pieces(field_a, field_b, lo, hi):
         field_b.positions[(field_b.positions > lo) & (field_b.positions < hi)],
     )))
     mids = 0.5 * (cuts[:-1] + cuts[1:])
-    ga = field_a.delta * field_a.z[piece_index(field_a, mids)].astype(float)
-    gb = field_b.delta * field_b.z[piece_index(field_b, mids)].astype(float)
-    return cuts, ga, gb
+    return cuts, _g_at(field_a, mids), _g_at(field_b, mids)
 
 
 def l1_g_distance(field_a, field_b, lo, hi):

@@ -241,6 +241,7 @@ def test_main_options_before_or_after_subcommand(tmp_path, capsys, before):
     ("entropy_pairs = 6", "entropy_pairs = 2.5", "[tolerances] entropy_pairs"),
     ("entropy_pairs = 6", "entropy_pairs = 0", "[tolerances] entropy_pairs"),
     ("delta = 0.05", "delta = inf", "[run] delta"),
+    ("delta = 0.05", "delta = 1e-300", "[run] delta"),  # levels past 2**53
     ("t_end = 0.4", "t_end = inf", "[run] t_end"),
     ("window = -3, 3", "window = -inf, 3", "[run] window"),
     ("profile = bump", "profile = piecewise\nvalues = 1, x", "[initial] values"),

@@ -94,6 +94,10 @@ def test_quantize_rejects_bad_input():
         quantize_initial(BURGERS, lambda x: np.zeros_like(x), -0.1, (-1, 1), 32)
     with pytest.raises(ValueError):
         quantize_initial(BURGERS, lambda x: np.zeros_like(x), 0.1, (1, -1), 32)
+    # a delta too small for the data puts the levels past 2**53, where an
+    # int64 cast would wrap them
+    with pytest.raises(FrontFieldError):
+        quantize_initial(BURGERS, lambda x: np.where(x < 0, 0.8, 0.0), 1e-300, (-1, 1), 32)
 
 
 def test_quantize_ties_round_toward_zero():
@@ -135,6 +139,10 @@ def test_initial_fronts_rejects_null_jump_and_bad_breaks():
         initial_fronts([1.0, 0.5], [0, 1, 0], 0.1)
     with pytest.raises(FrontFieldError):
         initial_fronts([0.0], [1], 0.1)
+    # levels must be whole numbers of magnitude at most 2**53
+    for level in (2.9, 2**60, float("inf")):
+        with pytest.raises(FrontFieldError):
+            initial_fronts([0.0], [0, level], 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +223,19 @@ def test_shock_overtakes_fan_front():
     analytic = 0.1 / (np.sqrt(0.4) - np.sqrt(0.2))
     assert rh_speed(BURGERS, rho, 0.2, 0.1)[0] == pytest.approx(analytic, abs=1e-12)
     assert y == pytest.approx(rho + analytic * (2.0 - tau), abs=1e-9)
+
+
+def test_next_id_must_exceed_every_front_id():
+    # the field of test_shock_overtakes_fan_front with the default next_id=0:
+    # its merged front would take id 0, the id of a front it consumed
+    for kwargs in ({}, {"next_id": 1}):
+        f0 = FrontField(time=0.0, delta=0.1, positions=np.array([-0.05, 0.0]),
+                        z=np.array([2, 0, 1], dtype=np.int64),
+                        ids=np.array([0, 1], dtype=np.int64), **kwargs)
+        with pytest.raises(FrontFieldError, match="next_id"):
+            f0.validate()
+        with pytest.raises(FrontFieldError, match="next_id"):
+            Tracker(BURGERS, 0.1, (-2, 4)).advance(f0, 2.0)
 
 
 def test_equal_outer_levels_annihilate():
@@ -749,7 +770,7 @@ def test_long_horizon_oscillatory_data():
     assert current.tv_z() < f0.tv_z()  # self-cancelling oscillations
 
 
-from hypothesis import given, settings, strategies as st_hyp
+from hypothesis import assume, example, given, settings, strategies as st_hyp
 
 
 @given(amp=st_hyp.floats(0.2, 0.9), freq=st_hyp.floats(0.5, 3.0),
@@ -765,6 +786,98 @@ def test_quantize_property(amp, freq, delta, cells):
     assert field.n_fronts <= (cells + 1) * 2 * z_max
     diag = field.quantization
     assert diag.l1_sampled <= delta / 2 * 4.0 + 1e-12
+
+
+def _reference_initial_fronts(breaks, levels, delta, time=0.0):
+    """initial_fronts as a loop over jumps and fan levels on Python ints."""
+    levels = [int(z) for z in levels]
+    pos, zs = [], [levels[0]]
+    for k, b in enumerate(breaks):
+        z_l, z_r = levels[k], levels[k + 1]
+        if z_r < z_l:
+            pos.append(float(b))
+            zs.append(z_r)
+        else:
+            for step in range(z_r - z_l):
+                pos.append(float(b))
+                zs.append(z_l + step + 1)
+    n = len(pos)
+    return FrontField(time=time, delta=float(delta), positions=np.asarray(pos, dtype=float),
+                      z=np.asarray(zs, dtype=np.int64), ids=np.arange(n, dtype=np.int64),
+                      next_id=n)
+
+
+def _reference_quantize(flux, u0, delta, window, cells):
+    """quantize_initial's fronts from a list run-length encoder that drops
+    the boundary breaks between equal levels one at a time."""
+    lo, hi = float(window[0]), float(window[1])
+    dx = (hi - lo) / cells
+    mids = lo + (np.arange(cells) + 0.5) * dx
+    t = np.asarray(g_of(flux, mids, u0(mids)), dtype=float) / delta
+    z_cells = np.copysign(np.ceil(np.abs(t) - 0.5), t).astype(np.int64)
+    change = np.flatnonzero(np.diff(z_cells)) + 1
+    levels = [0] + list(z_cells[np.concatenate(([0], change))]) + [0]
+    breaks = [lo] + list(lo + change * dx) + [hi]
+    k = 0
+    while k < len(breaks):
+        if levels[k] == levels[k + 1]:
+            del breaks[k], levels[k + 1]
+        else:
+            k += 1
+    return _reference_initial_fronts(breaks, levels, delta)
+
+
+def _assert_same_field(a, b):
+    for name in ("positions", "z", "ids"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+    assert (a.next_id, a.time, a.delta) == (b.next_id, b.time, b.delta)
+
+
+@st_hyp.composite
+def _raw_jumps(draw):
+    """Strictly increasing breaks and levels |z| <= 50 with no null jump."""
+    n = draw(st_hyp.integers(0, 8))
+    breaks = sorted(draw(st_hyp.lists(st_hyp.floats(-10.0, 10.0), min_size=n,
+                                      max_size=n, unique=True)))
+    levels = [draw(st_hyp.integers(-50, 50))]
+    for _ in range(n):
+        levels.append(draw(st_hyp.integers(-50, 50).filter(lambda z: z != levels[-1])))
+    return breaks, levels
+
+
+@given(jumps=_raw_jumps(), time=st_hyp.floats(0.0, 5.0))
+@settings(max_examples=200, deadline=None)
+def test_initial_fronts_matches_the_loop_builder(jumps, time):
+    breaks, levels = jumps
+    assume(np.all(np.diff(breaks) > 0))  # 0.0 and -0.0 are one break
+    _assert_same_field(initial_fronts(breaks, levels, 0.05, time),
+                       _reference_initial_fronts(breaks, levels, 0.05, time))
+
+
+@given(values=st_hyp.lists(st_hyp.one_of(st_hyp.just(0.0), st_hyp.floats(-1.0, 1.0)),
+                           min_size=1, max_size=40),
+       lo=st_hyp.floats(-5.0, 5.0), width=st_hyp.floats(0.1, 10.0),
+       delta=st_hyp.floats(0.001, 1.0))
+@example(values=[0.0] * 7, lo=-3.0, width=6.0, delta=0.05)    # all-zero data
+@example(values=[0.7], lo=-3.0, width=6.0, delta=0.05)        # one cell
+@example(values=[-0.9, 0.2, 0.2, 0.8], lo=-1.0, width=3.5, delta=0.01)  # nonzero edges
+@settings(max_examples=150, deadline=None)
+def test_quantize_matches_the_list_run_length_encoder(values, lo, width, delta):
+    # piecewise data, constant on each cell, with |z| <= 50 since a(x) <= 1.5
+    cells = len(values)
+    dx = width / cells
+    u = np.asarray(values) * np.sqrt(100.0 * delta / 1.5)
+    u0 = lambda x: u[np.clip(((x - lo) / dx).astype(int), 0, cells - 1)]
+    window = (lo, lo + width)
+    _assert_same_field(quantize_initial(MODULATED, u0, delta, window, cells),
+                       _reference_quantize(MODULATED, u0, delta, window, cells))
+
+
+def test_empty_field_is_the_field_with_no_jumps():
+    for time in (0.0, 1.5):
+        _assert_same_field(empty_field(0.1, time), initial_fronts([], [0], 0.1, time))
+        _assert_same_field(empty_field(0.1, time), _reference_initial_fronts([], [0], 0.1, time))
 
 
 def test_impossible_interaction_aborts_with_forensics():
