@@ -37,8 +37,8 @@ class ParseError(ValueError):
 
 class DomainError(ArithmeticError):
     """Evaluation left the finite numbers: overflow, division by zero or an
-    invalid operation such as sqrt of a negative number.  A tree whose printed
-    form nests more parentheses than Python's parser takes (200) cannot be
+    invalid operation such as sqrt of a negative number.  A tree whose source
+    nests more parentheses than Python's parser takes (200) cannot be
     compiled, and raises it too."""
 
     def __init__(self, text, reason):
@@ -47,16 +47,17 @@ class DomainError(ArithmeticError):
 
 class _Node:
     @cached_property
-    def _text(self):
-        """The printed tree, once: printing recurses once per tree level."""
-        return _render(self)
+    def _forms(self):
+        """The printed tree and its Python source, once: rendering recurses
+        once per tree level.  They differ only where the tree has a power."""
+        text = _render(self)
+        return text, _render(self, source=True) if "^" in text else text
 
     @cached_property
     def _code(self):
-        """The printed tree compiled as Python, once.  A negative exponent is
-        a float: numpy takes ``x**-1`` (an int) as a reciprocal, not a power."""
-        source = re.sub(r"\^(-\d+)", lambda m: f"**{float(int(m[1]))}", pretty(self))
-        return compile(source.replace("^", "**"), "<expr>", "eval")
+        """The Python source compiled, once.  Each power is a call of
+        ``_ipow``, which multiplies, so it never reaches numpy's ``pow``."""
+        return compile(self._forms[1], "<expr>", "eval")
 
 
 @dataclass(frozen=True)
@@ -153,6 +154,8 @@ def parse(src):
             if not (isinstance(literal, ast.Constant) and segment(literal).isdigit()
                     and _AFTER_POW.search(py, 0, literal.col_offset)):  # not u^(2)
                 fail(literal, f"got {segment(literal)!r}", expected=("integer exponent",))
+            if int(segment(literal)) > sys.float_info.max:  # differentiate needs float(k)
+                fail(literal, "exponent out of the float range")
             tree = Power(tree, sign * int(segment(literal)))
         return tree
 
@@ -301,19 +304,44 @@ def differentiate(node, var):
 # evaluation
 # ---------------------------------------------------------------------------
 
+def _ipow(base, k):
+    """base^k for an integer k by repeated squaring, O(log |k|) products.
+
+    Products give the same bits for scalars and arrays whatever the sign of
+    the base, where numpy's ``**`` leaves its SIMD kernel for libm's scalar
+    ``pow`` on a base <= 0.  k = 0 is ``base ** 0``, which keeps the shape
+    and 0^0 = 1; a negative k is the reciprocal of the positive power, which
+    may overflow to inf (as Python floats do) when the reciprocal is about 0.
+    """
+    if k < 0:
+        with np.errstate(over="ignore"):
+            return 1.0 / _ipow(base, -k)
+    if k == 0:
+        return base ** 0
+    result = None
+    while True:
+        if k & 1:
+            result = base if result is None else result * base
+        k >>= 1
+        if not k:
+            return result
+        base = base * base
+
+
 # the names a compiled tree may read besides x and u
-_NAMESPACE = {"__builtins__": {}, "inf": math.inf, "nan": math.nan,
+_NAMESPACE = {"__builtins__": {}, "inf": math.inf, "nan": math.nan, "_ipow": _ipow,
               **{name: getattr(np, name) for name in FUNCTIONS}}
 
 
 def evaluate(node, x, u):
     """Evaluate elementwise at (x, u); raises DomainError on non-finite results.
 
-    The tree, compiled on its first evaluation, runs under one floating-point
-    guard: numpy raises on overflow, division by zero or an invalid operation,
-    Python floats raise on division by zero or overflow in ``**``, and the
-    single finiteness check of the result catches what plain Python floats
-    let through.
+    The tree's source, rendered with its printed form and compiled on its
+    first evaluation, runs under one floating-point guard: numpy raises on
+    overflow, division by zero or an invalid operation, Python floats raise
+    on division by zero, and the single finiteness check of the result
+    catches what plain Python floats let through (an overflowing product is
+    inf).
     """
     try:
         with np.errstate(divide="raise", over="raise", invalid="raise"):
@@ -347,23 +375,25 @@ def _prec(node):
 def pretty(node):
     """Render with minimal parentheses; reparses to an equivalent tree.  The
     text is kept on the node, so a tree is printed (and recursed) only once."""
-    return node._text if isinstance(node, _Node) else _render(node)
+    return node._forms[0] if isinstance(node, _Node) else _render(node)
 
 
-def _render(node):
+def _render(node, source=False):
+    """The printed text, or with ``source`` the Python source, which writes
+    each power ``u^2`` as a call ``_ipow(u, 2)``."""
     if isinstance(node, Const):
         return repr(node.value)
     if isinstance(node, Var):
         return node.name
     if isinstance(node, Unary):
         if node.op == "neg":
-            inner = _render(node.arg)
+            inner = _render(node.arg, source)
             if _prec(node.arg) < _PRECEDENCE["neg"]:
                 inner = f"({inner})"
             return f"-{inner}"
-        return f"{node.op}({_render(node.arg)})"
+        return f"{node.op}({_render(node.arg, source)})"
     if isinstance(node, Binary):
-        lp, rp = _render(node.left), _render(node.right)
+        lp, rp = _render(node.left, source), _render(node.right, source)
         p = _PRECEDENCE[node.op]
         if _prec(node.left) < p:
             lp = f"({lp})"
@@ -372,7 +402,9 @@ def _render(node):
             rp = f"({rp})"
         return f"{lp} {node.op} {rp}"
     if isinstance(node, Power):
-        bp = _render(node.base)
+        bp = _render(node.base, source)
+        if source:
+            return f"_ipow({bp}, {node.exponent})"
         if _prec(node.base) <= _PRECEDENCE["^"]:
             bp = f"({bp})"
         return f"{bp}^{node.exponent}"

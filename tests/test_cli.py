@@ -259,6 +259,10 @@ def test_main_options_before_or_after_subcommand(tmp_path, capsys, before):
     pytest.param("modulated_burgers\nbase = 1.0\namp = 0.5",
                  "custom_expr\nexpr = u^2" + "/(1+x^2)" * 400,
                  "[flux] family", id="quotient-too-deep-to-differentiate"),
+    # 10^309 has no float, which the derivative's coefficient needs
+    pytest.param("modulated_burgers\nbase = 1.0\namp = 0.5",
+                 "custom_expr\nexpr = u^2/2 + 0*u^1" + "0" * 309,
+                 "[flux] family", id="exponent-past-the-float-range"),
     # the audit passes on the data window, but sqrt(3.5 - x) has no value at
     # the right end of the working window, [-3.68, 3.68]
     pytest.param("modulated_burgers\nbase = 1.0\namp = 0.5",

@@ -1,3 +1,6 @@
+import functools
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -57,6 +60,16 @@ def test_parse_error_on_an_over_long_integer_literal(src, position):
         fx.parse(src)
     assert info.value.position == position
     assert "number literal" in info.value.message and not info.value.expected
+
+
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_parse_error_on_an_exponent_past_the_float_range(sign):
+    # differentiate writes the exponent as a float; 10^308 still converts
+    fx.differentiate(fx.parse("u^1" + "0" * 308), "u")
+    with pytest.raises(fx.ParseError) as info:
+        fx.parse(f"u^2/2 + u^{sign}1" + "0" * 309)
+    assert info.value.position == 10 + len(sign)
+    assert "exponent" in info.value.message
 
 
 def test_parse_error_position_within_input():
@@ -145,9 +158,10 @@ def test_evaluate_is_the_numpy_expression_in_the_same_order():
     x = np.append(rng.uniform(-3, 3, 64), [0.0, -0.0])
     u = np.append(rng.uniform(-2, 2, 64), [-0.0, 0.0])
     a = 1.0 + 0.5 * np.sin(x)
-    assert np.array_equal(fx.evaluate(tree, x, u), a * u ** 2 / 2.0 + u ** 4 / 12.0)
+    u2 = u * u  # powers are products by repeated squaring
+    assert np.array_equal(fx.evaluate(tree, x, u), a * u2 / 2.0 + u2 * u2 / 12.0)
     assert np.array_equal(fx.evaluate(du, x, u),
-                          a * (2.0 * u) * 2.0 / 4.0 + 4.0 * u ** 3 * 12.0 / 144.0)
+                          a * (2.0 * u) * 2.0 / 4.0 + 4.0 * (u * u2) * 12.0 / 144.0)
     assert fx.pretty(du) == "(1.0 + 0.5 * sin(x)) * (2.0 * u) * 2.0 / 4.0 + 4.0 * u^3 * 12.0 / 144.0"
 
 
@@ -257,6 +271,20 @@ def test_derivative_of_derivative_tree_round_trips():
 # compiled evaluation against the tree walk it replaced
 # ---------------------------------------------------------------------------
 
+def power(b, k):
+    """b^k as the product of the squares b^(2^i) for the set bits i of |k|,
+    lowest first; a negative k is its reciprocal, k = 0 is ``b ** 0``."""
+    if k < 0:
+        with np.errstate(over="ignore"):  # an overflowing power has the reciprocal 0
+            return 1.0 / power(b, -k)
+    if k == 0:
+        return b ** 0
+    squares = [b]
+    while len(squares) < k.bit_length():
+        squares.append(squares[-1] * squares[-1])
+    return functools.reduce(operator.mul, [s for i, s in enumerate(squares) if k >> i & 1])
+
+
 def walk_evaluate(node, x, u):
     """The tree-walking evaluator that compiled trees replaced, kept as the
     reference: the same operations in the same order, under the same guard."""
@@ -279,8 +307,7 @@ def walk_evaluate(node, x, u):
             if n.op == "*":
                 return a * b
             return a / b
-        base = walk(n.base)
-        return base ** (n.exponent if n.exponent >= 0 else float(n.exponent))
+        return power(walk(n.base), n.exponent)
 
     try:
         with np.errstate(divide="raise", over="raise", invalid="raise"):
@@ -315,7 +342,7 @@ def all_op_trees(draw, depth=0):
                          draw(all_op_trees(depth=depth + 1)))
     if kind == "pow":
         return fx.Power(draw(all_op_trees(depth=depth + 1)),
-                        draw(st.integers(min_value=-3, max_value=4)))
+                        draw(st.integers(min_value=-6, max_value=9)))
     return fx.Unary(kind, draw(all_op_trees(depth=depth + 1)))
 
 
@@ -343,8 +370,59 @@ def test_each_tree_compiles_once(monkeypatch):
                         raising=False)
     for _ in range(3):
         fx.evaluate(tree, np.ones(4), np.full(4, 2.0))
-    assert compiled == ["(1.0 + 0.5 * sin(x)) * u**2 / 2.0 + u**-2.0"]
+    assert compiled == ["(1.0 + 0.5 * sin(x)) * _ipow(u, 2) / 2.0 + _ipow(u, -2)"]
 
+
+# ---------------------------------------------------------------------------
+# integer powers as products
+# ---------------------------------------------------------------------------
+
+EPS = np.finfo(float).eps
+# both signs, both zeros, neighbours of 1 and a spread of magnitudes
+POWER_U = np.array([0.0, -0.0, 1.0, -1.0, 1 - EPS / 2, -(1 + EPS), 0.999, -1.001,
+                    3e-3, -0.3, 0.62, -7.5, 41.0])
+
+
+@pytest.mark.parametrize("k", range(-6, 13))
+def test_integer_power_is_within_2k_eps_of_the_exact_power(k):
+    u = POWER_U if k >= 0 else POWER_U[POWER_U != 0.0]
+    got = fx.evaluate(fx.parse(f"u^{k}"), 0.0, u)
+    exact = np.power(u.astype(np.longdouble), k)
+    assert np.all(np.abs(got - exact) <= 2 * abs(k) * EPS * np.abs(exact))
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("k", range(-6, 13))
+def test_integer_power_keeps_its_parity_and_scalar_bits(k):
+    # libm's pow promises neither; the products give both exactly
+    u = POWER_U if k >= 0 else POWER_U[POWER_U != 0.0]
+    tree = fx.parse(f"u^{k}")
+    got = fx.evaluate(tree, 0.0, u)
+    mirrored = fx.evaluate(tree, 0.0, -u)
+    assert bits(mirrored) == bits(got if k % 2 == 0 else -got)
+    assert bits([fx.evaluate(tree, 0.0, v) for v in u.tolist()]) == bits(got)
+
+
+def test_integer_power_past_the_float_range():
+    # about a thousand squarings: 0 below 1 in magnitude, overflow above it
+    k = 10 ** 300
+    even, odd = fx.parse(f"u^{k}"), fx.parse(f"u^{k + 1}")
+    inside = np.array([0.0, -0.0, 0.5, -0.999999, 1e-300])
+    assert np.array_equal(fx.evaluate(even, 0.0, inside), np.zeros(5))
+    assert [fx.evaluate(even, 0.0, v) for v in (1.0, -1.0)] == [1.0, 1.0]
+    assert [fx.evaluate(odd, 0.0, v) for v in (1.0, -1.0)] == [1.0, -1.0]
+    for u in (1.000001, -1.5, np.array([0.5, 2.0])):
+        with pytest.raises(fx.DomainError):
+            fx.evaluate(even, 0.0, u)
+    # a negative power whose positive power overflows is 0, as pow gives it
+    for tree, u in ((fx.parse(f"u^-{k}"), 1.5), (fx.parse("u^-2"), 1e200)):
+        assert fx.evaluate(tree, 0.0, -u) == 0.0
+        assert np.array_equal(fx.evaluate(tree, 0.0, np.array([u, -u])), np.zeros(2))
+    with pytest.raises(fx.DomainError):
+        fx.evaluate(fx.parse(f"u^-{k}"), 0.0, 0.5)  # 1/0
 
 
 # ---------------------------------------------------------------------------

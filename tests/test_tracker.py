@@ -5,6 +5,7 @@ import pytest
 from scipy.optimize import brentq
 
 from fronttrack.fluxes import audit_assumptions, certify, make_builtin_flux
+from fronttrack.profiles import make_initial
 from fronttrack.stationary import g_of, solve_level
 from fronttrack.tracker import (Tracker, TrackedSolution, FrontField, FrontFieldError,
                                 quantize_initial, initial_fronts, empty_field,
@@ -696,6 +697,40 @@ def test_nonseparable_randomized_run_invariants(seed):
 
 def test_nonseparable_two_shock_collision_matches_independent_oracle():
     _assert_two_shock_collision_matches_oracle(_nonseparable_flux(0.4, 1.0, 0.5, 0.08))
+
+
+# ---------------------------------------------------------------------------
+# scale: x -> lam*x, t -> lam*t with the flux f(x/lam, u) takes solutions to
+# solutions, so benchmark.ini's data scaled by lam must make the same events
+# ---------------------------------------------------------------------------
+
+def _scaled_benchmark_run(lam):
+    """benchmark.ini's solve (modulated Burgers, bump, delta 0.005, 1200
+    cells, t_end 1, the default h_ode) with lengths and times scaled by lam."""
+    flux = make_builtin_flux("modulated_burgers", base=1.0, amp=0.5, freq=1.0 / lam)
+    u0 = make_initial("bump", amp=0.8, center=0.0, width=lam)
+    f0 = quantize_initial(flux, u0, 0.005, (-3 * lam, 3 * lam), 1200)
+    f1, log = Tracker(flux, 0.005, (-4 * lam, 4 * lam), h_ode=0.01 * lam).advance(f0, lam)
+    return f0, f1, log
+
+
+@pytest.fixture(scope="module")
+def unscaled_benchmark_run():
+    return _scaled_benchmark_run(1.0)
+
+
+@pytest.mark.parametrize("lam", [1e-2, 1e3, 1e6])
+def test_scaled_benchmark_run_makes_the_same_events(lam, unscaled_benchmark_run):
+    f0, f1, log = unscaled_benchmark_run
+    g0, g1, scaled = _scaled_benchmark_run(lam)
+    _assert_invariants(g0, g1, scaled)
+    assert np.array_equal(g0.z, f0.z) and np.array_equal(g1.z, f1.z)
+    assert [(e.consumed, e.produced) for e in scaled] == \
+        [(e.consumed, e.produced) for e in log]
+    moved = max(np.max(np.abs(np.array([e.position for e in scaled]) / lam
+                              - [e.position for e in log])),
+                np.max(np.abs(g1.positions / lam - f1.positions)))
+    print(f"\nlam = {lam:g}: {len(log)} events, largest |x/lam - x| = {moved:.2e}")
 
 
 def test_determinism_bit_identical():
