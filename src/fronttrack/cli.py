@@ -343,10 +343,21 @@ def run(cfg, out_dir, verbose=False):
     return manifest, status
 
 
+def _finite_or_null(obj):
+    """obj with every non-finite float as None: JSON has no NaN or Infinity."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return obj
+
+
 def _write_manifest(manifest, out_dir, started):
     manifest["wall_time_s"] = _time.perf_counter() - started
     with open(os.path.join(out_dir, "manifest.json"), "w", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+        json.dump(_finite_or_null(manifest), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

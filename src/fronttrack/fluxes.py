@@ -40,6 +40,11 @@ class Flux:
     All callables accept scalars or numpy arrays (elementwise).  ``alpha`` is
     the certified lower bound on f_uu; it is None for a DSL flux until an
     audit has certified one.
+
+    ``at``, if given, maps positions x to the pair (f(x, .), f_u(x, .)) of
+    functions of u alone, with the work that depends only on x done once; the
+    bound functions must agree with ``f`` and ``fu`` bit for bit.  A copy that
+    replaces ``f`` or ``fu`` must therefore pass ``at=None`` as well.
     """
 
     f: Callable
@@ -49,9 +54,10 @@ class Flux:
     alpha: Optional[float]
     family: str
     params: dict = field(default_factory=dict)
+    at: Optional[Callable] = None
 
     def require_alpha(self):
-        if self.alpha is None or self.alpha <= 0.0:
+        if self.alpha is None or not 0.0 < self.alpha < np.inf:  # also nan
             raise ValueError(
                 "flux has no certified convexity constant; run audit_assumptions "
                 "and certify() first"
@@ -114,6 +120,12 @@ class SpeedEnvelope:
 
 def _scaled_burgers(family, params, a_min, a, da):
     """f = a(x) u^2/2 with a >= a_min > 0 and a' = da."""
+
+    def at(x):
+        ax = a(x)
+        half = 0.5 * ax  # 0.5 * a(x) * u * u multiplies left to right
+        return (lambda u: half * u * u), (lambda u: ax * u)
+
     return Flux(
         f=lambda x, u: 0.5 * a(x) * u * u,
         fu=lambda x, u: a(x) * u,
@@ -122,6 +134,7 @@ def _scaled_burgers(family, params, a_min, a, da):
         alpha=a_min,
         family=family,
         params=params,
+        at=at,
     )
 
 
@@ -145,6 +158,9 @@ def make_builtin_flux(family, **params):
         phase = float(params.pop("phase", 0.0))
         if params:
             raise InvalidFluxParams(f"unknown modulated_burgers params {params}")
+        if not np.isfinite([base, amp, freq, phase]).all():
+            raise InvalidFluxParams(f"modulated_burgers params must be finite, got "
+                                    f"base={base}, amp={amp}, freq={freq}, phase={phase}")
         a_min = base - abs(amp)
         if a_min <= 0.0:
             raise InvalidFluxParams(

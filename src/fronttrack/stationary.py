@@ -63,21 +63,24 @@ def solve_level(flux, x, g, guess=0.0):
     (the default) or not a number.  Convexity makes the from-above iteration
     monotone, so no bisection safeguard is needed beyond clipping into
     [0, bracket].  ``g`` is levels or their ``level_constants``; x keeps its
-    shape, so levels stacked on shared x evaluate its part of f once per point.
+    shape, so levels stacked on shared x evaluate its part of f once per point,
+    and a flux with ``at`` evaluates that part once per call, not per iteration.
     """
     s, g_abs, u_hi, start, tol = g if isinstance(g, LevelConstants) else \
         level_constants(flux, g)
     x = np.asarray(x, dtype=float)
+    f, fu = flux.at(x) if flux.at is not None else \
+        ((lambda u: flux.f(x, u)), (lambda u: flux.fu(x, u)))
     w = np.minimum(np.abs(np.asarray(guess, dtype=float)), u_hi)
     w = np.where(w > 0.0, w, start)  # 0 at g = 0, where the bracket is 0
 
     for _ in range(_MAX_NEWTON):
         sw = s * w
-        phi = flux.f(x, sw) - g_abs
+        phi = f(sw) - g_abs
         active = np.abs(phi) > tol
         if not active.any():
             break
-        dphi = s * flux.fu(x, sw)  # |f_u| on the branch, > 0 away from u=0
+        dphi = s * fu(sw)  # |f_u| on the branch, > 0 away from u=0
         step = np.where(active, phi / np.where(dphi > 0.0, dphi, 1.0), 0.0)
         w = np.minimum(np.maximum(w - step, 0.0), u_hi)
     else:

@@ -192,9 +192,11 @@ def test_run_deterministic_artifacts(tmp_path):
 def test_run_aborts_on_audit_failure(tmp_path):
     # a convexity failure, a domain error (f_u holds 1/sqrt(u)), two
     # constant powers that differentiate cannot fold (0^-1, 1e200^3), and two
-    # fluxes whose f_uu folds to a constant (-1, 0)
+    # fluxes whose f_uu folds to a constant (-1, 0), and a flux the audit
+    # cannot sample at all (sqrt(x) on x < 0), whose alpha stays nan
     for k, expr in enumerate(["u^3", "u^2/2 + sqrt(u)*u^3", "u^2/2 + 0^0",
-                              "u^2/2 + 1e200^4*0", "-u^2/2", "sin(x)"]):
+                              "u^2/2 + 1e200^4*0", "-u^2/2", "sin(x)",
+                              "sqrt(x)*u^2/2"]):
         bad = GOOD_CONFIG.replace(
             "family = modulated_burgers\nbase = 1.0\namp = 0.5",
             f"family = custom_expr\nexpr = {expr}")
@@ -205,6 +207,15 @@ def test_run_aborts_on_audit_failure(tmp_path):
         assert not manifest["audit"]["passed"]
         assert manifest["error"] == "audit failed; solve aborted"
         assert not os.path.exists(str(out / "events.csv"))
+        # strict JSON: a non-finite number is written as null, not NaN
+        written = json.loads((out / "manifest.json").read_text(),
+                             parse_constant=_refuse_constant)
+        assert written["error"] == manifest["error"]
+    assert written["audit"]["alpha"] is None and written["audit"]["fuu_max"] is None
+
+
+def _refuse_constant(name):
+    raise ValueError(f"manifest.json holds {name}, which is not JSON")
 
 
 def test_main_exit_codes(tmp_path, capsys):
@@ -246,6 +257,7 @@ def test_main_options_before_or_after_subcommand(tmp_path, capsys, before):
     ("window = -3, 3", "window = -inf, 3", "[run] window"),
     ("profile = bump", "profile = piecewise\nvalues = 1, x", "[initial] values"),
     ("amp = 0.6", "amp = inf", "[initial] profile"),
+    ("amp = 0.5", "amp = nan", "[flux] family"),  # nan <= 0 is False
     ("profile = bump\namp = 0.6\nwidth = 1.0", "profile = piecewise\nvalues = 1, inf\nbreaks = 0",
      "[initial] profile"),
     ("profile = bump\namp = 0.6\nwidth = 1.0", "profile = expr\nexpr = sqrt(x)",

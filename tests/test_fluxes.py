@@ -1,7 +1,9 @@
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fronttrack.fluxes import (Flux, make_builtin_flux, audit_assumptions, certify,
                                speed_envelope, default_envelope, InvalidFluxParams)
@@ -47,6 +49,37 @@ def test_modulated_burgers_rejects_nonpositive_a():
         make_builtin_flux("modulated_burgers", base=1.0, amp=1.0)
     with pytest.raises(InvalidFluxParams):
         make_builtin_flux("modulated_burgers", base=0.3, amp=0.5)
+    # nan <= 0 is False, so a non-finite parameter must be refused by name
+    for params in ({"amp": np.nan}, {"base": np.inf}, {"base": np.nan},
+                   {"freq": np.inf}, {"phase": np.nan}, {"amp": -np.inf}):
+        with pytest.raises(InvalidFluxParams, match="finite"):
+            make_builtin_flux("modulated_burgers", **params)
+    flux = make_builtin_flux("modulated_burgers", base=1.0, amp=0.5)
+    for alpha in (np.nan, np.inf, 0.0, None):
+        with pytest.raises(ValueError, match="convexity constant"):
+            replace(flux, alpha=alpha).require_alpha()
+
+
+_FINITE = st.floats(-4.0, 4.0, allow_subnormal=False)
+
+
+@pytest.mark.parametrize("family, params", [
+    ("homogeneous_burgers", {}),
+    ("modulated_burgers", {"base": 1.2, "amp": 0.7, "freq": 1.3, "phase": 0.4}),
+], ids=["homogeneous", "modulated"])
+@given(data=st.data(), n=st.integers(1, 6))
+@settings(max_examples=60, deadline=None)
+def test_bound_flux_agrees_with_f_and_fu_bit_for_bit(family, params, data, n):
+    flux = make_builtin_flux(family, **params)
+    x0, u0 = data.draw(_FINITE), data.draw(_FINITE)
+    xs = np.array(data.draw(st.lists(_FINITE, min_size=n, max_size=n)))
+    us = np.array(data.draw(st.lists(_FINITE, min_size=2 * n, max_size=2 * n)))
+    # scalars, arrays, scalar x against array u, and (n,) x against (2, n) u
+    for x, u in ((x0, u0), (xs, us[:n]), (x0, us[:n]), (xs, us.reshape(2, n))):
+        f, fu = flux.at(x)
+        for bound, full in ((f(u), flux.f(x, u)), (fu(u), flux.fu(x, u))):
+            assert np.shape(bound) == np.shape(full)
+            assert np.asarray(bound).tobytes() == np.asarray(full).tobytes()
 
 
 def test_unknown_family_and_params_rejected():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fronttrack.fluxes import make_builtin_flux
+from fronttrack.fluxes import _scaled_burgers, make_builtin_flux
 from fronttrack.stationary import (g_of, solve_level, profile_slope,
                                    inversion_gap_bound, InversionError, TOL_INV)
 
@@ -150,3 +150,24 @@ def test_solution_takes_the_shape_of_x_and_levels_together():
     with pytest.raises(InversionError) as info:
         solve_level(lying, xs, np.array([[0.0], [2.0]]))
     assert (info.value.x, info.value.level) == (-1.0, 2.0)
+
+
+def test_solve_level_evaluates_the_x_part_once_per_call():
+    calls = []
+
+    def a(x):
+        calls.append(np.shape(x))
+        return 1.0 + 0.5 * np.sin(x)
+
+    flux = _scaled_burgers("modulated_burgers", {}, 0.5, a, lambda x: 0.5 * np.cos(x))
+    generic = dataclasses.replace(flux, at=None)
+    xs = np.linspace(-3.0, 3.0, 50)
+    levels = np.array([np.linspace(-1.0, 1.0, 50), np.linspace(0.9, -0.2, 50)])
+    for g, guess in ((0.7, 0.0), (levels, 0.0), (levels, 2.0 * levels)):
+        calls.clear()
+        want = solve_level(generic, xs, g, guess=guess)
+        newton_calls = len(calls)  # f and f_u each evaluate a(x) per iteration
+        calls.clear()
+        assert np.array_equal(solve_level(flux, xs, g, guess=guess), want)
+        assert calls == [xs.shape]
+        assert newton_calls >= 5

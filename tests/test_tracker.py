@@ -495,11 +495,14 @@ def test_rh_speed_traces_are_two_separate_inversions(which, request):
         (y, g_l, g_r, warm_l, None),
         (y, g_l, g_r, None, warm_r),
     ]
+    generic = replace(flux, at=None)  # the reference: f and fu at every iteration
     for yy, gl, gr, ql, qr in cases:
-        _, u_l, u_r = rh_speed(flux, yy, gl, gr, ql, qr)
+        v, u_l, u_r = rh_speed(flux, yy, gl, gr, ql, qr)
         assert np.array_equal(u_l, solve_level(flux, yy, gl, guess=ql))
         assert np.array_equal(u_r, solve_level(flux, yy, gr, guess=qr))
         assert np.shape(u_l) == np.shape(u_r) == np.broadcast(yy, gl, gr).shape
+        for got, want in zip((v, u_l, u_r), rh_speed(generic, yy, gl, gr, ql, qr)):
+            assert np.array_equal(got, want)
 
     # Newton evaluates x at its own shape; broadcasting it up to the levels'
     # shape first changes no bit: the tracker's (n,) against (2, n), and
@@ -558,7 +561,7 @@ def test_speed_evaluation_after_a_merge_starts_warm():
         calls.append(1)
         return MODULATED.f(x, u)
 
-    tr = Tracker(replace(MODULATED, f=f), 0.5, (-6, 6), h_ode=0.01)
+    tr = Tracker(replace(MODULATED, f=f, at=None), 0.5, (-6, 6), h_ode=0.01)
     speeds, resolve, after = tr._speeds, tr._resolve_leftmost_cluster, []
 
     def counted_speeds(st, y):
@@ -704,10 +707,12 @@ def test_nonseparable_two_shock_collision_matches_independent_oracle():
 # solutions, so benchmark.ini's data scaled by lam must make the same events
 # ---------------------------------------------------------------------------
 
-def _scaled_benchmark_run(lam):
+def _scaled_benchmark_run(lam, bound=True):
     """benchmark.ini's solve (modulated Burgers, bump, delta 0.005, 1200
-    cells, t_end 1, the default h_ode) with lengths and times scaled by lam."""
+    cells, t_end 1, the default h_ode) with lengths and times scaled by lam;
+    with bound=False Newton calls the flux's f and fu, not its ``at``."""
     flux = make_builtin_flux("modulated_burgers", base=1.0, amp=0.5, freq=1.0 / lam)
+    flux = flux if bound else replace(flux, at=None)
     u0 = make_initial("bump", amp=0.8, center=0.0, width=lam)
     f0 = quantize_initial(flux, u0, 0.005, (-3 * lam, 3 * lam), 1200)
     f1, log = Tracker(flux, 0.005, (-4 * lam, 4 * lam), h_ode=0.01 * lam).advance(f0, lam)
@@ -731,6 +736,14 @@ def test_scaled_benchmark_run_makes_the_same_events(lam, unscaled_benchmark_run)
                               - [e.position for e in log])),
                 np.max(np.abs(g1.positions / lam - f1.positions)))
     print(f"\nlam = {lam:g}: {len(log)} events, largest |x/lam - x| = {moved:.2e}")
+
+
+def test_benchmark_run_is_bit_identical_without_the_bound_flux(unscaled_benchmark_run):
+    f0, f1, log = unscaled_benchmark_run
+    g0, g1, generic = _scaled_benchmark_run(1.0, bound=False)
+    assert np.array_equal(g0.positions, f0.positions) and np.array_equal(g0.z, f0.z)
+    assert np.array_equal(g1.positions, f1.positions) and np.array_equal(g1.z, f1.z)
+    assert generic == log
 
 
 def test_determinism_bit_identical():
