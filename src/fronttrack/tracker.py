@@ -8,7 +8,8 @@ front positions.  Between interactions each front obeys its own autonomous
 Rankine-Hugoniot ODE; interactions are located by stepping onto predicted
 contact times and, when a step overshoots, by a safeguarded Illinois
 false-position search on the step length, and always resolve into at most
-one front.
+one front.  ``TrackedSolution`` keeps a run's solve as dense output: its
+snapshots inside the solve are cubic Hermite interpolants of the RK4 steps.
 """
 
 from __future__ import annotations
@@ -482,10 +483,19 @@ class Tracker:
 
     # -- main loop ------------------------------------------------------------
 
-    def advance(self, field_, t_target):
+    def advance(self, field_, t_target, record=None):
         """Integrate the field to t_target, resolving interactions on the way.
 
         Returns (new field, list of Events).  The input field is not modified.
+
+        ``record`` is the internal hook of ``TrackedSolution``'s dense output:
+        a list that receives one tuple (t, positions, speeds, z, ids,
+        next_id) at the start of every step, taken before any contact at that
+        time is resolved, and one at the end of the last step.  A record at a
+        step's end thus shares the step's fronts, and an event time has one
+        record before and one after each event.  The tuples hold references to
+        the working arrays, which the loop replaces and never writes into.
+        Recording leaves the solve's arithmetic unchanged.
         """
         t_target = float(t_target)
         if not math.isfinite(t_target):
@@ -502,10 +512,15 @@ class Tracker:
             if st.t >= t_target:
                 break
             if len(st.y) == 0:
+                if record is not None:
+                    # no fronts, so the positions and the speeds are both empty
+                    record.append((st.t, st.y, st.y, st.z, st.ids, st.next_id))
                 st.t = t_target
                 break
 
             v = self._speeds(st, st.y)
+            if record is not None:
+                record.append((st.t, st.y, v, st.z, st.ids, st.next_id))
             graze_v = 1e-12 * (1.0 + float(np.max(np.abs(v))))
             gaps = np.diff(st.y)
             v_app = v[:-1] - v[1:]  # positive when the pair approaches
@@ -553,6 +568,11 @@ class Tracker:
                 f"advance exceeded {_MAX_LOOP} iterations (front count "
                 f"{len(st.y)}); suspect a pathological grazing cycle", st)
 
+        if record is not None:
+            # the speeds at the end of the last step; st is discarded, so the
+            # warm starts this spends touch nothing of the solve
+            v = self._speeds(st, st.y) if len(st.y) else st.y
+            record.append((st.t, st.y, v, st.z, st.ids, st.next_id))
         out = st.to_field(self.delta, quantization=field_.quantization)
         out = replace(out, time=t_target)
         # a (near-)no-op advance may leave just-born fan siblings co-located
@@ -570,16 +590,38 @@ class Tracker:
 
 
 class TrackedSolution:
-    """Space-time sampler over a run: snapshots are created on demand.
+    """Space-time sampler over a run, with the run's own solve as dense output.
 
-    Queries may come in any order; each new time advances from the latest
-    earlier snapshot, so a time-sorted sweep costs one full integration.
+    ``advance(t)`` integrates from the latest snapshot to t and keeps the
+    result as a snapshot (a keyframe), with the solve's trajectory.
+    ``field_at(t)`` answers a time between two keyframes from that trajectory:
+    the positions are the cubic Hermite interpolant, in time, of the RK4
+    step's end positions and speeds, and the fronts, levels and ids are the
+    step's.  A query at an event's time sees the state before the event, as
+    ``Tracker.advance`` to that time returns it.  Any other time advances
+    from the latest earlier snapshot and keeps the result, so a time-sorted
+    sweep past the keyframes costs one full integration.  Queries may come in
+    any order.
     """
 
     def __init__(self, tracker, field0):
         self.tracker = tracker
         self._times = [field0.time]
         self._fields = [field0]
+        # _steps[k]: the records of the solve from snapshot k to k + 1 (see
+        # Tracker.advance), or None where that span was not recorded
+        self._steps = [None]
+
+    def advance(self, t):
+        """Solve from the latest snapshot to t, recording the trajectory;
+        returns (field, events) as ``Tracker.advance`` does."""
+        record = []
+        field_, log = self.tracker.advance(self._fields[-1], t, record=record)
+        self._steps[-1] = record
+        self._times.append(field_.time)
+        self._fields.append(field_)
+        self._steps.append(None)
+        return field_, log
 
     def field_at(self, t):
         t = float(t)
@@ -588,10 +630,30 @@ class TrackedSolution:
             raise ValueError(f"time {t} precedes the initial data ({self._times[0]})")
         if self._times[k] == t:
             return self._fields[k]
+        if self._steps[k] is not None:
+            return self._interpolate(k, t)
         advanced, _ = self.tracker.advance(self._fields[k], t)
         self._times.insert(k + 1, t)
         self._fields.insert(k + 1, advanced)
+        self._steps.insert(k + 1, None)
         return advanced
+
+    def _interpolate(self, k, t):
+        """The snapshot at t inside the recorded span from snapshot k to k + 1:
+        the step that ends at the first record at or after t."""
+        record = self._steps[k]
+        j = bisect.bisect_left(record, t, key=lambda r: r[0])
+        t0, y0, v0, _, _, _ = record[j - 1]
+        t1, y1, v1, z, ids, next_id = record[j]
+        h = t1 - t0
+        s = (t - t0) / h
+        y = ((1.0 + 2.0 * s) * (1.0 - s) ** 2 * y0 + s * (1.0 - s) ** 2 * h * v0
+             + s * s * (3.0 - 2.0 * s) * y1 + s * s * (s - 1.0) * h * v1)
+        field_ = FrontField(time=t, delta=self.tracker.delta, positions=y, z=z.copy(),
+                            ids=ids.copy(), next_id=next_id,
+                            quantization=self._fields[k].quantization)
+        # the rule of Tracker.advance: just-born fan siblings may still touch
+        return field_.validate(strict_positions=t - self._times[k] > TOL_EVENT)
 
     def sample_u(self, x, t):
         return sample_u(self.tracker.flux, self.field_at(t), x)

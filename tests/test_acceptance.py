@@ -130,10 +130,10 @@ def randomized_runs():
     for idx in range(50):
         flux, u0, delta, t_end, rng = _random_case(idx)
         field0 = quantize_initial(flux, u0, delta, (-2.5, 2.5), 160)
-        tracker = Tracker(flux, delta, (-6.5, 6.5), h_ode=0.01)
-        final, log = tracker.advance(field0, t_end)
+        solution = TrackedSolution(Tracker(flux, delta, (-6.5, 6.5), h_ode=0.01), field0)
+        final, log = solution.advance(t_end)
         runs.append(dict(flux=flux, delta=delta, t_end=t_end, rng=rng,
-                         field0=field0, final=final, log=log, tracker=tracker))
+                         field0=field0, final=final, log=log, solution=solution))
     return runs
 
 
@@ -173,7 +173,7 @@ def test_criterion_05_entropy_battery(randomized_runs):
     worst_margin = np.inf
     for run in randomized_runs:
         flux, delta, t_end = run["flux"], run["delta"], run["t_end"]
-        sol = TrackedSolution(run["tracker"], run["field0"])
+        sol = run["solution"]  # the recorded solve; criterion 9 re-integrates
         af = ApproxFlux(flux, delta)
         quad = QuadSpec(-2.5, 2.5, 0.0, t_end, nx=192, nt=192)
         xs = np.linspace(-2.5, 2.5, 513)

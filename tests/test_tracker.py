@@ -797,6 +797,124 @@ def test_tracked_solution_caches_and_reuses():
         sol.field_at(-1.0)
 
 
+# ---------------------------------------------------------------------------
+# dense output: TrackedSolution answers from its recorded solve
+# ---------------------------------------------------------------------------
+
+def _bump_solve(delta, cells):
+    """benchmark.ini's data at delta, with its output times 0.5 and 1."""
+    u0 = make_initial("bump", amp=0.8, center=0.0, width=1.0)
+    f0 = quantize_initial(MODULATED, u0, delta, (-3, 3), cells)
+    return f0, Tracker(MODULATED, delta, (-6, 6)), (0.5, 1.0)
+
+
+def _recorded(tr, f0, times):
+    sol = TrackedSolution(tr, f0)
+    return sol, [sol.advance(t) for t in times]
+
+
+def test_recorded_solve_is_bit_identical_to_chained_advance():
+    f0, tr, times = _bump_solve(0.005, 1200)
+    _, recorded = _recorded(tr, f0, times)
+    current = f0
+    for field_, log in recorded:
+        current, chained = tr.advance(current, field_.time)
+        assert np.array_equal(field_.positions, current.positions)
+        assert np.array_equal(field_.z, current.z) and np.array_equal(field_.ids, current.ids)
+        assert field_.next_id == current.next_id
+        assert log == chained
+
+
+def test_records_are_not_written_after_they_are_taken():
+    class Copying(list):
+        def append(self, rec):
+            super().append(rec)
+            self.copies.append(tuple(np.copy(a) if isinstance(a, np.ndarray) else a
+                                     for a in rec))
+
+    f0, tr, _ = _bump_solve(0.005, 1200)
+    record = Copying()
+    record.copies = []
+    tr.advance(f0, 0.5, record=record)
+    assert len(record) > 50
+    for rec, copy in zip(record, record.copies):
+        for a, b in zip(rec, copy):
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("delta, cells", [(0.005, 1200), (0.002, 3000), (0.001, 6000)])
+def test_dense_output_matches_reintegration(delta, cells):
+    # the entropy battery's 256 quadrature rows over [0, 1]
+    f0, tr, times = _bump_solve(delta, cells)
+    sol, _ = _recorded(tr, f0, times)
+    fresh = TrackedSolution(tr, f0)
+    worst = 0.0
+    for t in (np.arange(256) + 0.5) / 256:
+        a, b = sol.field_at(t), fresh.field_at(t)
+        assert a.time == b.time == t
+        assert np.array_equal(a.ids, b.ids) and np.array_equal(a.z, b.z)
+        assert a.next_id == b.next_id
+        a.validate(strict_positions=True)
+        worst = max(worst, float(np.max(np.abs(a.positions - b.positions))))
+    assert worst <= 1e-10
+    print(f"\ndelta = {delta}: largest |interpolated - re-integrated| = {worst:.2e}")
+
+
+def test_keyframes_and_times_past_the_recorded_solve():
+    f0, tr, times = _bump_solve(0.005, 1200)
+    sol, recorded = _recorded(tr, f0, times[:1])
+    assert sol.field_at(0.0) is f0
+    assert sol.field_at(0.5) is recorded[0][0]
+    # past the last keyframe: advance from it, as without a recorded solve
+    beyond = sol.field_at(0.75)
+    again, _ = tr.advance(recorded[0][0], 0.75)
+    assert np.array_equal(beyond.positions, again.positions)
+    assert np.array_equal(beyond.ids, again.ids)
+    assert sol.field_at(0.75) is beyond
+
+
+def test_output_times_may_start_at_zero_and_repeat():
+    f0, tr, _ = _bump_solve(0.005, 1200)
+    sol, recorded = _recorded(tr, f0, (0.0, 0.5, 0.5))
+    assert [f.time for f, _ in recorded] == [0.0, 0.5, 0.5]
+    assert sol.field_at(0.0) is recorded[0][0]
+    assert sol.field_at(0.5) is recorded[2][0]
+    mid = sol.field_at(0.25)
+    ref = TrackedSolution(tr, f0).field_at(0.25)
+    assert np.array_equal(mid.ids, ref.ids)
+    assert np.max(np.abs(mid.positions - ref.positions)) <= 1e-10
+
+
+@pytest.mark.parametrize("f0", [
+    initial_fronts([], [3], 0.1),
+    # two touching fronts annihilate at t = 0: the rest of the span is empty
+    FrontField(time=0.0, delta=0.1, positions=np.array([0.0, 5e-11]),
+               z=np.array([1, 0, 1], dtype=np.int64),
+               ids=np.array([0, 1], dtype=np.int64), next_id=2),
+], ids=["empty", "annihilated"])
+def test_a_span_without_fronts(f0):
+    tr = Tracker(BURGERS, 0.1, (-2, 2), h_ode=0.01)
+    sol, _ = _recorded(tr, f0, (0.5,))
+    mid = sol.field_at(0.25)
+    ref, _ = tr.advance(f0, 0.25)
+    assert mid.time == 0.25 and mid.n_fronts == 0
+    assert np.array_equal(mid.z, ref.z) and mid.next_id == ref.next_id
+
+
+def test_a_query_at_an_event_time_sees_the_state_before_it():
+    f0 = initial_fronts([-1.0, 0.0], [4, 1, 0], 0.5)  # two shocks merge near t = 1
+    tr = Tracker(BURGERS, 0.5, (-6, 6), h_ode=0.01)
+    sol, [(_, log)] = _recorded(tr, f0, (2.0,))
+    (event,) = log
+    at = sol.field_at(event.time)
+    assert tuple(at.ids) == event.consumed
+    ref, _ = tr.advance(f0, event.time)
+    assert np.array_equal(at.ids, ref.ids)
+    assert np.max(np.abs(at.positions - ref.positions)) <= 1e-10
+    after = sol.field_at(np.nextafter(event.time, 3.0))
+    assert list(after.ids) == [event.produced]
+
+
 def test_long_horizon_oscillatory_data():
     # sine-in-a-bump data: repeated fan/shock interactions, strong TV decay
     import fronttrack as ftpkg

@@ -191,6 +191,28 @@ def test_entropy_battery_honest_run_and_control_rejection():
     assert any(r["residual"] < -10.0 * r["tol"] for r in bad)
 
 
+def test_entropy_battery_reads_the_recorded_solve_bit_for_bit():
+    # benchmark.ini's data, solve and battery: dense output moves the
+    # snapshots by about 4e-12, and no quadrature node lies that close to a front
+    delta = 0.005
+    u0 = make_initial("bump", amp=0.8, center=0.0, width=1.0)
+    f0 = quantize_initial(MODULATED, u0, delta, (-3, 3), 1200)
+    tr = Tracker(MODULATED, delta, (-6, 6))
+    recorded = TrackedSolution(tr, f0)
+    for t in (0.5, 1.0):
+        recorded.advance(t)
+    af = ApproxFlux(MODULATED, delta)
+    quad = QuadSpec(-3.0, 3.0, 0.0, 1.0, nx=256, nt=256)
+    runs = []
+    for sol in (recorded, TrackedSolution(tr, f0)):
+        rng = np.random.Generator(np.random.Philox(key=np.array([20260810, 1],
+                                                                dtype=np.uint64)))
+        runs.append(entropy_battery(sol, af, quad, rng, pairs=20, k_bound=1.2,
+                                    tv_u=2.0, speed_bound=1.7))
+    assert [(r["residual"], r["tol"]) for r in runs[0]] == \
+        [(r["residual"], r["tol"]) for r in runs[1]]
+
+
 @pytest.mark.parametrize("pairs", [1, 5])
 def test_entropy_battery_samples_the_solution_once(pairs):
     sol = burgers_shock_solution()
