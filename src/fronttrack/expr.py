@@ -1,9 +1,11 @@
 """Expression trees for user-defined fluxes in the variables x and u.
 
 Supports +, -, *, / and ^ with integer exponents, unary minus, and the
-functions sin, cos, tanh, exp, sqrt.  Trees are immutable; differentiation
-is exact and closed-form (no log branches thanks to integer-only powers),
-and evaluation works elementwise on numpy arrays as well as scalars.
+functions sin, cos, tanh, exp, sqrt.  Trees are immutable.  A tree runs as
+straight-line code, its jet (``fronttrack.jet``), that gives f and, by
+forward-mode differentiation, the exact partial derivatives f_u, f_x and f_uu
+(no log branches thanks to integer-only powers); it works elementwise on numpy
+arrays as well as scalars.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
-
-import numpy as np
 
 FUNCTIONS = ("sin", "cos", "tanh", "exp", "sqrt")
 VARIABLES = ("x", "u")
@@ -37,9 +37,7 @@ class ParseError(ValueError):
 
 class DomainError(ArithmeticError):
     """Evaluation left the finite numbers: overflow, division by zero or an
-    invalid operation such as sqrt of a negative number.  A tree whose source
-    nests more parentheses than Python's parser takes (200) cannot be
-    compiled, and raises it too."""
+    invalid operation such as sqrt of a negative number."""
 
     def __init__(self, text, reason):
         super().__init__(f"cannot evaluate `{text}`: {reason}")
@@ -47,17 +45,18 @@ class DomainError(ArithmeticError):
 
 class _Node:
     @cached_property
-    def _forms(self):
-        """The printed tree and its Python source, once: rendering recurses
-        once per tree level.  They differ only where the tree has a power."""
-        text = _render(self)
-        return text, _render(self, source=True) if "^" in text else text
+    def _jet(self):
+        from .jet import Jet  # imported on the first compile: see fronttrack.jet
+        return Jet(self)
 
     @cached_property
-    def _code(self):
-        """The Python source compiled, once.  Each power is a call of
-        ``_ipow``, which multiplies, so it never reaches numpy's ``pow``."""
-        return compile(self._forms[1], "<expr>", "eval")
+    def _f(self):
+        """The tree's value as a compiled function of (x, u), once."""
+        return self._jet.compile("f")[0]
+
+    @cached_property
+    def _text(self):
+        return _fold(self, _print)
 
 
 @dataclass(frozen=True)
@@ -154,7 +153,7 @@ def parse(src):
             if not (isinstance(literal, ast.Constant) and segment(literal).isdigit()
                     and _AFTER_POW.search(py, 0, literal.col_offset)):  # not u^(2)
                 fail(literal, f"got {segment(literal)!r}", expected=("integer exponent",))
-            if int(segment(literal)) > sys.float_info.max:  # differentiate needs float(k)
+            if int(segment(literal)) > sys.float_info.max:  # f_u's coefficient is float(k)
                 fail(literal, "exponent out of the float range")
             tree = Power(tree, sign * int(segment(literal)))
         return tree
@@ -178,179 +177,61 @@ def parse(src):
         raise ParseError(0, "expression nested too deeply") from None
 
 
+def _children(node):
+    if isinstance(node, (Const, Var)):
+        return ()
+    if isinstance(node, Unary):
+        return (node.arg,)
+    if isinstance(node, Binary):
+        return (node.left, node.right)
+    if isinstance(node, Power):
+        return (node.base,)
+    raise TypeError(f"not an expression node: {type(node).__name__}")
+
+
+def _fold(tree, combine):
+    """combine(node, the results of its children) over the tree, children
+    first and left to right, on an explicit stack, so a tree of any depth
+    folds.  A subtree object shared by several parents is combined once."""
+    done = {}
+    stack = [tree]
+    while stack:
+        node = stack[-1]
+        if id(node) in done:
+            stack.pop()
+            continue
+        kids = _children(node)
+        pending = [k for k in kids if id(k) not in done]
+        if pending:
+            stack.extend(reversed(pending))
+            continue
+        stack.pop()
+        done[id(node)] = combine(node, [done[id(k)] for k in kids])
+    return done[id(tree)]
+
+
 def free_vars(node):
-    if isinstance(node, Var):
-        return {node.name}
-    if isinstance(node, Unary):
-        return free_vars(node.arg)
-    if isinstance(node, Binary):
-        return free_vars(node.left) | free_vars(node.right)
-    if isinstance(node, Power):
-        return free_vars(node.base)
-    return set()
+    return _fold(node, lambda n, kids: {n.name} if isinstance(n, Var) else set().union(*kids))
 
 
-# ---------------------------------------------------------------------------
-# smart constructors (constant folding + identity rules, used by differentiate)
-# ---------------------------------------------------------------------------
-
-def _is_const(node, value=None):
-    return isinstance(node, Const) and (value is None or node.value == value)
-
-
-def _add(a, b):
-    if _is_const(a) and _is_const(b):
-        return Const(a.value + b.value)
-    if _is_const(a, 0.0):
-        return b
-    if _is_const(b, 0.0):
-        return a
-    return Binary("+", a, b)
-
-
-def _sub(a, b):
-    if _is_const(a) and _is_const(b):
-        return Const(a.value - b.value)
-    if _is_const(b, 0.0):
-        return a
-    if _is_const(a, 0.0):
-        return _neg(b)
-    return Binary("-", a, b)
-
-
-def _mul(a, b):
-    if _is_const(a) and _is_const(b):
-        return Const(a.value * b.value)
-    if _is_const(a, 0.0) or _is_const(b, 0.0):
-        return Const(0.0)
-    if _is_const(a, 1.0):
-        return b
-    if _is_const(b, 1.0):
-        return a
-    return Binary("*", a, b)
-
-
-def _div(a, b):
-    if _is_const(a) and _is_const(b) and b.value != 0.0:
-        return Const(a.value / b.value)
-    if _is_const(a, 0.0):
-        return Const(0.0)
-    if _is_const(b, 1.0):
-        return a
-    return Binary("/", a, b)
-
-
-def _neg(a):
-    if _is_const(a):
-        return Const(-a.value)
-    return Unary("neg", a)
-
-
-def _pow(base, n):
-    if n == 0:
-        return Const(1.0)
-    if n == 1:
-        return base
-    if _is_const(base):
-        try:
-            return Const(base.value ** n)
-        except (ZeroDivisionError, OverflowError):
-            pass  # 0^-n or an overflow: evaluate reports it as a DomainError
-    return Power(base, n)
-
-
-def differentiate(node, var):
-    """Exact symbolic partial derivative with respect to "x" or "u"."""
-    if var not in VARIABLES:
-        raise ValueError(f"unknown variable {var!r}")
-    if isinstance(node, Const):
-        return Const(0.0)
-    if isinstance(node, Var):
-        return Const(1.0 if node.name == var else 0.0)
-    if isinstance(node, Binary):
-        da = differentiate(node.left, var)
-        db = differentiate(node.right, var)
-        if node.op == "+":
-            return _add(da, db)
-        if node.op == "-":
-            return _sub(da, db)
-        if node.op == "*":
-            return _add(_mul(da, node.right), _mul(node.left, db))
-        # quotient rule
-        num = _sub(_mul(da, node.right), _mul(node.left, db))
-        return _div(num, _pow(node.right, 2))
-    if isinstance(node, Power):
-        dbase = differentiate(node.base, var)
-        return _mul(_mul(Const(float(node.exponent)), _pow(node.base, node.exponent - 1)),
-                    dbase)
-    if isinstance(node, Unary):
-        darg = differentiate(node.arg, var)
-        if node.op == "neg":
-            return _neg(darg)
-        if node.op == "sin":
-            return _mul(Unary("cos", node.arg), darg)
-        if node.op == "cos":
-            return _neg(_mul(Unary("sin", node.arg), darg))
-        if node.op == "tanh":
-            return _mul(_sub(Const(1.0), _pow(Unary("tanh", node.arg), 2)), darg)
-        if node.op == "exp":
-            return _mul(Unary("exp", node.arg), darg)
-        if node.op == "sqrt":
-            return _div(darg, _mul(Const(2.0), Unary("sqrt", node.arg)))
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-# ---------------------------------------------------------------------------
-# evaluation
-# ---------------------------------------------------------------------------
-
-def _ipow(base, k):
-    """base^k for an integer k by repeated squaring, O(log |k|) products.
-
-    Products give the same bits for scalars and arrays whatever the sign of
-    the base, where numpy's ``**`` leaves its SIMD kernel for libm's scalar
-    ``pow`` on a base <= 0.  k = 0 is ``base ** 0``, which keeps the shape
-    and 0^0 = 1; a negative k is the reciprocal of the positive power, which
-    may overflow to inf (as Python floats do) when the reciprocal is about 0.
-    """
-    if k < 0:
-        with np.errstate(over="ignore"):
-            return 1.0 / _ipow(base, -k)
-    if k == 0:
-        return base ** 0
-    result = None
-    while True:
-        if k & 1:
-            result = base if result is None else result * base
-        k >>= 1
-        if not k:
-            return result
-        base = base * base
-
-
-# the names a compiled tree may read besides x and u
-_NAMESPACE = {"__builtins__": {}, "inf": math.inf, "nan": math.nan, "_ipow": _ipow,
-              **{name: getattr(np, name) for name in FUNCTIONS}}
+def jet(tree):
+    """The tree's f, fu, fx and fuu, functions of (x, u) with evaluate's guard,
+    and at, which maps x to the pair (f(x, .), f_u(x, .)): emitted as one
+    program and compiled once.  f is the function that evaluate runs."""
+    names = ("f", "fu", "fx", "fuu", "at")
+    return dict(zip(names, tree._jet.compile(*names)))
 
 
 def evaluate(node, x, u):
     """Evaluate elementwise at (x, u); raises DomainError on non-finite results.
 
-    The tree's source, rendered with its printed form and compiled on its
-    first evaluation, runs under one floating-point guard: numpy raises on
-    overflow, division by zero or an invalid operation, Python floats raise
-    on division by zero, and the single finiteness check of the result
-    catches what plain Python floats let through (an overflowing product is
-    inf).
+    The tree runs as straight-line code, emitted and compiled on its first
+    evaluation, under one floating-point guard: numpy raises on overflow,
+    division by zero or an invalid operation, Python floats raise on division
+    by zero, and the single finiteness check of the result catches what plain
+    Python floats let through (an overflowing product is inf).
     """
-    try:
-        with np.errstate(divide="raise", over="raise", invalid="raise"):
-            out = eval(node._code, _NAMESPACE, {"x": x, "u": u})
-    except (FloatingPointError, ZeroDivisionError, OverflowError, SyntaxError) as e:
-        raise DomainError(pretty(node), str(e)) from None
-    if not np.isfinite(out).all():
-        raise DomainError(pretty(node), "non-finite result")
-    return out
+    return node._f(x, u)
 
 
 # ---------------------------------------------------------------------------
@@ -374,26 +255,22 @@ def _prec(node):
 
 def pretty(node):
     """Render with minimal parentheses; reparses to an equivalent tree.  The
-    text is kept on the node, so a tree is printed (and recursed) only once."""
-    return node._forms[0] if isinstance(node, _Node) else _render(node)
+    text is kept on the node, so a tree is printed only once."""
+    return node._text if isinstance(node, _Node) else _fold(node, _print)
 
 
-def _render(node, source=False):
-    """The printed text, or with ``source`` the Python source, which writes
-    each power ``u^2`` as a call ``_ipow(u, 2)``."""
+def _print(node, texts):
+    """The text of a node from the texts of its children."""
     if isinstance(node, Const):
         return repr(node.value)
     if isinstance(node, Var):
         return node.name
     if isinstance(node, Unary):
-        if node.op == "neg":
-            inner = _render(node.arg, source)
-            if _prec(node.arg) < _PRECEDENCE["neg"]:
-                inner = f"({inner})"
-            return f"-{inner}"
-        return f"{node.op}({_render(node.arg, source)})"
+        if node.op != "neg":
+            return f"{node.op}({texts[0]})"
+        return f"-({texts[0]})" if _prec(node.arg) < _PRECEDENCE["neg"] else f"-{texts[0]}"
     if isinstance(node, Binary):
-        lp, rp = _render(node.left, source), _render(node.right, source)
+        lp, rp = texts
         p = _PRECEDENCE[node.op]
         if _prec(node.left) < p:
             lp = f"({lp})"
@@ -401,11 +278,7 @@ def _render(node, source=False):
         if _prec(node.right) <= p:
             rp = f"({rp})"
         return f"{lp} {node.op} {rp}"
-    if isinstance(node, Power):
-        bp = _render(node.base, source)
-        if source:
-            return f"_ipow({bp}, {node.exponent})"
-        if _prec(node.base) <= _PRECEDENCE["^"]:
-            bp = f"({bp})"
-        return f"{bp}^{node.exponent}"
-    raise TypeError(f"not an expression node: {node!r}")
+    bp = texts[0]
+    if _prec(node.base) <= _PRECEDENCE["^"]:
+        bp = f"({bp})"
+    return f"{bp}^{node.exponent}"

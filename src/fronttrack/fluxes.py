@@ -17,7 +17,7 @@ import numpy as np
 from . import expr as fexpr
 
 # S0 checks: builtins evaluate their structure exactly; DSL fluxes go through
-# symbolic derivatives plus floating-point evaluation and accumulate rounding.
+# forward-mode derivatives plus floating-point evaluation and accumulate rounding.
 TOL_AUDIT_BUILTIN = 1e-10
 TOL_AUDIT_DSL = 1e-7
 
@@ -143,8 +143,9 @@ def make_builtin_flux(family, **params):
 
     homogeneous_burgers: f = u^2/2
     modulated_burgers:   f = a(x) u^2/2 with a(x) = base + amp*sin(freq*x + phase)
-    custom_expr:         f parsed from ``expr`` (a string in x, u); derivatives
-                         are exact symbolic trees, alpha left for the audit.
+    custom_expr:         f parsed from ``expr`` (a string in x, u, or a tree);
+                         f and its exact derivatives run as the tree's jet,
+                         alpha left for the audit.
     """
     if family == "homogeneous_burgers":
         if params:
@@ -186,22 +187,13 @@ def make_builtin_flux(family, **params):
         extra = fexpr.free_vars(tree) - set(fexpr.VARIABLES)
         if extra:
             raise InvalidFluxParams(f"flux expression uses unknown variables {extra}")
-        # differentiating and printing recurse once per tree level; a printed
-        # tree keeps its text, so evaluate compiles it at any stack depth
-        try:
-            d_u = fexpr.differentiate(tree, "u")
-            d_x = fexpr.differentiate(tree, "x")
-            d_uu = fexpr.differentiate(d_u, "u")
-            for t in (tree, d_u, d_x, d_uu):
-                fexpr.pretty(t)
-        except RecursionError:
-            raise InvalidFluxParams("flux expression nested too deeply to "
-                                    "differentiate") from None
-        return Flux(
+        jet = fexpr.jet(tree)
+        return Flux(  # f is the jet's f, called through evaluate, the traced entry point
             f=lambda x, u, t=tree: fexpr.evaluate(t, x, u),
-            fu=lambda x, u, t=d_u: fexpr.evaluate(t, x, u),
-            fx=lambda x, u, t=d_x: fexpr.evaluate(t, x, u),
-            fuu=lambda x, u, t=d_uu: fexpr.evaluate(t, x, u),
+            fu=jet["fu"],
+            fx=jet["fx"],
+            fuu=jet["fuu"],
+            at=jet["at"],
             alpha=None,
             family=family,
             params={"expr": source if isinstance(source, str) else fexpr.pretty(source)},

@@ -342,18 +342,16 @@ class _State:
         warm-start traces of the speed evaluation that found the contact; the
         produced front starts from the cluster's outer traces (left of a,
         right of b), its own left and right states there."""
-        outer = (self.trace[0, a], self.trace[1, b])
-        self.trace = np.delete(self.trace, np.s_[a:b + 1], axis=1)
-        self.levels = self.num = None
-        self.y = np.delete(self.y, np.s_[a:b + 1])
-        self.ids = np.delete(self.ids, np.s_[a:b + 1])
-        self.z = np.delete(self.z, np.s_[a + 1:b + 1])
-        if produced is None:
-            self.z = np.delete(self.z, a + 1)
+        if produced is None:  # the outer levels meet: z keeps one of them
+            y, ids, trace, z_right = self.y[:0], self.ids[:0], self.trace[:, :0], b + 2
         else:
-            self.y = np.insert(self.y, a, produced[0])
-            self.ids = np.insert(self.ids, a, produced[1])
-            self.trace = np.insert(self.trace, a, outer, axis=1)
+            y, ids = np.array(produced[:1], dtype=float), np.array(produced[1:], dtype=np.int64)
+            trace, z_right = np.array([[self.trace[0, a]], [self.trace[1, b]]]), b + 1
+        self.levels = self.num = None
+        self.y = np.concatenate((self.y[:a], y, self.y[b + 1:]))
+        self.ids = np.concatenate((self.ids[:a], ids, self.ids[b + 1:]))
+        self.z = np.concatenate((self.z[:a + 1], self.z[z_right:]))
+        self.trace = np.concatenate((self.trace[:, :a], trace, self.trace[:, b + 1:]), axis=1)
 
     def to_field(self, delta, quantization=None):
         return FrontField(

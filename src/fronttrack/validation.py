@@ -24,7 +24,8 @@ from .profiles import make_initial, smooth_bump, smooth_bump_prime
 from .riemann import ApproxFlux
 from .stationary import g_of, inversion_gap_bound, profile_slope, solve_level
 from .tracker import (H_ODE_DEFAULT, Tracker, TrackedSolution, common_pieces,
-                      l1_g_distance, quantize_initial, sample_initial, sample_u, tv_g)
+                      l1_g_distance, quantize_initial, sample_g, sample_initial, sample_u,
+                      tv_g)
 
 # peak of |d/ds bump(s)| over np.linspace(-1, 1, 400001), the bits of that scan
 BUMP_PRIME_MAX = 2.1703570856905516
@@ -35,6 +36,12 @@ BUMP_PRIME_MAX = 2.1703570856905516
 # ratios observed while calibrating on shock/fan/multi-front and front-free runs
 TOL_QUAD_C = 0.5
 TOL_SMOOTH_C = 1.0
+
+# quadrature rows per profile inversion when sampling a TrackedSolution: one
+# call per row pays Newton's Python overhead per row; on a benchmark.ini run
+# the whole 256 x 256 grid at once raised peak RSS by 3 MiB, 32-row blocks by
+# 0.3 MiB, and 16-row blocks not measurably
+SAMPLE_BLOCK_ROWS = 16
 
 
 class SupportError(ValueError):
@@ -126,10 +133,20 @@ class TestFunction:
 
 def _sample_rows(solution, quad, f):
     """u on the (nt, nx) quadrature grid (one snapshot per time row), f(x, u)
-    on that grid from one call, and u at t_lo."""
+    on that grid from one call, and u at t_lo.  A TrackedSolution's rows are
+    inverted SAMPLE_BLOCK_ROWS at a time, in one solve_level call on their
+    stacked levels: Newton is elementwise, so the bits are those of one call
+    per row."""
     u_of = solution.sample_u if hasattr(solution, "sample_u") else solution
     xs = quad.x_mids()
-    u = np.array([u_of(xs, t) for t in quad.t_mids()], dtype=float)
+    ts = quad.t_mids()
+    if isinstance(solution, TrackedSolution):
+        u = np.concatenate([
+            solve_level(solution.tracker.flux, xs,
+                        np.array([sample_g(solution.field_at(t), xs) for t in block]))
+            for block in np.split(ts, range(SAMPLE_BLOCK_ROWS, len(ts), SAMPLE_BLOCK_ROWS))])
+    else:
+        u = np.array([u_of(xs, t) for t in ts], dtype=float)
     return u, np.asarray(f(xs, u), dtype=float), np.asarray(u_of(xs, quad.t_lo), dtype=float)
 
 

@@ -213,6 +213,23 @@ def test_run_aborts_on_audit_failure(tmp_path):
     assert written["audit"]["alpha"] is None and written["audit"]["fuu_max"] is None
 
 
+@pytest.mark.parametrize("expr", ["*".join(["u"] * 500), "u^2" + "/(1+x^2)" * 400],
+                         ids=["product-of-500-factors", "quotient-by-400-factors"])
+def test_main_deep_flux_builds_and_fails_its_audit(tmp_path, capsys, expr):
+    # the product and quotient rules add a tree level per factor, but the jet
+    # is straight-line code: the flux builds, and its f_uu is 0 on the audit
+    # grid (u^498 at small u; u^2 / (1 + x^2)^400 underflows away from x = 0)
+    bad = write_config(tmp_path, GOOD_CONFIG.replace(
+        "modulated_burgers\nbase = 1.0\namp = 0.5", f"custom_expr\nexpr = {expr}"))
+    out = tmp_path / "o"
+    assert main(["run", bad, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"{bad}: exit status 2\n"  # one line, no traceback
+    assert os.listdir(out) == ["manifest.json"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["error"] == "audit failed; solve aborted"
+    assert manifest["audit"]["violations"][0][0] == "UC:f_uu>0"
+
+
 def _refuse_constant(name):
     raise ValueError(f"manifest.json holds {name}, which is not JSON")
 
@@ -262,14 +279,6 @@ def test_main_options_before_or_after_subcommand(tmp_path, capsys, before):
     ("profile = bump\namp = 0.6\nwidth = 1.0", "profile = expr\nexpr = sqrt(x)",
      "[initial] profile"),
     ("width = 1.0", "width = 1.0\ncentre = 1.5", "[initial] profile"),
-    # they parse, but the product and quotient rules add a tree level per
-    # factor, past the stack that differentiating and printing recurse on
-    pytest.param("modulated_burgers\nbase = 1.0\namp = 0.5",
-                 "custom_expr\nexpr = " + "*".join(["u"] * 500),
-                 "[flux] family", id="product-too-deep-to-differentiate"),
-    pytest.param("modulated_burgers\nbase = 1.0\namp = 0.5",
-                 "custom_expr\nexpr = u^2" + "/(1+x^2)" * 400,
-                 "[flux] family", id="quotient-too-deep-to-differentiate"),
     # 10^309 has no float, which the derivative's coefficient needs
     pytest.param("modulated_burgers\nbase = 1.0\namp = 0.5",
                  "custom_expr\nexpr = u^2/2 + 0*u^1" + "0" * 309,

@@ -1,11 +1,13 @@
 import functools
 import operator
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fronttrack import expr as fx
+from fronttrack import expr as fx, jet
+from fronttrack.fluxes import make_builtin_flux
 
 
 CORPUS = [
@@ -26,6 +28,117 @@ def fd_u(tree, x, u, h=1e-5):
 
 def fd_x(tree, x, u, h=1e-5):
     return (fx.evaluate(tree, x + h, u) - fx.evaluate(tree, x - h, u)) / (2 * h)
+
+
+# ---------------------------------------------------------------------------
+# the symbolic differentiator that the jet replaced, kept as the reference
+# ---------------------------------------------------------------------------
+
+def _is_const(node, value=None):
+    return isinstance(node, fx.Const) and (value is None or node.value == value)
+
+
+def _add(a, b):
+    if _is_const(a) and _is_const(b):
+        return fx.Const(a.value + b.value)
+    if _is_const(a, 0.0):
+        return b
+    if _is_const(b, 0.0):
+        return a
+    return fx.Binary("+", a, b)
+
+
+def _sub(a, b):
+    if _is_const(a) and _is_const(b):
+        return fx.Const(a.value - b.value)
+    if _is_const(b, 0.0):
+        return a
+    if _is_const(a, 0.0):
+        return _neg(b)
+    return fx.Binary("-", a, b)
+
+
+def _mul(a, b):
+    if _is_const(a) and _is_const(b):
+        return fx.Const(a.value * b.value)
+    if _is_const(a, 0.0) or _is_const(b, 0.0):
+        return fx.Const(0.0)
+    if _is_const(a, 1.0):
+        return b
+    if _is_const(b, 1.0):
+        return a
+    return fx.Binary("*", a, b)
+
+
+def _div(a, b):
+    if _is_const(a) and _is_const(b) and b.value != 0.0:
+        return fx.Const(a.value / b.value)
+    if _is_const(a, 0.0):
+        return fx.Const(0.0)
+    if _is_const(b, 1.0):
+        return a
+    return fx.Binary("/", a, b)
+
+
+def _neg(a):
+    if _is_const(a):
+        return fx.Const(-a.value)
+    return fx.Unary("neg", a)
+
+
+def _pow(base, n):
+    if n == 0:
+        return fx.Const(1.0)
+    if n == 1:
+        return base
+    if _is_const(base):
+        try:
+            return fx.Const(base.value ** n)
+        except (ZeroDivisionError, OverflowError):
+            pass  # 0^-n or an overflow: evaluate reports it as a DomainError
+    return fx.Power(base, n)
+
+
+def differentiate(node, var):
+    """Exact symbolic partial derivative with respect to "x" or "u": a tree,
+    built with constant folding and the identities of 0 and 1."""
+    if var not in fx.VARIABLES:
+        raise ValueError(f"unknown variable {var!r}")
+    if isinstance(node, fx.Const):
+        return fx.Const(0.0)
+    if isinstance(node, fx.Var):
+        return fx.Const(1.0 if node.name == var else 0.0)
+    if isinstance(node, fx.Binary):
+        da = differentiate(node.left, var)
+        db = differentiate(node.right, var)
+        if node.op == "+":
+            return _add(da, db)
+        if node.op == "-":
+            return _sub(da, db)
+        if node.op == "*":
+            return _add(_mul(da, node.right), _mul(node.left, db))
+        # quotient rule
+        num = _sub(_mul(da, node.right), _mul(node.left, db))
+        return _div(num, _pow(node.right, 2))
+    if isinstance(node, fx.Power):
+        dbase = differentiate(node.base, var)
+        return _mul(_mul(fx.Const(float(node.exponent)), _pow(node.base, node.exponent - 1)),
+                    dbase)
+    if isinstance(node, fx.Unary):
+        darg = differentiate(node.arg, var)
+        if node.op == "neg":
+            return _neg(darg)
+        if node.op == "sin":
+            return _mul(fx.Unary("cos", node.arg), darg)
+        if node.op == "cos":
+            return _neg(_mul(fx.Unary("sin", node.arg), darg))
+        if node.op == "tanh":
+            return _mul(_sub(fx.Const(1.0), _pow(fx.Unary("tanh", node.arg), 2)), darg)
+        if node.op == "exp":
+            return _mul(fx.Unary("exp", node.arg), darg)
+        if node.op == "sqrt":
+            return _div(darg, _mul(fx.Const(2.0), fx.Unary("sqrt", node.arg)))
+    raise TypeError(f"not an expression node: {node!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +178,7 @@ def test_parse_error_on_an_over_long_integer_literal(src, position):
 @pytest.mark.parametrize("sign", ["", "-"])
 def test_parse_error_on_an_exponent_past_the_float_range(sign):
     # differentiate writes the exponent as a float; 10^308 still converts
-    fx.differentiate(fx.parse("u^1" + "0" * 308), "u")
+    differentiate(fx.parse("u^1" + "0" * 308), "u")
     with pytest.raises(fx.ParseError) as info:
         fx.parse(f"u^2/2 + u^{sign}1" + "0" * 309)
     assert info.value.position == 10 + len(sign)
@@ -139,21 +252,23 @@ def test_domain_error_on_any_non_finite_value(src, u):
     assert fx.pretty(tree) in str(info.value)
 
 
-def test_a_tree_too_deep_to_compile_is_a_domain_error():
+def test_a_derivative_tree_too_deep_for_nested_source_evaluates():
     # the quotient rule nests about two parentheses per level, past the 200
-    # that Python's parser takes
+    # that Python's parser takes; the jet's straight-line code nests none
     src = "u"
     for _ in range(120):
         src = f"u/(1+{src})"
     tree = fx.parse(src)
     assert np.isfinite(fx.evaluate(tree, 0.3, 0.2))
-    with pytest.raises(fx.DomainError, match="too many nested parentheses"):
-        fx.evaluate(fx.differentiate(tree, "u"), 0.3, 0.2)
+    du = differentiate(tree, "u")
+    assert outcome(fx.evaluate, du, 0.3, 0.2) == outcome(walk_evaluate, du, 0.3, 0.2)
+    flux = make_builtin_flux("custom_expr", expr=src)
+    assert flux.fu(0.3, 0.2) == pytest.approx(fx.evaluate(du, 0.3, 0.2), rel=1e-12)
 
 
 def test_evaluate_is_the_numpy_expression_in_the_same_order():
     tree = fx.parse("(1+0.5*sin(x))*u^2/2 + u^4/12")
-    du = fx.differentiate(tree, "u")
+    du = differentiate(tree, "u")
     rng = np.random.default_rng(11)
     x = np.append(rng.uniform(-3, 3, 64), [0.0, -0.0])
     u = np.append(rng.uniform(-2, 2, 64), [-0.0, 0.0])
@@ -170,19 +285,19 @@ def test_evaluate_is_the_numpy_expression_in_the_same_order():
 # ---------------------------------------------------------------------------
 
 def test_derivative_burgers_is_u():
-    du = fx.differentiate(fx.parse("u^2/2"), "u")
+    du = differentiate(fx.parse("u^2/2"), "u")
     for u in (-2.0, 0.0, 0.7, 3.5):
         assert fx.evaluate(du, 0.0, u) == pytest.approx(u, abs=1e-15)
 
 
 def test_derivative_of_pure_x_in_u_is_zero():
-    du = fx.differentiate(fx.parse("sin(x)"), "u")
+    du = differentiate(fx.parse("sin(x)"), "u")
     assert fx.evaluate(du, 1.234, 77.0) == 0.0
 
 
 def test_derivative_modulated_in_x():
     tree = fx.parse("(1+0.5*sin(x))*u^2/2")
-    dx = fx.differentiate(tree, "x")
+    dx = differentiate(tree, "x")
     for x, u in [(0.0, 2.0), (1.1, -0.7), (np.pi / 2, 2.0)]:
         want = 0.5 * np.cos(x) * u * u / 2
         assert fx.evaluate(dx, x, u) == pytest.approx(want, rel=1e-12)
@@ -191,8 +306,8 @@ def test_derivative_modulated_in_x():
 @pytest.mark.parametrize("src", CORPUS)
 def test_derivatives_match_finite_differences(src):
     tree = fx.parse(src)
-    du = fx.differentiate(tree, "u")
-    dxe = fx.differentiate(tree, "x")
+    du = differentiate(tree, "u")
+    dxe = differentiate(tree, "x")
     rng = np.random.default_rng(42)
     for _ in range(50):
         x = rng.uniform(-2, 2)
@@ -203,8 +318,8 @@ def test_derivatives_match_finite_differences(src):
 
 def test_second_derivative_matches_fd_of_first():
     tree = fx.parse(CORPUS[1])
-    du = fx.differentiate(tree, "u")
-    duu = fx.differentiate(du, "u")
+    du = differentiate(tree, "u")
+    duu = differentiate(du, "u")
     rng = np.random.default_rng(3)
     for _ in range(20):
         x, u = rng.uniform(-2, 2, size=2)
@@ -261,7 +376,7 @@ def test_round_trip_property(tree):
 
 def test_derivative_of_derivative_tree_round_trips():
     tree = fx.parse(CORPUS[4])
-    duu = fx.differentiate(fx.differentiate(tree, "u"), "u")
+    duu = differentiate(differentiate(tree, "u"), "u")
     again = fx.parse(fx.pretty(duu))
     for x, u in [(0.1, 0.2), (-1.0, 1.5)]:
         assert fx.evaluate(duu, x, u) == fx.evaluate(again, x, u)
@@ -355,7 +470,7 @@ WALK_U = np.array([-0.0, 0.0, 1.1, -0.4, -3.0, 40.0])
 @example(fx.Binary("/", fx.Const(1.0), fx.Power(fx.Var("x"), -2)))
 @settings(max_examples=300, deadline=None)
 def test_compiled_evaluation_matches_the_tree_walk_bit_for_bit(tree):
-    for node in (tree, fx.differentiate(tree, "x"), fx.differentiate(tree, "u")):
+    for node in (tree, differentiate(tree, "x"), differentiate(tree, "u")):
         assert outcome(fx.evaluate, node, WALK_X, WALK_U) == \
             outcome(walk_evaluate, node, WALK_X, WALK_U)
         for x, u in zip(WALK_X.tolist(), WALK_U.tolist()):
@@ -366,11 +481,107 @@ def test_each_tree_compiles_once(monkeypatch):
     tree = fx.parse("(1+0.5*sin(x))*u^2/2 + u^-2")
     compiled = []
     real_compile = compile
-    monkeypatch.setattr(fx, "compile", lambda *a: compiled.append(a[0]) or real_compile(*a),
+    monkeypatch.setattr(jet, "compile", lambda *a: compiled.append(a[0]) or real_compile(*a),
                         raising=False)
     for _ in range(3):
         fx.evaluate(tree, np.ones(4), np.full(4, 2.0))
-    assert compiled == ["(1.0 + 0.5 * sin(x)) * _ipow(u, 2) / 2.0 + _ipow(u, -2)"]
+    # one straight-line function, a temporary per operation and u^2 a product
+    assert [line.strip() for line in compiled[0].splitlines()
+            if re.match(r" +(t\d+|out) = ", line)] == [
+        "t0 = sin(x)", "t1 = 0.5 * t0", "t2 = 1.0 + t1", "t3 = u * u", "t4 = t2 * t3",
+        "t5 = t4 / 2.0", "t6 = _ipow(u, -2)", "t7 = t5 + t6", "out = t7"]
+    # a flux on the tree compiles its other four functions in one source, and
+    # a flux on a fresh tree all five
+    make_builtin_flux("custom_expr", expr=tree)
+    make_builtin_flux("custom_expr", expr="(1+0.5*sin(x))*u^2/2 + u^-2")
+    assert len(compiled) == 3
+    assert [re.findall(r"^def (\w+)", source, re.M) for source in compiled[1:]] == [
+        ["fu", "fx", "fuu", "at"], ["f", "fu", "fx", "fuu", "at"]]
+    flux = make_builtin_flux("custom_expr", expr=tree)
+    assert flux.f(1.0, 2.0) == fx.evaluate(tree, 1.0, 2.0)
+    assert len(compiled) == 3
+
+
+# ---------------------------------------------------------------------------
+# the jet against the symbolic differentiator
+# ---------------------------------------------------------------------------
+
+def _bounded(tree):
+    """3 + sin(tree): in [2, 4], so it may divide, take a root or a negative power."""
+    return fx.Binary("+", fx.Const(3.0), fx.Unary("sin", tree))
+
+
+@st.composite
+def defined_trees(draw, depth=0):
+    """Trees of every operation that evaluate, with their derivatives, on
+    |x|, |u| <= 2 without overflow or an undefined value."""
+    if depth > 3 or draw(st.booleans()):
+        leaf = draw(st.sampled_from(["x", "u", "const"]))
+        if leaf == "const":
+            return fx.Const(draw(st.sampled_from([0.0, -0.0, 1.0, 2.0]) | st.floats(
+                min_value=-4, max_value=4, allow_nan=False, allow_infinity=False)))
+        return fx.Var(leaf)
+    kind = draw(st.sampled_from(["+", "-", "*", "/", "neg", "pow"] + list(fx.FUNCTIONS)))
+    a = draw(defined_trees(depth=depth + 1))
+    if kind in "+-*":
+        return fx.Binary(kind, a, draw(defined_trees(depth=depth + 1)))
+    if kind == "/":
+        return fx.Binary("/", a, _bounded(draw(defined_trees(depth=depth + 1))))
+    if kind == "pow":
+        k = draw(st.integers(min_value=-3, max_value=4))
+        return fx.Power(a if k >= 0 else _bounded(a), k)
+    if kind in ("sqrt", "exp"):
+        return fx.Unary(kind, _bounded(a))
+    return fx.Unary(kind, a)
+
+
+JET_X = np.array([0.0, -0.0, 0.7, -1.3, 1.9, 1e-3])
+JET_U = np.array([[-0.0, 0.0, 1.1, -0.4, -1.7, 0.25],   # stacked rows on shared x,
+                  [0.3, -1.2, 0.0, 1.6, 0.9, -0.05]])  # as solve_level inverts them
+
+
+def assert_jet_matches_the_reference(tree):
+    """f bit for bit against the tree walk, at's pair bit for bit against f
+    and f_u, and f_u, f_x, f_uu to rounding against the symbolic trees."""
+    flux = make_builtin_flux("custom_expr", expr=tree)
+    f = flux.f(JET_X, JET_U)
+    assert bits(f) == bits(walk_evaluate(tree, JET_X, JET_U))
+    f_at, fu_at = flux.at(JET_X)
+    assert bits(f_at(JET_U)) == bits(f)
+    assert bits(fu_at(JET_U)) == bits(flux.fu(JET_X, JET_U))
+    du = differentiate(tree, "u")
+    for got, reference in ((flux.fu, du), (flux.fx, differentiate(tree, "x")),
+                           (flux.fuu, differentiate(du, "u"))):
+        want = np.asarray(fx.evaluate(reference, JET_X, JET_U))
+        scale = 1.0 + np.max(np.abs(want))
+        assert np.allclose(got(JET_X, JET_U), want, rtol=1e-12, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("src", CORPUS)
+def test_the_jet_matches_the_symbolic_derivatives(src):
+    assert_jet_matches_the_reference(fx.parse(src))
+
+
+@given(defined_trees())
+@example(fx.parse("u*u - u^2 + (u^2)^2 - u^4"))  # a product and a power share a temporary
+@example(fx.parse("tanh(u)^2 + tanh(u)*u"))
+@settings(max_examples=300, deadline=None)
+def test_the_jet_matches_the_symbolic_derivatives_on_random_trees(tree):
+    assert_jet_matches_the_reference(tree)
+
+
+def test_the_jet_grows_linearly_with_a_product(monkeypatch):
+    # the symbolic f_uu of an n-factor product copies every factor into each
+    # of its terms, about n^3 text; the jet has a few temporaries per factor
+    sources = []
+    real_compile = compile
+    monkeypatch.setattr(jet, "compile", lambda *a: sources.append(a[0]) or real_compile(*a),
+                        raising=False)
+    for n in (100, 200):
+        make_builtin_flux("custom_expr",
+                          expr="*".join(f"(1 + u/{k})" for k in range(1, n + 1)))
+    small, large = map(len, sources)
+    assert large <= 2.2 * small
 
 
 # ---------------------------------------------------------------------------

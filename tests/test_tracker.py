@@ -554,6 +554,31 @@ def test_remove_range_keeps_the_warm_starts():
     assert np.array_equal(st.trace[1], ur[[0, 3, 4]])
 
 
+def delete_and_insert(st, a, b, produced=None):
+    """_State.remove_range as np.delete and np.insert calls: the reference
+    for its slices.  Returns the new (y, ids, z, trace)."""
+    outer = (st.trace[0, a], st.trace[1, b])
+    trace = np.delete(st.trace, np.s_[a:b + 1], axis=1)
+    y = np.delete(st.y, np.s_[a:b + 1])
+    ids = np.delete(st.ids, np.s_[a:b + 1])
+    z = np.delete(st.z, np.s_[a + 1:b + 1])
+    if produced is None:
+        return y, ids, np.delete(z, a + 1), trace
+    return (np.insert(y, a, produced[0]), np.insert(ids, a, produced[1]), z,
+            np.insert(trace, a, outer, axis=1))
+
+
+@pytest.mark.parametrize("a, b", [(0, 0), (0, 4), (1, 3), (2, 3), (4, 4)])
+@pytest.mark.parametrize("produced", [None, (0.25, 99)], ids=["annihilate", "produce"])
+def test_remove_range_matches_delete_and_insert(a, b, produced):
+    st = _State(initial_fronts([-2.0, -1.0, 0.0, 1.0, 2.0], [4, 3, 2, 1, 2, 0], 0.1))
+    st.trace = np.array((np.arange(5.0) + 0.1, np.arange(5.0) + 0.6))
+    want = delete_and_insert(st, a, b, produced)
+    st.remove_range(a, b, produced)
+    for got, ref in zip((st.y, st.ids, st.z, st.trace), want):
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+
 def test_speed_evaluation_after_a_merge_starts_warm():
     calls = []
 

@@ -62,10 +62,12 @@ def test_bump_prime_max_is_the_bits_of_its_grid_scan():
 
 
 def test_import_loads_no_scipy():
-    # scipy is imported by SingleFrontSolution only, when an oracle is built
+    # scipy is imported by SingleFrontSolution only, when an oracle is built,
+    # and the expression jet by the first expression compiled
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     code = ("import fronttrack, fronttrack.cli, sys; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy' or m == 'fronttrack.jet'))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "[]"
@@ -257,12 +259,15 @@ def _row_loop_residual(solution, f, fx, k, phi, quad):
     return total, fx_row_k
 
 
-@pytest.mark.parametrize("solution", ["tracked", "single_front"])
+@pytest.mark.parametrize("solution", ["tracked", "recorded", "single_front"])
 @pytest.mark.parametrize("approx", [False, True], ids=["exact_flux", "approx_flux"])
 def test_grid_residual_equals_the_row_loop_bit_for_bit(solution, approx):
-    if solution == "tracked":
+    # a TrackedSolution's 72 rows are sampled in four blocks of 16 and one of 8
+    if solution in ("tracked", "recorded"):
         f0 = initial_fronts([-0.8, 0.3], [0, 6, 0], 0.1)  # fan then shock
         sol = TrackedSolution(Tracker(MODULATED, 0.1, (-3.5, 3.5)), f0)
+        if solution == "recorded":
+            sol.advance(1.0)
     else:
         sol = SingleFrontSolution(MODULATED, 0.0, 0.5, 0.0, 1.0)
     af = ApproxFlux(MODULATED, 0.1)
@@ -291,6 +296,10 @@ def test_entropy_battery_call_budget(monkeypatch, nt):
     real_eval = ApproxFlux.eval
     monkeypatch.setattr(ApproxFlux, "eval",
                         lambda self, x, u: evals.append(1) or real_eval(self, x, u))
+    blocks = []
+    real_solve = validation.solve_level
+    monkeypatch.setattr(validation, "solve_level",
+                        lambda *a, **kw: blocks.append(1) or real_solve(*a, **kw))
     pairs = 3
     rng = np.random.Generator(np.random.Philox(key=np.array([7, nt], dtype=np.uint64)))
     records = entropy_battery(burgers_shock_solution(), ApproxFlux(BURGERS, 0.1),
@@ -299,6 +308,8 @@ def test_entropy_battery_call_budget(monkeypatch, nt):
     assert len(records) == pairs
     assert len(bumps) <= 8 * pairs
     assert len(evals) == 1 + pairs
+    # the rows are inverted in blocks of SAMPLE_BLOCK_ROWS = 16: 1 and 3 calls
+    assert len(blocks) == -(-nt // validation.SAMPLE_BLOCK_ROWS)
 
 
 # ---------------------------------------------------------------------------
