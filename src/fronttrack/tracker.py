@@ -139,7 +139,8 @@ class FrontField:
             raise FrontFieldError("null front (equal adjacent levels)")
         if np.any(dz > 1):
             raise FrontFieldError("upward jump above delta")
-        if len(np.unique(self.ids)) != n:
+        # a sort, not np.unique: np.unique imports all of numpy.ma on first use
+        if np.any(np.diff(np.sort(self.ids)) == 0):
             raise FrontFieldError("duplicate front ids")
         if self.next_id <= self.ids.max():
             raise FrontFieldError(f"next_id {self.next_id} is not above every front id")
@@ -660,11 +661,13 @@ class TrackedSolution:
 def common_pieces(field_a, field_b, lo, hi):
     """The common refinement of two fields on [lo, hi]: the merged cut points,
     and each field's g-level on every piece between consecutive cuts."""
-    cuts = np.unique(np.concatenate((
+    cuts = np.sort(np.concatenate((
         [lo, hi],
         field_a.positions[(field_a.positions > lo) & (field_a.positions < hi)],
         field_b.positions[(field_b.positions > lo) & (field_b.positions < hi)],
     )))
+    # np.unique's answer without np.unique, which imports all of numpy.ma on first use
+    cuts = cuts[np.concatenate(([True], cuts[1:] != cuts[:-1]))]
     mids = 0.5 * (cuts[:-1] + cuts[1:])
     return cuts, _g_at(field_a, mids), _g_at(field_b, mids)
 

@@ -7,9 +7,10 @@ are pure functions over immutable inputs and report measured-vs-bound pairs.
 ``CHECKS`` is the ordered registry of the checks a run can request: each one
 reads a ``RunContext`` and adds its measured-vs-bound rows to a report.
 
-Importing the package loads numpy and nothing heavier: scipy is imported
-inside ``SingleFrontSolution``, the one oracle that uses it, and any other
-function that needs scipy must likewise import it in its own body.
+The package imports this module on the first read of one of its names, and
+it loads numpy and nothing heavier: scipy is imported inside
+``SingleFrontSolution``, the one oracle that uses it, and any other function
+that needs scipy must likewise import it in its own body.
 """
 
 from __future__ import annotations
@@ -94,18 +95,38 @@ class TestFunction:
 
     __test__ = False  # not a pytest class, despite the name
 
+    def _bumps(self, x, t):
+        """B and B' at the scaled x, then at the scaled t."""
+        sx = (np.asarray(x, dtype=float) - self.x_center) / self.x_radius
+        st = (t - self.t_center) / self.t_radius
+        return smooth_bump(sx), smooth_bump_prime(sx), smooth_bump(st), smooth_bump_prime(st)
+
+    def _terms(self, bx, dbx, bt, dbt):
+        """phi, phi_x and phi_t from the bumps: the one place they are formed."""
+        return bx * bt, dbx / self.x_radius * bt, bx * dbt / self.t_radius
+
     def phi(self, x, t):
-        return (smooth_bump((np.asarray(x, dtype=float) - self.x_center) / self.x_radius)
-                * smooth_bump((t - self.t_center) / self.t_radius))
+        return self._terms(*self._bumps(x, t))[0]
 
     def phi_x(self, x, t):
-        return (smooth_bump_prime((np.asarray(x, dtype=float) - self.x_center) / self.x_radius)
-                / self.x_radius
-                * smooth_bump((t - self.t_center) / self.t_radius))
+        return self._terms(*self._bumps(x, t))[1]
 
     def phi_t(self, x, t):
-        return (smooth_bump((np.asarray(x, dtype=float) - self.x_center) / self.x_radius)
-                * smooth_bump_prime((t - self.t_center) / self.t_radius) / self.t_radius)
+        return self._terms(*self._bumps(x, t))[2]
+
+    def block(self, xs, ts, t0, whole=False):
+        """phi on the grid ts x xs where it can be nonzero, and on the line t0.
+
+        Returns the row slice of ts and the column slice of xs on which the
+        bumps are nonzero (whole=True: the whole grid), phi, phi_x and phi_t
+        on that block, and phi(xs, t0).
+        """
+        bx, dbx, bt, dbt = self._bumps(xs, np.append(ts, t0)[:, None])
+        line = self._terms(bx, dbx, bt[-1], dbt[-1])[0]
+        bt, dbt = bt[:-1], dbt[:-1]
+        rows = slice(None) if whole else _nonzero_span(bt[:, 0])
+        cols = slice(None) if whole else _nonzero_span(bx)
+        return rows, cols, self._terms(bx[cols], dbx[cols], bt[rows], dbt[rows]), line
 
     @property
     def max_phi(self):
@@ -150,22 +171,40 @@ def _sample_rows(solution, quad, f):
     return u, np.asarray(f(xs, u), dtype=float), np.asarray(u_of(xs, quad.t_lo), dtype=float)
 
 
+def _nonzero_span(a):
+    """The slice from the first to the last nonzero entry of a 1-D array."""
+    nz = np.flatnonzero(a)
+    return slice(nz[0], nz[-1] + 1) if len(nz) else slice(0, 0)
+
+
 def _residual(samples, f, fx, k, phi, quad):
     """Residual of one (k, phi) pair over the sampled grid with the flux pair
-    (f, fx); returns it with the source row fx(x, k)."""
+    (f, fx); returns it with the source row fx(x, k).
+
+    On finite samples every term vanishes off phi's support, so the integrand
+    is evaluated on the support's block and zero-padded to whole rows, and
+    each row is summed in the order of the whole grid's row (where a zero off
+    the block may be -0.0, which changes no nonzero sum).  A non-finite
+    sample anywhere makes the block the whole grid, which carries it into
+    the residual.
+    """
     u, f_u, u0 = samples
     xs = quad.x_mids()
-    ts = quad.t_mids()[:, None]
     k_row = np.full_like(xs, k)
     f_row_k = np.asarray(f(xs, k_row), dtype=float)
     fx_row_k = np.asarray(fx(xs, k_row), dtype=float)
-    sgn = np.sign(u - k)
-    rows = np.sum(np.abs(u - k) * phi.phi_t(xs, ts)
-                  + sgn * (f_u - f_row_k) * phi.phi_x(xs, ts)
-                  - sgn * fx_row_k * phi.phi(xs, ts), axis=1)
+    finite = all(np.isfinite(a).all() for a in (u, f_u, f_row_k, fx_row_k))
+    rows, cols, (p, p_x, p_t), p0 = phi.block(xs, quad.t_mids(), quad.t_lo, whole=not finite)
+    u_b = u[rows, cols]
+    sgn = np.sign(u_b - k)
+    grid = np.zeros((len(p), len(xs)))
+    grid[:, cols] = (np.abs(u_b - k) * p_t + sgn * (f_u[rows, cols] - f_row_k[cols]) * p_x
+                     - sgn * fx_row_k[cols] * p)
+    row_sums = np.zeros(quad.nt)
+    row_sums[rows] = np.sum(grid, axis=1)
     # the row sums added in row order: the value of a running total over rows
-    total = float(np.cumsum(rows)[-1]) * (quad.dx * quad.dt)
-    total += float(np.sum(np.abs(u0 - k) * phi.phi(xs, quad.t_lo))) * quad.dx
+    total = float(np.cumsum(row_sums)[-1]) * (quad.dx * quad.dt)
+    total += float(np.sum(np.abs(u0 - k) * p0)) * quad.dx
     return total, fx_row_k
 
 

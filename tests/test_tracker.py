@@ -10,6 +10,7 @@ from fronttrack.stationary import g_of, solve_level
 from fronttrack.tracker import (Tracker, TrackedSolution, FrontField, FrontFieldError,
                                 quantize_initial, initial_fronts, empty_field,
                                 rh_speed, sample_u, sample_g, tv_g, l1_g_distance,
+                                common_pieces,
                                 TrackerError, OrderingLostError, LoopLimitError,
                                 WindowExitError, TOL_POS, TOL_EVENT, _State,
                                 _first_contact)
@@ -653,6 +654,56 @@ def test_l1_g_distance_exact():
     # fields differ by g=0.5 on [0, 0.5)
     assert l1_g_distance(a, b, -2.0, 2.0) == pytest.approx(0.25, abs=1e-14)
     assert l1_g_distance(a, a, -2.0, 2.0) == 0.0
+
+
+def _alternating_field(positions, ids=None):
+    n = len(positions)
+    return FrontField(time=0.0, delta=0.1, positions=np.array(positions, dtype=float),
+                      z=np.arange(n + 1, dtype=np.int64) % 2,
+                      ids=np.arange(n, dtype=np.int64) if ids is None
+                      else np.array(ids, dtype=np.int64),
+                      next_id=n if ids is None else max(ids) + 1)
+
+
+@pytest.mark.parametrize("ids", [[3, 7, 3], [5, 1, 2, 9, 5], [4, 0, 8, 4, 4]])
+def test_non_adjacent_duplicate_ids_are_rejected(ids):
+    assert len(np.unique(ids)) < len(ids)  # the count validate used to take
+    field = _alternating_field(np.linspace(-1.0, 1.0, len(ids)), ids)
+    with pytest.raises(FrontFieldError, match="duplicate front ids"):
+        field.validate()
+    _alternating_field(np.linspace(-1.0, 1.0, len(ids)), range(len(ids))).validate()
+
+
+def _pieces_by_unique(field_a, field_b, lo, hi):
+    """common_pieces written with np.unique: the reference."""
+    cuts = np.unique(np.concatenate((
+        [lo, hi],
+        field_a.positions[(field_a.positions > lo) & (field_a.positions < hi)],
+        field_b.positions[(field_b.positions > lo) & (field_b.positions < hi)],
+    )))
+    mids = 0.5 * (cuts[:-1] + cuts[1:])
+    return cuts, sample_g(field_a, mids), sample_g(field_b, mids)
+
+
+@pytest.mark.parametrize("a, b, lo, hi", [
+    (_alternating_field([-0.5, 0.0, 0.5]), _alternating_field([-0.5, 0.25, 0.5]), -1.0, 1.0),
+    (initial_fronts([-0.5, 0.5], [0, 3, 0], 0.1), initial_fronts([-0.5], [2, 0], 0.1),
+     -1.0, 1.0),
+    (_alternating_field([-1.0, 0.0, 1.0]), _alternating_field([-1.0, 0.5, 1.0]), -1.0, 1.0),
+    (_alternating_field([-0.5, 0.0, 0.5]), _alternating_field([0.25]), -0.5, 0.5),
+    (_alternating_field([-0.0, 0.5]), _alternating_field([0.0, 0.75]), -1.0, 1.0),
+    (_alternating_field([0.0, 0.5]), _alternating_field([-0.5, -0.0]), -1.0, 1.0),
+    (_alternating_field([-0.0, 0.5]), _alternating_field([0.0, 0.75]), -0.0, 1.0),
+], ids=["shared", "shared_fan", "at_lo_and_hi", "lo_hi_inside", "zeros", "zeros_swapped",
+        "lo_negative_zero"])
+def test_common_pieces_match_np_unique(a, b, lo, hi):
+    cuts, ga, gb = common_pieces(a, b, lo, hi)
+    ref_cuts, ref_ga, ref_gb = _pieces_by_unique(a, b, lo, hi)
+    assert cuts.tobytes() == ref_cuts.tobytes()  # the same zero is kept, too
+    assert np.all(cuts[1:] > cuts[:-1])
+    assert np.array_equal(ga, ref_ga) and np.array_equal(gb, ref_gb)
+    ref = float(np.sum(np.abs(ref_ga - ref_gb) * np.diff(ref_cuts)))
+    assert l1_g_distance(a, b, lo, hi) == ref
 
 
 # ---------------------------------------------------------------------------

@@ -312,6 +312,37 @@ def test_entropy_battery_call_budget(monkeypatch, nt):
     assert len(blocks) == -(-nt // validation.SAMPLE_BLOCK_ROWS)
 
 
+def test_block_holds_the_test_function_and_zeros_lie_outside_it():
+    quad = QuadSpec(-2.5, 2.5, 0.0, 1.0, nx=96, nt=72)
+    xs, ts = quad.x_mids(), quad.t_mids()
+    for phi in (PHI, TestFunction(0.0, 1.2, 0.1, 0.3)):
+        rows, cols, terms, line = phi.block(xs, ts, quad.t_lo)
+        assert 0 < rows.stop - rows.start < quad.nt and 0 < cols.stop - cols.start < quad.nx
+        for full, part in zip((phi.phi, phi.phi_x, phi.phi_t), terms):
+            whole = full(xs, ts[:, None])
+            assert np.array_equal(whole[rows, cols], part)
+            outside = whole.copy()
+            outside[rows, cols] = 0.0
+            assert not outside.any()
+        assert np.array_equal(line, phi.phi(xs, quad.t_lo))
+        rows, cols, terms, line = phi.block(xs, ts, quad.t_lo, whole=True)
+        assert np.array_equal(terms[0], phi.phi(xs, ts[:, None]))
+
+
+@pytest.mark.parametrize("where", ["u", "f_u", "u0"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_sample_outside_the_support_is_not_dropped(where, bad):
+    # phi is zero at the grid's corner, but 0 * nan is nan on the whole grid
+    sol = burgers_shock_solution()
+    quad = QuadSpec(-2.0, 2.0, 0.0, 1.0, nx=32, nt=16)
+    u, f_u, u0 = (a.copy() for a in validation._sample_rows(sol, quad, BURGERS.f))
+    {"u": u, "f_u": f_u, "u0": u0}[where].flat[0] = bad
+    assert PHI.phi(quad.x_mids()[0], quad.t_mids()[0]) == 0.0
+    with np.errstate(invalid="ignore"):
+        total, _ = validation._residual((u, f_u, u0), BURGERS.f, BURGERS.fx, 0.1, PHI, quad)
+    assert not np.isfinite(total)
+
+
 # ---------------------------------------------------------------------------
 # characteristics
 # ---------------------------------------------------------------------------
