@@ -38,10 +38,10 @@ BUMP_PRIME_MAX = 2.1703570856905516
 TOL_QUAD_C = 0.5
 TOL_SMOOTH_C = 1.0
 
-# quadrature rows per profile inversion when sampling a TrackedSolution: one
-# call per row pays Newton's Python overhead per row; on a benchmark.ini run
-# the whole 256 x 256 grid at once raised peak RSS by 3 MiB, 32-row blocks by
-# 0.3 MiB, and 16-row blocks not measurably
+# quadrature rows per profile inversion and per f call when sampling the
+# entropy grid: one call per row pays Newton's Python overhead per row; on a
+# benchmark.ini run the whole 256 x 256 grid at once raised peak RSS by 3 MiB,
+# 32-row blocks by 0.3 MiB, and 16-row blocks not measurably
 SAMPLE_BLOCK_ROWS = 16
 
 
@@ -154,21 +154,25 @@ class TestFunction:
 
 def _sample_rows(solution, quad, f):
     """u on the (nt, nx) quadrature grid (one snapshot per time row), f(x, u)
-    on that grid from one call, and u at t_lo.  A TrackedSolution's rows are
-    inverted SAMPLE_BLOCK_ROWS at a time, in one solve_level call on their
-    stacked levels: Newton is elementwise, so the bits are those of one call
-    per row."""
+    on that grid, and u at t_lo.  The rows are taken SAMPLE_BLOCK_ROWS at a
+    time, and f is evaluated on each block as it is sampled; a
+    TrackedSolution's block is inverted in one solve_level call on its
+    stacked levels.  Newton and f are elementwise, so the bits are those of
+    one call per row and one f call on the whole grid."""
     u_of = solution.sample_u if hasattr(solution, "sample_u") else solution
     xs = quad.x_mids()
     ts = quad.t_mids()
-    if isinstance(solution, TrackedSolution):
-        u = np.concatenate([
-            solve_level(solution.tracker.flux, xs,
-                        np.array([sample_g(solution.field_at(t), xs) for t in block]))
-            for block in np.split(ts, range(SAMPLE_BLOCK_ROWS, len(ts), SAMPLE_BLOCK_ROWS))])
-    else:
-        u = np.array([u_of(xs, t) for t in ts], dtype=float)
-    return u, np.asarray(f(xs, u), dtype=float), np.asarray(u_of(xs, quad.t_lo), dtype=float)
+    u = np.empty((len(ts), len(xs)))
+    f_u = np.empty_like(u)
+    for start in range(0, len(ts), SAMPLE_BLOCK_ROWS):
+        rows = slice(start, start + SAMPLE_BLOCK_ROWS)
+        if isinstance(solution, TrackedSolution):
+            u[rows] = solve_level(solution.tracker.flux, xs,
+                                  np.array([sample_g(solution.field_at(t), xs) for t in ts[rows]]))
+        else:
+            u[rows] = [u_of(xs, t) for t in ts[rows]]
+        f_u[rows] = f(xs, u[rows])
+    return u, f_u, np.asarray(u_of(xs, quad.t_lo), dtype=float)
 
 
 def _nonzero_span(a):
@@ -650,9 +654,43 @@ class RunContext:
     u0_l1: float
 
     def rng(self, check_name):
-        stream = list(CHECKS).index(check_name)
-        key = np.array([self.config.seed % (2 ** 63), stream], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        return _Philox((self.config.seed % (2 ** 63), list(CHECKS).index(check_name)))
+
+
+_MASK64 = 2 ** 64 - 1
+# Philox4x64's round multipliers and key increments (Salmon et al., SC'11)
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+
+
+class _Philox:
+    """numpy's ``Generator(Philox(key=key)).uniform`` stream in pure Python,
+    so that a run needs no numpy.random: Philox4x64-10 on a 256-bit counter
+    that starts at 1, each block's four words read in order, and a uniform
+    draw from the top 53 bits of a word, as numpy makes it."""
+
+    def __init__(self, key):
+        self._key = key
+        self._counter = 0
+        self._words = []  # the block's unread words, last first
+
+    def _next64(self):
+        if not self._words:
+            self._counter += 1
+            c = [(self._counter >> (64 * i)) & _MASK64 for i in range(4)]
+            k0, k1 = self._key
+            for _ in range(10):
+                p0, p1 = _PHILOX_M[0] * c[0], _PHILOX_M[1] * c[2]
+                c = [(p1 >> 64) ^ c[1] ^ k0, p1 & _MASK64, (p0 >> 64) ^ c[3] ^ k1, p0 & _MASK64]
+                k0, k1 = (k0 + _PHILOX_W[0]) & _MASK64, (k1 + _PHILOX_W[1]) & _MASK64
+            self._words = c[::-1]
+        return self._words.pop()
+
+    def uniform(self, low, high):
+        low, high = float(low), float(high)
+        if not 0.0 <= high - low < math.inf:
+            raise ValueError(f"uniform needs finite low <= high, got {low!r}, {high!r}")
+        return low + (high - low) * ((self._next64() >> 11) * 2.0 ** -53)
 
 
 def _check_tvd(ctx, report):

@@ -2,7 +2,8 @@
 
 A solve needs the flux, inversion, profile and tracker modules only; the
 check modules are imported on first access, and np.unique (which imports all
-of numpy.ma on its first call) is not used.
+of numpy.ma on its first call) is not used.  A run's checks draw their random
+numbers from a pure-Python Philox stream, so no run loads numpy.random.
 """
 
 import ast
@@ -37,9 +38,10 @@ PUBLIC = {
 
 def _loaded_after(code, *args):
     """The modules of interest in sys.modules after running code in a fresh
-    interpreter: numpy.ma, scipy and the fronttrack submodules."""
+    interpreter: numpy.ma, numpy.random, scipy and the fronttrack submodules."""
     code += ("\nimport sys\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
-             " or m == 'numpy.ma' or m.startswith(('numpy.ma.', 'fronttrack.'))))")
+             " or m in ('numpy.ma', 'numpy.random')"
+             " or m.startswith(('numpy.ma.', 'numpy.random.', 'fronttrack.'))))")
     out = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
                          text=True, check=True, env={**os.environ, "PYTHONPATH": SRC})
     return ast.literal_eval(out.stdout.strip().splitlines()[-1])
@@ -75,6 +77,7 @@ def test_cli_run_with_every_check_loads_no_numpy_ma(tmp_path):
         str(tmp_path / "out"), str(config))
     assert "fronttrack.validation" in loaded
     assert "numpy.ma" not in loaded
+    assert "numpy.random" not in loaded
     assert (tmp_path / "out" / "manifest.json").exists()
 
 

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -284,9 +285,9 @@ def test_grid_residual_equals_the_row_loop_bit_for_bit(solution, approx):
 
 @pytest.mark.parametrize("nt", [16, 40])
 def test_entropy_battery_call_budget(monkeypatch, nt):
-    # the test function is evaluated once per pair on the whole grid (phi_t,
-    # phi_x and phi, two bumps each, plus phi at t_lo), and f^delta(x, u) is
-    # sampled in one call: the row loop made 6 nt + 2 and nt + pairs calls
+    # the test function's bumps are evaluated once per pair, and f^delta(x, u)
+    # once per inversion block of SAMPLE_BLOCK_ROWS rows plus once per pair for
+    # the f(x, k) row: the row loop made 6 nt + 2 and nt + pairs calls
     bumps = []
     for name in ("smooth_bump", "smooth_bump_prime"):
         real = getattr(validation, name)
@@ -307,9 +308,26 @@ def test_entropy_battery_call_budget(monkeypatch, nt):
                               k_bound=1.1, tv_u=1.0, speed_bound=1.2)
     assert len(records) == pairs
     assert len(bumps) <= 8 * pairs
-    assert len(evals) == 1 + pairs
     # the rows are inverted in blocks of SAMPLE_BLOCK_ROWS = 16: 1 and 3 calls
-    assert len(blocks) == -(-nt // validation.SAMPLE_BLOCK_ROWS)
+    n_blocks = -(-nt // validation.SAMPLE_BLOCK_ROWS)
+    assert len(evals) == n_blocks + pairs
+    assert len(blocks) == n_blocks
+
+
+@pytest.mark.parametrize("solution", ["tracked", "callable"])
+def test_blockwise_f_grid_equals_one_whole_grid_call(solution):
+    # nt = 40: two blocks of 16 rows and a ragged one of 8; f^delta's own
+    # delta differs from the solve's, so most samples need an inversion
+    f0 = initial_fronts([-0.8, 0.3], [0, 6, 0], 0.1)  # fan then shock
+    sol = TrackedSolution(Tracker(MODULATED, 0.1, (-3.5, 3.5)), f0)
+    if solution == "callable":
+        sol = sol.sample_u
+    af = ApproxFlux(MODULATED, 0.07)
+    quad = QuadSpec(-2.5, 2.5, 0.0, 1.0, nx=48, nt=40)
+    u, f_u, _ = validation._sample_rows(sol, quad, af.eval)
+    assert u.shape == f_u.shape == (40, 48)
+    assert not af._locate(quad.x_mids(), u)[1].all()
+    assert np.array_equal(f_u, af.eval(quad.x_mids(), u))
 
 
 def test_block_holds_the_test_function_and_zeros_lie_outside_it():
@@ -516,6 +534,32 @@ def test_flux_convergence_burgers_golden_bound():
     # sqrt(0.04)*(1 + 1.02) + 0.02
     assert row.bound_f == pytest.approx(0.424, abs=1e-3)
     assert row.sup_f_err <= row.bound_f
+
+
+@pytest.mark.parametrize("seed", [0, 7, 20260810, 2 ** 63 - 1])
+def test_run_stream_is_numpys_philox_bit_for_bit(seed):
+    # the (low, high) ranges mix the checks' own with wide, narrow, negative
+    # and empty ones; numpy's generator is the reference
+    ranges = [(0.0, 1.0), (-1.2, 1.2), (0.12, 0.35), (1e-3, 0.4), (-3.5, -3.5),
+              (-1e6, 2.5e7), (0.5, 0.5 + 1e-12)]
+    for stream in range(7):
+        ours = validation._Philox((seed, stream))
+        ref = np.random.Generator(np.random.Philox(key=np.array([seed, stream],
+                                                                dtype=np.uint64)))
+        for i in range(1000):
+            low, high = ranges[(i * (stream + 1)) % len(ranges)]
+            assert ours.uniform(low, high) == ref.uniform(low, high)
+
+
+def test_run_context_draws_from_its_checks_stream():
+    ctx = validation.RunContext(SimpleNamespace(seed=-5), *[None] * 8)
+    ref = np.random.Generator(np.random.Philox(
+        key=np.array([(-5) % 2 ** 63, list(validation.CHECKS).index("entropy")],
+                     dtype=np.uint64)))
+    rng = ctx.rng("entropy")
+    assert [rng.uniform(-1.0, 1.0) for _ in range(9)] == list(ref.uniform(-1.0, 1.0, 9))
+    with pytest.raises(ValueError):
+        rng.uniform(1.0, 0.0)
 
 
 def test_validation_report_aggregates():
