@@ -7,9 +7,10 @@ is piecewise constant on the delta-grid and only front positions evolve,
 each along its own Rankine-Hugoniot ODE, with interactions resolved exactly
 into single fronts.
 
-The modules only the checks use, ``riemann`` and ``validation``, and the
-names exported from them are imported on first access (PEP 562), so a solve
-loads only the flux, inversion, profile and tracker modules.
+The modules only the checks use, ``riemann`` and ``validation``, the names
+exported from them, and the DSL parser ``expr`` are imported on first access
+(PEP 562), and a DSL flux or profile imports the parser when it is built, so
+a solve loads only the flux, inversion, profile and tracker modules.
 """
 
 __version__ = "0.1.0"
@@ -27,7 +28,7 @@ from .tracker import (FrontField, Event, Tracker, TrackedSolution,
 from .profiles import make_initial, smooth_bump, smooth_bump_prime
 
 # name -> the submodule it is read from, imported on first access
-_LAZY = {"riemann": "riemann", "ApproxFlux": "riemann", **dict.fromkeys((
+_LAZY = {"expr": "expr", "riemann": "riemann", "ApproxFlux": "riemann", **dict.fromkeys((
     "validation", "TestFunction", "QuadSpec", "kruzkov_residual", "approx_kruzkov_residual",
     "entropy_battery", "entropy_tol", "characteristic_check", "characteristic_fan",
     "SingleFrontSolution", "FVGrid", "fv_reference", "l1_distance", "l1_u_fields",

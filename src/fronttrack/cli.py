@@ -23,8 +23,8 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import __version__
-from .expr import DomainError
-from .fluxes import make_builtin_flux, audit_assumptions, certify, default_envelope
+from .fluxes import (DomainError, make_builtin_flux, audit_assumptions, certify,
+                     default_envelope)
 from .profiles import make_initial
 from .stationary import g_of
 from .tracker import (H_ODE_DEFAULT, Tracker, TrackedSolution, quantize_initial,

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
 
+from .fluxes import DomainError  # re-exported: the DSL raises it, the audit catches it
+
 FUNCTIONS = ("sin", "cos", "tanh", "exp", "sqrt")
 VARIABLES = ("x", "u")
 
@@ -33,14 +35,6 @@ class ParseError(ValueError):
         self.expected = tuple(expected)
         hint = f" (expected {', '.join(self.expected)})" if self.expected else ""
         super().__init__(f"parse error at offset {position}: {message}{hint}")
-
-
-class DomainError(ArithmeticError):
-    """Evaluation left the finite numbers: overflow, division by zero or an
-    invalid operation such as sqrt of a negative number."""
-
-    def __init__(self, text, reason):
-        super().__init__(f"cannot evaluate `{text}`: {reason}")
 
 
 class _Node:

@@ -9,12 +9,11 @@ constants (convexity floor, speed envelope) the rest of the library uses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-
-from . import expr as fexpr
 
 # S0 checks: builtins evaluate their structure exactly; DSL fluxes go through
 # forward-mode derivatives plus floating-point evaluation and accumulate rounding.
@@ -33,6 +32,18 @@ class InvalidFluxParams(ValueError):
     pass
 
 
+class DomainError(ArithmeticError):
+    """Evaluation left the finite numbers: overflow, division by zero or an
+    invalid operation such as sqrt of a negative number.
+
+    Raised by the DSL (``fronttrack.expr`` re-exports it); defined here so that
+    the audit and the CLI catch it without loading the parser.
+    """
+
+    def __init__(self, text, reason):
+        super().__init__(f"cannot evaluate `{text}`: {reason}")
+
+
 @dataclass(frozen=True)
 class Flux:
     """Evaluable heterogeneous flux with partial derivatives.
@@ -43,8 +54,11 @@ class Flux:
 
     ``at``, if given, maps positions x to the pair (f(x, .), f_u(x, .)) of
     functions of u alone, with the work that depends only on x done once; the
-    bound functions must agree with ``f`` and ``fu`` bit for bit.  A copy that
-    replaces ``f`` or ``fu`` must therefore pass ``at=None`` as well.
+    bound functions must agree with ``f`` and ``fu`` bit for bit.  ``point``,
+    if given, maps Python floats (x, u) to the Python floats (f, f_u, f_x) at
+    that point, bit for bit those of ``f``, ``fu`` and ``fx``.  A copy that
+    replaces ``f``, ``fu`` or ``fx`` must therefore pass ``at=None`` and
+    ``point=None`` as well.
     """
 
     f: Callable
@@ -55,6 +69,7 @@ class Flux:
     family: str
     params: dict = field(default_factory=dict)
     at: Optional[Callable] = None
+    point: Optional[Callable] = None
 
     def require_alpha(self):
         if self.alpha is None or not 0.0 < self.alpha < np.inf:  # also nan
@@ -118,13 +133,21 @@ class SpeedEnvelope:
 # builtin families
 # ---------------------------------------------------------------------------
 
-def _scaled_burgers(family, params, a_min, a, da):
-    """f = a(x) u^2/2 with a >= a_min > 0 and a' = da."""
+def _scaled_burgers(family, params, a_min, coefficient):
+    """f = a(x) u^2/2 with a >= a_min > 0; ``coefficient(sin, cos)`` returns a
+    and a' written with the given sin and cos, instantiated with numpy's for
+    arrays and with math's for ``point``, so both run the same operations."""
+    a, da = coefficient(np.sin, np.cos)
+    a_float, da_float = coefficient(math.sin, math.cos)
 
     def at(x):
         ax = a(x)
         half = 0.5 * ax  # 0.5 * a(x) * u * u multiplies left to right
         return (lambda u: half * u * u), (lambda u: ax * u)
+
+    def point(x, u):
+        ax = a_float(x)
+        return 0.5 * ax * u * u, ax * u, 0.5 * da_float(x) * u * u
 
     return Flux(
         f=lambda x, u: 0.5 * a(x) * u * u,
@@ -135,6 +158,7 @@ def _scaled_burgers(family, params, a_min, a, da):
         family=family,
         params=params,
         at=at,
+        point=point,
     )
 
 
@@ -150,7 +174,8 @@ def make_builtin_flux(family, **params):
     if family == "homogeneous_burgers":
         if params:
             raise InvalidFluxParams(f"homogeneous_burgers takes no params, got {params}")
-        return _scaled_burgers(family, {}, 1.0, lambda x: 1.0 + 0.0 * x, lambda x: 0.0 * x)
+        return _scaled_burgers(family, {}, 1.0, lambda sin, cos: (
+            (lambda x: 1.0 + 0.0 * x), (lambda x: 0.0 * x)))
 
     if family == "modulated_burgers":
         base = float(params.pop("base", 1.0))
@@ -168,14 +193,12 @@ def make_builtin_flux(family, **params):
                 f"modulated_burgers needs base - |amp| > 0, got a_min={a_min}"
             )
 
-        def a(x):
-            return base + amp * np.sin(freq * x + phase)
-
-        def da(x):
-            return amp * freq * np.cos(freq * x + phase)
+        def coefficient(sin, cos):
+            return (lambda x: base + amp * sin(freq * x + phase),
+                    lambda x: amp * freq * cos(freq * x + phase))
 
         return _scaled_burgers(family, {"base": base, "amp": amp, "freq": freq,
-                                        "phase": phase}, a_min, a, da)
+                                        "phase": phase}, a_min, coefficient)
 
     if family == "custom_expr":
         source = params.pop("expr", None)
@@ -183,6 +206,7 @@ def make_builtin_flux(family, **params):
             raise InvalidFluxParams(f"unknown custom_expr params {params}")
         if source is None:
             raise InvalidFluxParams("custom_expr requires expr=<string>")
+        from . import expr as fexpr  # the parser loads only for a DSL flux
         tree = fexpr.parse(source) if isinstance(source, str) else source
         extra = fexpr.free_vars(tree) - set(fexpr.VARIABLES)
         if extra:
@@ -270,7 +294,7 @@ def audit_assumptions(flux, box, grid=64):
         record(nonzero & (f_grid <= 0.0), "f>0 for u!=0", f_grid, X, U)
 
         violations.extend(_derivative_consistency(flux, xs, us))
-    except fexpr.DomainError as e:
+    except DomainError as e:
         violations.append(Violation(f"domain: {e}", (), float("nan")))
 
     return AssumptionReport(

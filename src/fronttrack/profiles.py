@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import expr as fexpr
-
 PROFILE_NAMES = ("zero", "step", "piecewise", "bump", "sine", "expr")
 
 
@@ -66,6 +64,7 @@ def make_initial(name, **params):
         sampler = lambda x: amp * np.sin(freq * np.asarray(x, dtype=float) + phase)
 
     elif name == "expr":
+        from . import expr as fexpr  # the parser loads only for DSL initial data
         tree = fexpr.parse(params.pop("expr"))
         bad = fexpr.free_vars(tree) - {"x"}
         if bad:

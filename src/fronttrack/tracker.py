@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .stationary import g_of, level_constants, solve_level
+from .stationary import LevelConstants, g_of, level_constants, solve_level
 
 # fronts closer than this at a common time are one interaction point
 TOL_POS = 1e-10
@@ -334,25 +334,31 @@ class _State:
         self.next_id = f.next_id
         # warm starts, each front's (left, right) traces; zeros start from the bracket
         self.trace = np.zeros((2, len(self.y)))
-        self.levels = self.num = None  # level constants, |g_l| - |g_r|; events clear them
+        self.levels = self.num = None  # level constants, |g_l| - |g_r|; built on first use
 
     def remove_range(self, a, b, produced=None):
         """Delete fronts a..b (inclusive), then insert the front ``produced =
         (rho, fid)`` between the outer levels if there is one; without it the
         (equal) outer levels become one piece.  The survivors keep the
-        warm-start traces of the speed evaluation that found the contact; the
-        produced front starts from the cluster's outer traces (left of a,
-        right of b), its own left and right states there."""
-        if produced is None:  # the outer levels meet: z keeps one of them
-            y, ids, trace, z_right = self.y[:0], self.ids[:0], self.trace[:, :0], b + 2
-        else:
-            y, ids = np.array(produced[:1], dtype=float), np.array(produced[1:], dtype=np.int64)
-            trace, z_right = np.array([[self.trace[0, a]], [self.trace[1, b]]]), b + 1
-        self.levels = self.num = None
-        self.y = np.concatenate((self.y[:a], y, self.y[b + 1:]))
-        self.ids = np.concatenate((self.ids[:a], ids, self.ids[b + 1:]))
-        self.z = np.concatenate((self.z[:a + 1], self.z[z_right:]))
-        self.trace = np.concatenate((self.trace[:, :a], trace, self.trace[:, b + 1:]), axis=1)
+        warm-start traces and level constants of the speed evaluation that
+        found the contact; the produced front takes the cluster's outer ones
+        (left of a, right of b), which belong to its own left and right
+        states there."""
+        keep = a if produced is None else a + 1  # a produced front takes column a
+
+        def splice(arr):  # the fronts are the last axis
+            out = np.concatenate((arr[..., :keep], arr[..., b + 1:]), axis=-1)
+            if produced is not None and out.ndim == 2:
+                out[1, a] = arr[1, b]  # the right row from right of b
+            return out
+
+        self.y, self.ids, self.trace = splice(self.y), splice(self.ids), splice(self.trace)
+        if produced is not None:
+            self.y[a], self.ids[a] = produced
+        self.z = np.concatenate((self.z[:a + 1], self.z[b + (2 if produced is None else 1):]))
+        if self.levels is not None:
+            self.levels = LevelConstants(*map(splice, self.levels))
+            self.num = self.levels.g_abs[0] - self.levels.g_abs[1]
 
     def to_field(self, delta, quantization=None):
         return FrontField(
@@ -428,8 +434,20 @@ class Tracker:
             st.levels = level_constants(self.flux, np.array((g[:-1], g[1:])))
             st.num = st.levels.g_abs[0] - st.levels.g_abs[1]
         st.trace = solve_level(self.flux, y, st.levels, guess=st.trace)
+        return self._quotient(st, st.num, st.trace, y)
+
+    def _front_speed(self, st, k):
+        """Front k's speed at its position, from an inversion of its column alone
+        (Newton is elementwise, so these are the bits of ``_speeds``)."""
+        col = slice(k, k + 1)
+        levels = LevelConstants(*(c[:, col] for c in st.levels))
+        st.trace[:, col] = solve_level(self.flux, st.y[col], levels, guess=st.trace[:, col])
+        return self._quotient(st, st.num[col], st.trace[:, col], st.y[col])
+
+    @staticmethod
+    def _quotient(st, num, u, y):
         try:
-            return _rh_quotient(st.num, st.trace, y)
+            return _rh_quotient(num, u, y)
         except DegenerateStatesError as e:
             raise DegenerateStatesError(f"t={st.t!r}: {e}\n{st.dump()}") from None
 
@@ -442,8 +460,14 @@ class Tracker:
 
     # -- events ---------------------------------------------------------------
 
-    def _resolve_leftmost_cluster(self, st, contact, v_app, graze_v, log):
-        """Merge the leftmost run of in-contact pairs into a single front."""
+    def _resolve_leftmost_cluster(self, st, v, contact, v_app, graze_v, log):
+        """Merge the leftmost run of in-contact pairs into a single front.
+
+        Returns the speeds v at the new state.  The survivors keep theirs: their
+        positions are unchanged and their traces have converged there, so a new
+        evaluation would return the same bits.  Only the produced front is
+        inverted.
+        """
         first = int(np.flatnonzero(contact)[0])
         last = first
         while last + 1 < len(contact) and contact[last + 1]:
@@ -479,6 +503,8 @@ class Tracker:
             tv_before=self.delta * tv_before, tv_after=self.delta * tv_after,
             grazing=grazing,
         ))
+        mid = v[:0] if produced is None else self._front_speed(st, a)
+        return np.concatenate((v[:a], mid, v[b + 1:]))
 
     # -- main loop ------------------------------------------------------------
 
@@ -506,6 +532,7 @@ class Tracker:
         field_.validate(strict_positions=False)
         log = []
         st = _State(field_)
+        v = None  # the speeds at st.y, once they are known
 
         for _ in range(_MAX_LOOP):
             if st.t >= t_target:
@@ -517,7 +544,8 @@ class Tracker:
                 st.t = t_target
                 break
 
-            v = self._speeds(st, st.y)
+            if v is None:
+                v = self._speeds(st, st.y)
             if record is not None:
                 record.append((st.t, st.y, v, st.z, st.ids, st.next_id))
             graze_v = 1e-12 * (1.0 + float(np.max(np.abs(v))))
@@ -528,7 +556,7 @@ class Tracker:
             # freshly split fan siblings separate and are excluded naturally)
             contact = (gaps <= TOL_POS) & (v_app >= -graze_v)
             if contact.any():
-                self._resolve_leftmost_cluster(st, contact, v_app, graze_v, log)
+                v = self._resolve_leftmost_cluster(st, v, contact, v_app, graze_v, log)
                 continue
 
             # step: aim at the earliest predicted pairwise contact
@@ -544,7 +572,7 @@ class Tracker:
                 if (gaps_try <= 0.0).any():
                     raise OrderingLostError(
                         f"ordering lost without a contact flag in a step of {h!r}", st)
-                st.y = y_try
+                st.y, v = y_try, None
                 st.t += h
                 self._check_window(st)
                 continue
@@ -561,6 +589,7 @@ class Tracker:
                                      float(np.min(gaps[t_idx])) - TOL_POS,
                                      float(np.min(gaps_try[t_idx])) - TOL_POS, y_try)
             st.t += s
+            v = None
             self._check_window(st)
         else:
             raise LoopLimitError(

@@ -286,17 +286,21 @@ def entropy_battery(solution, af, quad, rng, pairs, k_bound, tv_u, speed_bound):
 # characteristics
 # ---------------------------------------------------------------------------
 
-def _characteristic_step(rhs, y, z, h):
-    """One RK4 step of the characteristic system (y', z') = rhs(y, z).
+def _characteristic_step(point, y, z, h, k1=None):
+    """One RK4 step of the characteristic system dy = f_u(y, z), dz = -f_x(y, z).
 
+    ``point(y, z)`` returns (f, f_u, f_x), or (None, f_u, f_x): the step reads
+    the gradient only; ``k1`` is its value at (y, z) if the caller holds it.
     Plain arithmetic only: Python floats stay floats, arrays stay arrays.
+    Subtracting the f_x terms gives the bits of adding their negatives.
     """
-    k1y, k1z = rhs(y, z)
-    k2y, k2z = rhs(y + 0.5 * h * k1y, z + 0.5 * h * k1z)
-    k3y, k3z = rhs(y + 0.5 * h * k2y, z + 0.5 * h * k2z)
-    k4y, k4z = rhs(y + h * k3y, z + h * k3z)
-    return (y + (h / 6.0) * (k1y + 2 * k2y + 2 * k3y + k4y),
-            z + (h / 6.0) * (k1z + 2 * k2z + 2 * k3z + k4z))
+    half, sixth = 0.5 * h, h / 6.0  # y + 0.5 * h * k multiplies left to right
+    _, k1y, k1z = point(y, z) if k1 is None else k1
+    _, k2y, k2z = point(y + half * k1y, z - half * k1z)
+    _, k3y, k3z = point(y + half * k2y, z - half * k2z)
+    _, k4y, k4z = point(y + h * k3y, z - h * k3z)
+    return (y + sixth * (k1y + 2 * k2y + 2 * k3y + k4y),
+            z - sixth * (k1z + 2 * k2z + 2 * k3z + k4z))
 
 
 def characteristic_check(flux, x0, u0, T, steps, window=None):
@@ -304,22 +308,31 @@ def characteristic_check(flux, x0, u0, T, steps, window=None):
 
     The pair (y, z) follows dy = f_u(y, z), dz = -f_x(y, z); f(y, z) is a
     conserved quantity, so the returned max |f(y,z) - f(x0,u0)| measures pure
-    integrator error (fourth order in the step).
+    integrator error (fourth order in the step).  f, f_u and f_x at a step's
+    end come from one evaluation, which is also the next step's first stage;
+    a flux with ``point`` makes every evaluation on Python floats.
     """
+    if flux.point is not None:
+        point = stage = flux.point
+    else:
+        def stage(yy, zz):
+            return None, float(flux.fu(yy, zz)), float(flux.fx(yy, zz))
+
+        def point(yy, zz):
+            return float(flux.f(yy, zz)), float(flux.fu(yy, zz)), float(flux.fx(yy, zz))
+
     y, z = float(x0), float(u0)
-    f0 = float(flux.f(y, z))
     h = float(T) / int(steps)
     drift = 0.0
-
-    def rhs(yy, zz):
-        return float(flux.fu(yy, zz)), -float(flux.fx(yy, zz))
-
+    k = point(y, z)
+    f0 = k[0]
     for step in range(int(steps)):
-        y, z = _characteristic_step(rhs, y, z, h)
+        y, z = _characteristic_step(stage, y, z, h, k)
         if window is not None and not (window[0] <= y <= window[1]):
             raise ValueError(f"characteristic left the window at y={y}, "
                              f"t~{(step + 1) * h}")
-        drift = max(drift, abs(float(flux.f(y, z)) - f0))
+        k = point(y, z)
+        drift = max(drift, abs(k[0] - f0))
     return drift
 
 
@@ -338,11 +351,11 @@ def characteristic_fan(flux, x_origin, g_l, g_r, T, n_chars=64, steps=2000):
     zs = z0.copy()
     h = float(T) / steps
 
-    def rhs(y, z):
-        return flux.fu(y, z), -flux.fx(y, z)
+    def gradient(y, z):
+        return None, flux.fu(y, z), flux.fx(y, z)
 
     for _ in range(steps):
-        ys, zs = _characteristic_step(rhs, ys, zs, h)
+        ys, zs = _characteristic_step(gradient, ys, zs, h)
 
     def sampler(x):
         scalar = np.ndim(x) == 0

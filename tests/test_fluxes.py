@@ -82,6 +82,24 @@ def test_bound_flux_agrees_with_f_and_fu_bit_for_bit(family, params, data, n):
             assert np.asarray(bound).tobytes() == np.asarray(full).tobytes()
 
 
+@pytest.mark.parametrize("family, params", [
+    ("homogeneous_burgers", {}),
+    ("modulated_burgers", {"base": 1.0, "amp": 0.5}),
+    ("modulated_burgers", {"base": 1.3, "amp": -0.6, "freq": 2.7, "phase": -0.9}),
+], ids=["homogeneous", "modulated", "negative_amp_phase_freq"])
+def test_point_equals_f_fu_and_fx_on_floats(family, params):
+    flux = make_builtin_flux(family, **params)
+    for x in np.linspace(-10.0, 10.0, 81).tolist():
+        for u in np.linspace(-2.5, 2.5, 41).tolist():
+            got = flux.point(x, u)
+            assert all(type(v) is float for v in got)
+            assert got == (flux.f(x, u), flux.fu(x, u), flux.fx(x, u))
+
+
+def test_a_dsl_flux_has_no_point():
+    assert make_builtin_flux("custom_expr", expr="u^2/2").point is None
+
+
 def test_unknown_family_and_params_rejected():
     with pytest.raises(InvalidFluxParams):
         make_builtin_flux("kpz")

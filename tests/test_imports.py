@@ -1,8 +1,8 @@
 """What a run loads: each footprint is read in a fresh interpreter.
 
 A solve needs the flux, inversion, profile and tracker modules only; the
-check modules are imported on first access, and np.unique (which imports all
-of numpy.ma on its first call) is not used.  A run's checks draw their random
+check modules and the DSL parser are imported on first access, and np.unique
+(which imports all of numpy.ma on its first call) is not used.  A run's checks draw their random
 numbers from a pure-Python Philox stream, so no run loads numpy.random.
 """
 
@@ -16,6 +16,7 @@ import fronttrack
 from test_cli import GOOD_CONFIG
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+BENCHMARK_INI = os.path.join(os.path.dirname(__file__), os.pardir, "benchmark.ini")
 
 # set(fronttrack.__all__) before the check modules became lazy
 PUBLIC = {
@@ -59,8 +60,8 @@ def test_solve_loads_no_check_module_no_jet_and_no_numpy_ma():
         "assert log and final.n_fronts\n"
         "u = ft.TrackedSolution(tracker, field0).sample_u(np.linspace(-3, 3, 50), 0.5)\n"
         "assert np.all(np.isfinite(u))\n")
-    assert loaded == ["fronttrack.expr", "fronttrack.fluxes", "fronttrack.profiles",
-                      "fronttrack.stationary", "fronttrack.tracker"]
+    assert loaded == ["fronttrack.fluxes", "fronttrack.profiles", "fronttrack.stationary",
+                      "fronttrack.tracker"]
 
 
 def test_cli_run_with_every_check_loads_no_numpy_ma(tmp_path):
@@ -79,6 +80,43 @@ def test_cli_run_with_every_check_loads_no_numpy_ma(tmp_path):
     assert "numpy.ma" not in loaded
     assert "numpy.random" not in loaded
     assert (tmp_path / "out" / "manifest.json").exists()
+
+
+def _cli_run_loads(tmp_path, config):
+    return _loaded_after(
+        "import sys\n"
+        "from fronttrack import cli\n"
+        "assert cli.main(['--out', sys.argv[1], 'run', sys.argv[2]]) == 0\n",
+        str(tmp_path / "out"), str(config))
+
+
+def test_benchmark_run_loads_no_parser(tmp_path):
+    loaded = _cli_run_loads(tmp_path, BENCHMARK_INI)
+    assert "fronttrack.validation" in loaded
+    assert "fronttrack.expr" not in loaded and "fronttrack.jet" not in loaded
+
+
+def test_a_custom_expr_run_loads_the_parser(tmp_path):
+    config = tmp_path / "run.ini"
+    config.write_text(GOOD_CONFIG.replace("family = modulated_burgers\nbase = 1.0\namp = 0.5",
+                                          "family = custom_expr\nexpr = (1+0.5*sin(x))*u^2/2"))
+    loaded = _cli_run_loads(tmp_path, config)
+    assert "fronttrack.expr" in loaded and "fronttrack.jet" in loaded
+
+
+def test_the_parser_raises_the_flux_modules_domain_error():
+    import fronttrack.expr
+    import fronttrack.fluxes
+    assert fronttrack.expr.DomainError is fronttrack.fluxes.DomainError
+
+
+def test_the_parser_is_imported_on_first_access():
+    loaded = _loaded_after(
+        "import sys\n"
+        "import fronttrack\n"
+        "assert 'fronttrack.expr' not in sys.modules\n"
+        "assert fronttrack.expr.parse('u^2/2') is not None\n")
+    assert "fronttrack.expr" in loaded
 
 
 def test_public_names_are_unchanged_and_resolve():

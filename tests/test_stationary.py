@@ -155,11 +155,14 @@ def test_solution_takes_the_shape_of_x_and_levels_together():
 def test_solve_level_evaluates_the_x_part_once_per_call():
     calls = []
 
-    def a(x):
-        calls.append(np.shape(x))
-        return 1.0 + 0.5 * np.sin(x)
+    def coefficient(sin, cos):
+        def a(x):
+            calls.append(np.shape(x))
+            return 1.0 + 0.5 * sin(x)
 
-    flux = _scaled_burgers("modulated_burgers", {}, 0.5, a, lambda x: 0.5 * np.cos(x))
+        return a, (lambda x: 0.5 * cos(x))
+
+    flux = _scaled_burgers("modulated_burgers", {}, 0.5, coefficient)
     generic = dataclasses.replace(flux, at=None)
     xs = np.linspace(-3.0, 3.0, 50)
     levels = np.array([np.linspace(-1.0, 1.0, 50), np.linspace(0.9, -0.2, 50)])

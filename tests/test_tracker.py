@@ -1,3 +1,4 @@
+import copy
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,7 @@ from scipy.optimize import brentq
 
 from fronttrack.fluxes import audit_assumptions, certify, make_builtin_flux
 from fronttrack.profiles import make_initial
-from fronttrack.stationary import g_of, solve_level
+from fronttrack.stationary import g_of, level_constants, solve_level
 from fronttrack.tracker import (Tracker, TrackedSolution, FrontField, FrontFieldError,
                                 quantize_initial, initial_fronts, empty_field,
                                 rh_speed, sample_u, sample_g, tv_g, l1_g_distance,
@@ -545,14 +546,26 @@ def test_remove_range_keeps_the_warm_starts():
     assert list(st.ids) == [0, 99, 4]
     assert np.array_equal(st.trace[0], [ul[0], ul[1], ul[4]])
     assert np.array_equal(st.trace[1], [ur[0], ur[3], ur[4]])
-    # the levels changed, so their cached constants are rebuilt on next use
-    assert st.levels is None and st.num is None
+    _assert_levels_rebuilt(st)
     st = _State(f0)
     st.trace = np.array((ul, ur))
     st.remove_range(1, 2)  # annihilation: no produced front
     assert list(st.ids) == [0, 3, 4]
     assert np.array_equal(st.trace[0], ul[[0, 3, 4]])
     assert np.array_equal(st.trace[1], ur[[0, 3, 4]])
+    st = _State(f0)
+    Tracker(BURGERS, 0.1, (-3, 3))._speeds(st, st.y)
+    st.remove_range(2, 3)  # levels 2, 1, 2: the outer levels meet
+    _assert_levels_rebuilt(st)
+
+
+def _assert_levels_rebuilt(st):
+    # the survivors keep their level constants and a produced front takes the
+    # outer ones: the constants of the new levels, bit for bit
+    g = 0.1 * st.z.astype(float)
+    want = level_constants(BURGERS, np.array((g[:-1], g[1:])))
+    assert all(np.array_equal(got, ref) for got, ref in zip(st.levels, want))
+    assert np.array_equal(st.num, want.g_abs[0] - want.g_abs[1])
 
 
 def delete_and_insert(st, a, b, produced=None):
@@ -587,26 +600,61 @@ def test_speed_evaluation_after_a_merge_starts_warm():
         calls.append(1)
         return MODULATED.f(x, u)
 
-    tr = Tracker(replace(MODULATED, f=f, at=None), 0.5, (-6, 6), h_ode=0.01)
-    speeds, resolve, after = tr._speeds, tr._resolve_leftmost_cluster, []
+    tr = Tracker(replace(MODULATED, f=f, at=None, point=None), 0.5, (-6, 6), h_ode=0.01)
+    resolve, after = tr._resolve_leftmost_cluster, []
 
-    def counted_speeds(st, y):
+    def counted_resolve(*args):
         n = len(calls)
-        v = speeds(st, y)
-        if after and after[-1] is None:
-            after[-1] = len(calls) - n
+        v = resolve(*args)
+        after.append(len(calls) - n)
         return v
 
-    def flagged_resolve(*args):
-        resolve(*args)
-        after.append(None)
-
-    tr._speeds, tr._resolve_leftmost_cluster = counted_speeds, flagged_resolve
+    tr._resolve_leftmost_cluster = counted_resolve
     f0 = initial_fronts([-1.0, 0.0, 0.5], [4, 1, 0, -1], 0.5)
     _, events = tr.advance(f0, 2.0)
     assert len(events) == 2
-    # one stacked Newton call from the kept traces: one step, one residual check
+    # the produced front alone is inverted, from the kept outer traces: one
+    # Newton step, one residual check
     assert after == [2, 2]
+
+
+def test_spliced_speeds_after_each_event_equal_a_fresh_evaluation():
+    # benchmark.ini's data: after an event the survivors keep their speeds,
+    # traces and level constants, and only the produced front is inverted
+    f0, tr, _ = _bump_solve(0.005, 1200)
+    speeds, resolve, calls, checked = tr._speeds, tr._resolve_leftmost_cluster, [], []
+
+    def counted_speeds(st, y):
+        calls.append(1)
+        return speeds(st, y)
+
+    def checked_resolve(st, *args):
+        v = resolve(st, *args)
+        fresh = copy.copy(st)
+        fresh.levels, fresh.trace = None, st.trace.copy()
+        assert np.array_equal(v, speeds(fresh, fresh.y))
+        assert np.array_equal(st.trace, fresh.trace)
+        assert all(np.array_equal(a, b) for a, b in zip(st.levels, fresh.levels))
+        assert np.array_equal(st.num, fresh.num)
+        checked.append(1)
+        return v
+
+    tr._speeds, tr._resolve_leftmost_cluster = counted_speeds, checked_resolve
+    f1, log = tr.advance(f0, 1.0)
+    assert len(checked) == len(log) > 50
+    spliced = len(calls)
+
+    # the same solve with every front's speed evaluated afresh after an event:
+    # one full evaluation more per event, and the same bits
+    def unspliced(*args):
+        resolve(*args)  # returns no speeds, so the loop evaluates them all
+
+    calls.clear()
+    tr._resolve_leftmost_cluster = unspliced
+    g1, fresh_log = tr.advance(f0, 1.0)
+    assert fresh_log == log
+    assert np.array_equal(g1.positions, f1.positions) and np.array_equal(g1.z, f1.z)
+    assert len(calls) - spliced == len(log)
 
 
 @pytest.mark.parametrize("positions, z, message", [
@@ -1136,7 +1184,7 @@ def test_impossible_interaction_aborts_with_forensics():
     tr = Tracker(BURGERS, 0.1, (-2, 2))
     st = _State(corrupt)
     with pytest.raises(AdmissibilityError) as info:
-        tr._resolve_leftmost_cluster(st, np.array([True]), np.array([0.0]),
+        tr._resolve_leftmost_cluster(st, np.zeros(2), np.array([True]), np.array([0.0]),
                                      1e-12, [])
     assert "positions" in str(info.value)  # the dump travels with the error
 

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -383,6 +384,38 @@ def test_characteristics_fourth_order():
     fine = characteristic_check(MODULATED, 0.0, 1.0, 1.0, 200)
     assert coarse > 1e-13  # truncation-dominated regime
     assert coarse / fine == pytest.approx(16.0, rel=0.3)
+
+
+@pytest.mark.parametrize("flux", [BURGERS, MODULATED,
+                                  make_builtin_flux("modulated_burgers", base=1.3, amp=-0.6,
+                                                    freq=2.7, phase=-0.9)],
+                         ids=["homogeneous", "modulated", "negative_amp_phase_freq"])
+@pytest.mark.parametrize("x0, u0, steps", [(-0.78, 0.8, 10_000), (-0.78, 0.8, 100),
+                                           (0.0, 1.0, 200), (1.1, -0.7, 300)])
+def test_characteristics_on_floats_match_the_array_functions(flux, x0, u0, steps):
+    # the point evaluator and the flux's own functions give the same drift, bit
+    # for bit; the benchmark.ini integrations start at x0 = -0.78
+    generic = replace(flux, point=None)
+    assert characteristic_check(flux, x0, u0, 1.0, steps) == \
+        characteristic_check(generic, x0, u0, 1.0, steps)
+
+
+def test_characteristics_call_budget():
+    calls = []
+
+    def counted(name):
+        real = getattr(MODULATED, name)
+        return lambda x, u: calls.append(name) or real(x, u)
+
+    # the copy keeps point on purpose: every call to f, fu or fx is counted
+    flux = replace(MODULATED, **{name: counted(name) for name in ("f", "fu", "fx")})
+    assert characteristic_check(flux, -0.78, 0.8, 1.0, 100) == \
+        characteristic_check(MODULATED, -0.78, 0.8, 1.0, 100)
+    assert calls == []
+    # without point: f, f_u and f_x at each step's end, which is also the next
+    # step's first stage, and f_u and f_x at the other three stages
+    characteristic_check(replace(flux, point=None), -0.78, 0.8, 1.0, 100)
+    assert len(calls) == 3 * 101 + 6 * 100
 
 
 def test_characteristics_window_exit():
