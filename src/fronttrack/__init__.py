@@ -10,7 +10,8 @@ into single fronts.
 The modules only the checks use, ``riemann`` and ``validation``, the names
 exported from them, and the DSL parser ``expr`` are imported on first access
 (PEP 562), and a DSL flux or profile imports the parser when it is built, so
-a solve loads only the flux, inversion, profile and tracker modules.
+a solve loads only the flux, inversion, profile, contact-location and
+tracker modules.
 """
 
 __version__ = "0.1.0"

@@ -56,9 +56,11 @@ class Flux:
     functions of u alone, with the work that depends only on x done once; the
     bound functions must agree with ``f`` and ``fu`` bit for bit.  ``point``,
     if given, maps Python floats (x, u) to the Python floats (f, f_u, f_x) at
-    that point, bit for bit those of ``f``, ``fu`` and ``fx``.  A copy that
-    replaces ``f``, ``fu`` or ``fx`` must therefore pass ``at=None`` and
-    ``point=None`` as well.
+    that point, bit for bit those of ``f``, ``fu`` and ``fx``.  The tracker
+    locates contacts on the few fronts near them through ``point`` and moves
+    the rest through ``at``, so a located event's positions rest on that
+    agreement.  A copy that replaces ``f``, ``fu`` or ``fx`` must therefore
+    pass ``at=None`` and ``point=None`` as well.
     """
 
     f: Callable

@@ -92,6 +92,30 @@ def solve_level(flux, x, g, guess=0.0):
     return u if u.shape == shape else np.broadcast_to(u, shape).copy()
 
 
+def solve_point(point, x, c, guess):
+    """solve_level at one point on Python floats, through a flux's ``point``.
+
+    ``c`` is one level's (s, g_abs, u_hi, start, tol) from ``level_constants``
+    as floats.  The operations are those of one element of solve_level's
+    Newton, in the same order, so from the same guess the result has the
+    same bits; max(0.0, w) returns 0.0 for w = -0.0, as np.maximum(w, 0.0)
+    does, where max(w, 0.0) would return -0.0.
+    """
+    s, g_abs, u_hi, start, tol = c
+    w = min(abs(guess), u_hi)
+    if not w > 0.0:
+        w = start
+    for _ in range(_MAX_NEWTON):
+        sw = s * w
+        f, fu, _ = point(x, sw)
+        phi = f - g_abs
+        if not abs(phi) > tol:
+            return sw
+        dphi = s * fu
+        w = min(max(0.0, w - phi / (dphi if dphi > 0.0 else 1.0)), u_hi)
+    raise InversionError(x, s * g_abs)
+
+
 def profile_slope(flux, x, u):
     """Slope dU/dx = -f_x / f_u of the stationary profile through (x, u).
 

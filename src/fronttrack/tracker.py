@@ -8,8 +8,12 @@ front positions.  Between interactions each front obeys its own autonomous
 Rankine-Hugoniot ODE; interactions are located by stepping onto predicted
 contact times and, when a step overshoots, by a safeguarded Illinois
 false-position search on the step length, and always resolve into at most
-one front.  ``TrackedSolution`` keeps a run's solve as dense output: its
-snapshots inside the solve are cubic Hermite interpolants of the RK4 steps.
+one front.  For a flux with ``Flux.point`` the search runs on the fronts of
+the pairs near contact alone, on Python floats with the bits of their array
+columns, and one RK4 step of all fronts to the located length follows
+(``fronttrack.contact``).
+``TrackedSolution`` keeps a run's solve as dense output: its snapshots
+inside the solve are cubic Hermite interpolants of the RK4 steps.
 """
 
 from __future__ import annotations
@@ -21,12 +25,10 @@ from typing import Optional
 
 import numpy as np
 
+from .contact import (TOL_EVENT, TOL_POS, few_fronts, first_contact, locate_on_candidates,
+                      point_speed)
 from .stationary import LevelConstants, g_of, level_constants, solve_level
 
-# fronts closer than this at a common time are one interaction point
-TOL_POS = 1e-10
-# time resolution of the earliest-contact search (its final bracket width)
-TOL_EVENT = 1e-11
 # default integrator step before event capping
 H_ODE_DEFAULT = 0.01
 
@@ -372,43 +374,6 @@ class _State:
                 f"ids={self.ids!r}")
 
 
-def _first_contact(step, h, f_lo, f_hi, y_hi):
-    """Earliest step length at which the contact function F reaches 0.
-
-    F(s) is the least gap of the troubled pairs, minus TOL_POS, after an RK4
-    step of length s; ``step(s)`` returns (F(s), positions).  The bracket
-    [0, h] starts from f_lo = F(0) and f_hi = F(h) <= 0, with y_hi the
-    positions at h.  Illinois false position (Dowell & Jarratt, BIT 11, 1971)
-    shrinks it: each trial point stays at least TOL_EVENT/4 inside the
-    bracket, and the bracket is halved instead while F(lo) <= 0 or after two
-    consecutive secant steps that each left more than half of it, so the
-    search costs at most about three times the halvings of bisection.
-    Returns (s, positions at s) at the upper end of the final bracket, where
-    F <= 0, once its width is at most TOL_EVENT.
-    """
-    lo, hi, y = 0.0, h, y_hi
-    side = stalls = 0  # side: +1 if the last point moved hi, -1 if it moved lo
-    while hi - lo > TOL_EVENT:
-        width = hi - lo
-        secant = f_lo > 0.0 and stalls < 2
-        if secant:
-            s = hi - f_hi * width / (f_hi - f_lo)
-            s = min(max(s, lo + 0.25 * TOL_EVENT), hi - 0.25 * TOL_EVENT)
-        else:
-            s = lo + 0.5 * width
-        f, y_s = step(s)
-        if f <= 0.0:
-            if side > 0:
-                f_lo *= 0.5
-            hi, f_hi, y, side = s, f, y_s, 1
-        else:
-            if side < 0:
-                f_hi *= 0.5
-            lo, f_lo, side = s, f, -1
-        stalls = stalls + 1 if secant and hi - lo > 0.5 * width else 0
-    return hi, y
-
-
 class Tracker:
     """Front tracking engine for one flux / delta / working window."""
 
@@ -439,6 +404,11 @@ class Tracker:
     def _front_speed(self, st, k):
         """Front k's speed at its position, from an inversion of its column alone
         (Newton is elementwise, so these are the bits of ``_speeds``)."""
+        if self.flux.point is not None:
+            (front,) = few_fronts(st, [k])
+            v = point_speed(self, st, front, front.y)
+            st.trace[:, k] = front.trace
+            return [v]
         col = slice(k, k + 1)
         levels = LevelConstants(*(c[:, col] for c in st.levels))
         st.trace[:, col] = solve_level(self.flux, st.y[col], levels, guess=st.trace[:, col])
@@ -564,30 +534,9 @@ class Tracker:
             approaching = v_app > 0.0
             if approaching.any():
                 h = min(h, float(np.min(gaps[approaching] / v_app[approaching])))
-            y_try = self._rk4(st, st.y, v, h)
-
-            gaps_try = np.diff(y_try)
-            trouble = (gaps_try <= TOL_POS) & (gaps_try < gaps)
-            if not trouble.any():
-                if (gaps_try <= 0.0).any():
-                    raise OrderingLostError(
-                        f"ordering lost without a contact flag in a step of {h!r}", st)
-                st.y, v = y_try, None
-                st.t += h
-                self._check_window(st)
-                continue
-
-            # locate the earliest step length at which a troubled pair reaches
-            # contact range; the next iteration resolves that contact
-            t_idx = np.flatnonzero(trouble)
-
-            def contact_gap(s):
-                y_s = self._rk4(st, st.y, v, s)
-                return float(np.min(y_s[t_idx + 1] - y_s[t_idx])) - TOL_POS, y_s
-
-            s, st.y = _first_contact(contact_gap, h,
-                                     float(np.min(gaps[t_idx])) - TOL_POS,
-                                     float(np.min(gaps_try[t_idx])) - TOL_POS, y_try)
+            located = (locate_on_candidates(self, st, v, gaps, v_app, h)
+                       if self.flux.point is not None else None)
+            s, st.y = located or self._step(st, v, gaps, h)
             st.t += s
             v = None
             self._check_window(st)
@@ -606,6 +555,30 @@ class Tracker:
         # a (near-)no-op advance may leave just-born fan siblings co-located
         strict = t_target - field_.time > TOL_EVENT
         return out.validate(strict_positions=strict), log
+
+    def _step(self, st, v, gaps, h):
+        """One RK4 step of all fronts, of length h or, if a pair comes into
+        contact range within it, of the earliest length at which one does.
+        Returns (step length, positions)."""
+        y_try = self._rk4(st, st.y, v, h)
+        gaps_try = np.diff(y_try)
+        trouble = (gaps_try <= TOL_POS) & (gaps_try < gaps)
+        if not trouble.any():
+            if (gaps_try <= 0.0).any():
+                raise OrderingLostError(
+                    f"ordering lost without a contact flag in a step of {h!r}", st)
+            return h, y_try
+
+        # locate the earliest step length at which a troubled pair reaches
+        # contact range; the loop's next iteration resolves that contact
+        t_idx = np.flatnonzero(trouble)
+
+        def contact_gap(s):
+            y_s = self._rk4(st, st.y, v, s)
+            return float(np.min(y_s[t_idx + 1] - y_s[t_idx])) - TOL_POS, y_s
+
+        return first_contact(contact_gap, h, float(np.min(gaps[t_idx])) - TOL_POS,
+                             float(np.min(gaps_try[t_idx])) - TOL_POS, y_try)
 
     def _check_window(self, st):
         if len(st.y) == 0:

@@ -1,6 +1,6 @@
 """What a run loads: each footprint is read in a fresh interpreter.
 
-A solve needs the flux, inversion, profile and tracker modules only; the
+A solve needs the flux, inversion, profile, contact and tracker modules only; the
 check modules and the DSL parser are imported on first access, and np.unique
 (which imports all of numpy.ma on its first call) is not used.  A run's checks draw their random
 numbers from a pure-Python Philox stream, so no run loads numpy.random.
@@ -18,7 +18,8 @@ from test_cli import GOOD_CONFIG
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 BENCHMARK_INI = os.path.join(os.path.dirname(__file__), os.pardir, "benchmark.ini")
 
-# set(fronttrack.__all__) before the check modules became lazy
+# set(fronttrack.__all__) before the check modules became lazy, and the
+# contact-location submodule
 PUBLIC = {
     "AdmissibilityError", "ApproxFlux", "AssumptionReport", "CheckResult",
     "DegenerateStatesError", "Event", "FVGrid", "Flux", "FrontField", "InvalidFluxParams",
@@ -26,7 +27,7 @@ PUBLIC = {
     "SingleFrontSolution", "SpeedEnvelope", "TOL_EVENT", "TOL_INV", "TOL_POS",
     "TestFunction", "TrackedSolution", "Tracker", "TrackerError", "ValidationReport",
     "WindowExitError", "approx_kruzkov_residual", "audit_assumptions", "certify",
-    "characteristic_check", "characteristic_fan", "default_envelope",
+    "characteristic_check", "characteristic_fan", "contact", "default_envelope",
     "domain_of_dependence_check", "empty_field", "entropy_battery", "entropy_tol", "expr",
     "flux_convergence_check", "fluxes", "fv_reference", "g_of", "initial_fronts",
     "inversion_gap_bound", "kruzkov_residual", "l1_distance", "l1_g_distance",
@@ -60,8 +61,8 @@ def test_solve_loads_no_check_module_no_jet_and_no_numpy_ma():
         "assert log and final.n_fronts\n"
         "u = ft.TrackedSolution(tracker, field0).sample_u(np.linspace(-3, 3, 50), 0.5)\n"
         "assert np.all(np.isfinite(u))\n")
-    assert loaded == ["fronttrack.fluxes", "fronttrack.profiles", "fronttrack.stationary",
-                      "fronttrack.tracker"]
+    assert loaded == ["fronttrack.contact", "fronttrack.fluxes", "fronttrack.profiles",
+                      "fronttrack.stationary", "fronttrack.tracker"]
 
 
 def test_cli_run_with_every_check_loads_no_numpy_ma(tmp_path):

@@ -5,16 +5,18 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from fronttrack import contact
+from fronttrack.contact import first_contact
 from fronttrack.fluxes import audit_assumptions, certify, make_builtin_flux
 from fronttrack.profiles import make_initial
-from fronttrack.stationary import g_of, level_constants, solve_level
+from fronttrack.stationary import InversionError, g_of, level_constants, solve_level
 from fronttrack.tracker import (Tracker, TrackedSolution, FrontField, FrontFieldError,
                                 quantize_initial, initial_fronts, empty_field,
                                 rh_speed, sample_u, sample_g, tv_g, l1_g_distance,
                                 common_pieces,
                                 TrackerError, OrderingLostError, LoopLimitError,
-                                WindowExitError, TOL_POS, TOL_EVENT, _State,
-                                _first_contact)
+                                WindowExitError, DegenerateStatesError, TOL_POS,
+                                TOL_EVENT, _State)
 from fronttrack.validation import SingleFrontSolution
 
 BURGERS = make_builtin_flux("homogeneous_burgers")
@@ -335,84 +337,127 @@ def test_three_shock_cascade_matches_independent_oracle():
         assert abs(e.position - x_c) <= 1e-9
 
 
-def _speed_log(tr):
-    """Wrap a tracker's speed and RK4 calls.  The returned list gets "v" for a
-    speed evaluation at a loop state, "k" for one inside an RK4 step and the
-    step length for each RK4 call."""
-    log, speeds, rk4, inside = [], tr._speeds, tr._rk4, []
+def _speed_log(tr, monkeypatch):
+    """Wrap a tracker's speed and RK4 calls.  The returned list gets ("v",
+    speeds) for a speed evaluation at a loop state, ("k",) for one inside a
+    full-state RK4 step, ("rk4", h, k1) for each full-state RK4 call and
+    ("few", h, k1) for each RK4 call of the few-front search."""
+    log, speeds, rk4, few, inside = [], tr._speeds, tr._rk4, contact.point_rk4, []
 
     def counted_speeds(st, y):
-        log.append("k" if inside else "v")
-        return speeds(st, y)
+        v = speeds(st, y)
+        log.append(("k",) if inside else ("v", v))
+        return v
 
-    def counted_rk4(*args):
-        log.append(args[-1])
+    def counted_rk4(st, y, k1, h):
+        log.append(("rk4", h, k1))
         inside.append(True)
         try:
-            return rk4(*args)
+            return rk4(st, y, k1, h)
         finally:
             inside.pop()
 
+    def counted_few(tracker, st, fronts, k1, h):
+        log.append(("few", h, k1))
+        return few(tracker, st, fronts, k1, h)
+
     tr._speeds, tr._rk4 = counted_speeds, counted_rk4
+    monkeypatch.setattr(contact, "point_rk4", counted_few)
     return log
 
 
-def test_one_regular_step_costs_four_speed_evaluations():
+def _located_steps(tr, f0, t_end, monkeypatch):
+    """Solve with the calls logged; returns the events and, split at the
+    loop's speed evaluations, the steps whose contact search made trials
+    (few-front ones if the flux has ``point``, else full-state ones)."""
+    log = _speed_log(tr, monkeypatch)
+    _, events = tr.advance(f0, t_end)
+    steps = []
+    for item in log:
+        if item[0] == "v":
+            steps.append([])
+        steps[-1].append(item)
+    search = "rk4" if tr.flux.point is None else "few"
+    return events, [s for s in steps if sum(i[0] == search for i in s) > 1]
+
+
+def _located_merge():
+    return initial_fronts([-1.0, 0.0], [4, 1, 0], 0.5), Tracker(MODULATED, 0.5, (-6, 6), h_ode=0.01)
+
+
+def test_one_regular_step_costs_four_speed_evaluations(monkeypatch):
     f0 = initial_fronts([0.0], [1, 0], 0.5)
     tr = Tracker(MODULATED, 0.5, (-2, 2), h_ode=0.01)
-    log = _speed_log(tr)
+    log = _speed_log(tr, monkeypatch)
     tr.advance(f0, 0.01)
-    assert log.count("v") + log.count("k") == 4
+    assert sum(i[0] in ("v", "k") for i in log) == 4
 
 
-def test_located_merge_reuses_the_loop_speeds_and_does_not_restep():
-    f0 = initial_fronts([-1.0, 0.0], [4, 1, 0], 0.5)
-    tr = Tracker(MODULATED, 0.5, (-6, 6), h_ode=0.01)
-    log = _speed_log(tr)
-    _, events = tr.advance(f0, 1.2)
-    assert len(events) == 1
-    steps = []
-    for item in log:
-        if item == "v":
-            steps.append([])
-        steps[-1].append(item)
-    located = [s for s in steps if sum(not isinstance(i, str) for i in s) > 1]
-    assert len(located) == 1
-    hs = [i for i in located[0] if not isinstance(i, str)]
-    # the loop's speeds serve as every RK4 call's first stage, and the
-    # search's upper end is never integrated twice
-    assert located[0].count("v") + located[0].count("k") == 1 + 3 * len(hs)
-    assert len(set(hs)) == len(hs)
+def _assert_trials_start_from_the_loop_speeds(step, search):
+    """Every RK4 call of a located step of two fronts (both candidates) starts
+    from the loop's speeds, and the search's calls (``search``: "few" or
+    "rk4") have distinct lengths: its upper end is never integrated twice.
+    Returns those lengths."""
+    (_, v), trials = step[0], [i for i in step[1:] if i[0] in ("few", "rk4")]
+    for trial in trials:
+        assert np.array_equal(trial[-1], v)
+    searched = [i[1] for i in trials if i[0] == search]
+    assert len(set(searched)) == len(searched)
+    return searched
 
 
-def test_located_merge_costs_at_most_six_rk4_calls():
-    f0 = initial_fronts([-1.0, 0.0], [4, 1, 0], 0.5)
-    tr = Tracker(MODULATED, 0.5, (-6, 6), h_ode=0.01)
-    log = _speed_log(tr)
-    tr.advance(f0, 1.2)
-    steps = []
-    for item in log:
-        if item == "v":
-            steps.append([])
-        steps[-1].append(item)
-    n_rk4 = [sum(not isinstance(i, str) for i in s) for s in steps]
+def test_located_merge_reuses_the_loop_speeds_and_does_not_restep(monkeypatch):
+    f0, tr = _located_merge()
+    events, located = _located_steps(tr, f0, 1.2, monkeypatch)
+    assert len(events) == 1 and len(located) == 1
+    searched = _assert_trials_start_from_the_loop_speeds(located[0], "few")
+    # the full-state step runs once, to a length the search tried
+    (full,) = [i[1] for i in located[0] if i[0] == "rk4"]
+    assert full in searched
+
+
+def test_located_merge_costs_at_most_six_rk4_calls(monkeypatch):
+    f0, tr = _located_merge()
+    _, located = _located_steps(tr, f0, 1.2, monkeypatch)
     # one overshooting step of length h, then the contact search
-    assert max(n_rk4) - 1 <= 6
+    assert sum(i[0] == "few" for i in located[0]) - 1 <= 6
 
 
-def test_located_contact_brackets_the_threshold():
-    f0 = initial_fronts([-1.0, 0.0], [4, 1, 0], 0.5)
-    tr = Tracker(MODULATED, 0.5, (-6, 6), h_ode=0.01)
-    rk4, calls = tr._rk4, []
+def test_full_state_search_reuses_the_loop_speeds_and_costs_at_most_six_rk4_calls(monkeypatch):
+    # a flux without ``point`` searches on the full state, as the fallback does
+    f0, tr = _located_merge()
+    tr.flux = replace(MODULATED, point=None)
+    events, located = _located_steps(tr, f0, 1.2, monkeypatch)
+    assert len(events) == 1 and len(located) == 1
+    hs = _assert_trials_start_from_the_loop_speeds(located[0], "rk4")
+    assert sum(i[0] in ("v", "k") for i in located[0]) == 1 + 3 * len(hs)
+    assert len(hs) - 1 <= 6
 
-    def recorded_rk4(st, y, k1, h):
-        y_h = rk4(st, y, k1, h)
-        calls.append((st.t, y.copy(), k1.copy(), h, np.min(np.diff(y_h), initial=np.inf)))
+
+def test_a_located_merge_makes_one_full_state_step(monkeypatch):
+    f0, tr = _located_merge()
+    events, located = _located_steps(tr, f0, 1.2, monkeypatch)
+    assert len(events) == 1 and len(located) == 1
+    # the loop's own evaluation and one RK4 step of all fronts: 1 + 3 speed
+    # evaluations, where the full-state search makes 1 + 3 per trial
+    assert sum(i[0] in ("v", "k") for i in located[0]) == 1 + 3
+    assert sum(i[0] == "rk4" for i in located[0]) == 1
+    assert sum(i[0] == "few" for i in located[0]) > 2
+
+
+def test_located_contact_brackets_the_threshold(monkeypatch):
+    f0, tr = _located_merge()
+    few, calls = contact.point_rk4, []
+
+    def recorded_few(tracker, st, fronts, k1, h):
+        y_h = few(tracker, st, fronts, k1, h)
+        calls.append((st.t, np.array([f.y for f in fronts]), np.array(k1), h,
+                      np.min(np.diff(y_h), initial=np.inf)))
         return y_h
 
-    tr._rk4 = recorded_rk4
+    monkeypatch.setattr(contact, "point_rk4", recorded_few)
     _, events = tr.advance(f0, 1.2)
-    tr._rk4 = rk4
+    monkeypatch.undo()
     assert len(events) == 1
     t0 = max(c[0] for c in calls if sum(d[0] == c[0] for d in calls) > 1)
     located = [c for c in calls if c[0] == t0]
@@ -422,6 +467,249 @@ def test_located_contact_brackets_the_threshold():
     assert gap <= TOL_POS
     y_before = tr._rk4(_State(f0), y, k1, s - TOL_EVENT)
     assert y_before[1] - y_before[0] > TOL_POS
+
+
+# ---------------------------------------------------------------------------
+# the few-front contact search on Python floats (fluxes with ``point``)
+# ---------------------------------------------------------------------------
+
+# the fluxes of tests/test_fluxes.py::test_point_equals_f_fu_and_fx_on_floats
+POINT_FLUXES = {
+    "homogeneous": BURGERS,
+    "modulated": MODULATED,
+    "negative_amp_phase_freq": make_builtin_flux("modulated_burgers", base=1.3, amp=-0.6,
+                                                 freq=2.7, phase=-0.9),
+}
+
+
+def _state_with_levels(tr, field_, trace=None):
+    """A working state with its level constants built (as ``_speeds`` builds
+    them) and the given warm starts."""
+    st = _State(field_)
+    g = tr.delta * st.z.astype(float)
+    st.levels = level_constants(tr.flux, np.array((g[:-1], g[1:])))
+    st.num = st.levels.g_abs[0] - st.levels.g_abs[1]
+    if trace is not None:
+        st.trace = trace.copy()
+    return st
+
+
+@pytest.fixture(scope="module")
+def bump_fields():
+    """benchmark.ini's fields at t = 0, 0.3 and 0.9 for delta 0.005 and 0.001."""
+    out = {}
+    for delta, cells in ((0.005, 1200), (0.001, 6000)):
+        f, tr, _ = _bump_solve(delta, cells)
+        for t in (0.0, 0.3, 0.9):
+            f = tr.advance(f, t)[0]
+            out[delta, t] = f
+    return out
+
+
+def _variants(field_):
+    """The field with its levels as they are (g >= 0), negated (g <= 0) and of
+    alternating sign, and with two positions set to -0.0 and 0.0: every front
+    has an outer g = 0 piece somewhere, and both branches occur."""
+    z = field_.z
+    signs = np.where(np.arange(len(z)) % 2 == 0, 1, -1)
+    zeros = field_.positions.copy()
+    zeros[:2] = (-0.0, 0.0)
+    return [field_, replace(field_, z=-z), replace(field_, z=signs * z),
+            replace(field_, positions=zeros)]
+
+
+def _guesses(tr, field_):
+    """Cold starts, warm traces from nearby positions, their negatives, and
+    signed zeros and NaN in the columns."""
+    st = _state_with_levels(tr, field_)
+    tr._speeds(st, st.y + 1e-3)
+    warm = st.trace
+    odd = warm.copy()
+    odd[:, ::3] = -0.0
+    odd[0, 1::5] = np.nan
+    return [np.zeros_like(warm), warm, -warm, odd]
+
+
+@pytest.mark.parametrize("name", list(POINT_FLUXES))
+@pytest.mark.parametrize("delta", [0.005, 0.001])
+@pytest.mark.parametrize("t", [0.0, 0.3, 0.9])
+def test_point_speeds_are_the_bits_of_the_array_columns(bump_fields, name, delta, t):
+    # the few-front search relies on these bits, and with them on math.sin and
+    # vectorized np.sin agreeing on this host
+    flux = POINT_FLUXES[name]
+    tr, full = Tracker(flux, delta, (-6, 6)), Tracker(replace(flux, point=None), delta, (-6, 6))
+    for field_ in _variants(bump_fields[delta, t]):
+        n = field_.n_fronts
+        for guess in _guesses(tr, field_):
+            st = _state_with_levels(tr, field_, guess)
+            v = tr._speeds(st, st.y)
+            scalar = _state_with_levels(tr, field_, guess)
+            fronts = contact.few_fronts(scalar, list(range(n)))
+            w = np.array([contact.point_speed(tr, scalar, f, f.y) for f in fronts])
+            assert w.tobytes() == v.tobytes()
+            assert np.transpose([f.trace for f in fronts]).tobytes() == st.trace.tobytes()
+
+            for k in sorted({0, n // 3, n - 1}):  # outer fronts have a g = 0 side
+                a = _state_with_levels(full, field_, guess)
+                b = _state_with_levels(tr, field_, guess)
+                assert np.asarray(tr._front_speed(b, k)).tobytes() == \
+                    full._front_speed(a, k).tobytes()
+                assert b.trace.tobytes() == a.trace.tobytes()
+
+            # an RK4 step of a few columns from the traces the speeds v left, and
+            # the next one from the traces that step leaves
+            cols = sorted({0, 1, n // 2, n - 1})
+            few = _state_with_levels(tr, field_, st.trace)
+            fronts = contact.few_fronts(few, cols)
+            for h in (0.003, 0.001):
+                y = tr._rk4(st, field_.positions, v, h)
+                y_few = contact.point_rk4(tr, few, fronts, v[cols].tolist(), h)
+                assert np.array(y_few).tobytes() == y[cols].tobytes()
+                assert np.transpose([f.trace for f in fronts]).tobytes() == \
+                    st.trace[:, cols].tobytes()
+
+
+def _events_and_positions(tr, f0, times):
+    logs, f = [], f0
+    for t in times:
+        f, log = tr.advance(f, t)
+        logs.extend(log)
+    return logs, f
+
+
+def _largest_deviation(log, ref_log, f1, ref_f1):
+    """Event ids must be equal; returns the largest event time, event position
+    and final position deviations."""
+    assert [(e.consumed, e.produced) for e in log] == \
+        [(e.consumed, e.produced) for e in ref_log]
+    assert np.array_equal(f1.z, ref_f1.z) and np.array_equal(f1.ids, ref_f1.ids)
+    return (max((abs(a.time - b.time) for a, b in zip(log, ref_log)), default=0.0),
+            max((abs(a.position - b.position) for a, b in zip(log, ref_log)), default=0.0),
+            float(np.max(np.abs(f1.positions - ref_f1.positions), initial=0.0)))
+
+
+@pytest.mark.parametrize("delta, cells", [(0.005, 1200), (0.002, 3000), (0.001, 6000)])
+def test_few_front_search_matches_the_full_state_search(delta, cells):
+    # the delta-sweep: the same solve with today's full-state search (no point)
+    f0, tr, times = _bump_solve(delta, cells)
+    full = Tracker(replace(MODULATED, point=None), delta, (-6, 6))
+    log, f1 = _events_and_positions(tr, f0, times)
+    ref_log, ref_f1 = _events_and_positions(full, f0, times)
+    dev = _largest_deviation(log, ref_log, f1, ref_f1)
+    print(f"\ndelta = {delta}: {len(log)} events; largest deviation: event time {dev[0]:.1e}, "
+          f"event position {dev[1]:.1e}, final position {dev[2]:.1e}")
+    assert max(dev) <= 1e-9
+
+
+def test_benchmark_run_matches_the_full_state_search(tmp_path, monkeypatch):
+    import fronttrack.cli as cli
+    cfg = cli.load_config("benchmark.ini")
+    cfg.checks = []
+    events = []
+    for point in (True, False):
+        if not point:
+            monkeypatch.setattr(cli, "make_builtin_flux",
+                                lambda *a, **k: replace(make_builtin_flux(*a, **k), point=None))
+        manifest, status = cli.run(cfg, tmp_path / str(point))
+        assert status == 0
+        rows = np.genfromtxt(tmp_path / str(point) / "events.csv", delimiter=",",
+                             names=True, dtype=None, encoding="utf-8")
+        events.append(rows)
+    a, b = events
+    assert len(a) == 64
+    assert list(a["consumed_ids"]) == list(b["consumed_ids"])
+    assert list(a["produced_id"]) == list(b["produced_id"])
+    dev = max(np.max(np.abs(a["t"] - b["t"])), np.max(np.abs(a["x"] - b["x"])))
+    print(f"\nbenchmark.ini: largest event time or position deviation {dev:.1e}")
+    assert dev <= 1e-9
+
+
+def _drop_the_earliest_pair(monkeypatch):
+    """Take from the candidates the pair with the least linear contact time,
+    the one that makes contact; returns, for each full-state step, the
+    number of few-front trials made at its state before it."""
+    select, few, step = contact.candidates, contact.point_rk4, Tracker._step
+    trials, fallbacks = [], []
+
+    def dropping(gaps, v_app, h):
+        pairs = select(gaps, v_app, h)
+        return [p for p in pairs if p != min(pairs, key=lambda p: gaps[p] / v_app[p])]
+
+    def counted_few(tracker, st, *args):
+        trials.append(st.t)
+        return few(tracker, st, *args)
+
+    def counted_step(self, st, *args):
+        fallbacks.append(trials.count(st.t))
+        return step(self, st, *args)
+
+    monkeypatch.setattr(contact, "candidates", dropping)
+    monkeypatch.setattr(contact, "point_rk4", counted_few)
+    monkeypatch.setattr(Tracker, "_step", counted_step)
+    return fallbacks
+
+
+@pytest.mark.parametrize("x0, trials", [
+    (-1.6953, 2),   # the kept pair is located, and the dropped one is in contact there
+    (-1.695, 1),    # the kept pair does not reach contact range within h
+], ids=["searched", "unlocated"])
+def test_a_missed_candidate_falls_back_to_the_full_state_search(monkeypatch, x0, trials):
+    # three shocks whose two pairs meet within one step of each other
+    f0 = FrontField(time=0.0, delta=0.5, positions=np.array([x0, -1.0, 0.0]),
+                    z=np.array([6, 3, 1, 0]), ids=np.arange(3), next_id=3).validate()
+    ref, ref_log = Tracker(replace(MODULATED, point=None), 0.5, (-8, 8)).advance(f0, 3.0)
+    fallbacks = _drop_the_earliest_pair(monkeypatch)
+    f1, log = Tracker(MODULATED, 0.5, (-8, 8)).advance(f0, 3.0)
+    assert max(fallbacks) >= trials
+    assert log == ref_log and len(log) == 2
+    assert f1.positions.tobytes() == ref.positions.tobytes()
+
+
+@pytest.mark.parametrize("case", ["degenerate", "alpha_too_large"])
+def test_the_few_front_path_fails_as_the_array_path_does(case):
+    if case == "degenerate":
+        # U = sqrt(2e-24) and 0 differ by less than the quotient's floor of 1e-9
+        flux, delta, error = BURGERS, 1e-24, DegenerateStatesError
+    else:
+        # the bracket sqrt(2g/alpha) lies below every root: Newton stalls on it
+        flux, delta, error = replace(MODULATED, alpha=50.0), 0.5, InversionError
+    f0 = FrontField(time=0.25, delta=delta, positions=np.array([0.3]),
+                    z=np.array([1, 0]), ids=np.array([0]), next_id=1)
+    tr = Tracker(flux, delta, (-2, 2))
+    full = Tracker(replace(flux, point=None), delta, (-2, 2))
+    raised = []
+    for call in (lambda st: tr._speeds(st, st.y),
+                 lambda st: full._front_speed(st, 0),
+                 lambda st: tr._front_speed(st, 0),
+                 lambda st: contact.point_speed(tr, st, *contact.few_fronts(st, [0]), 0.3),
+                 lambda st: contact.point_rk4(tr, st, contact.few_fronts(st, [0]), [0.0], 0.01)):
+        with pytest.raises(error) as info:
+            call(_state_with_levels(tr, f0))
+        raised.append(info.value)
+    assert len({str(e) for e in raised}) == 1
+    if case == "degenerate":
+        assert "t=0.25" in str(raised[0]) and "y=array([0.3])" in str(raised[0])
+        assert "positions" in str(raised[0])
+    else:
+        assert {(e.x, e.level) for e in raised} == {(0.3, 0.5)}
+
+
+def test_the_sweep_solve_makes_few_full_state_inversions(monkeypatch):
+    # timing-free guard: a located event costs the loop's evaluation and one RK4
+    # step of all fronts (556 calls for 64 events); trials on the full state,
+    # as a flux without ``point`` makes them, cost 1,178
+    import fronttrack.tracker as tracker_module
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve_level(*args, **kwargs)
+
+    monkeypatch.setattr(tracker_module, "solve_level", counted)
+    f0, tr, times = _bump_solve(0.005, 1200)
+    log, _ = _events_and_positions(tr, f0, times)
+    assert len(log) == 64
+    assert len(calls) <= 650
 
 
 def _kinked(s):
@@ -444,7 +732,7 @@ def test_first_contact_ends_within_the_halving_bound(f):
         evals.append(s)
         return f(s), np.array([s])
 
-    s, y = _first_contact(step, h, f(0.0), f(h), np.array([h]))
+    s, y = first_contact(step, h, f(0.0), f(h), np.array([h]))
     assert f(s) <= 0.0 and y[0] == s
     lo = max([e for e in evals if e < s], default=0.0)
     assert s - lo <= TOL_EVENT
