@@ -1,9 +1,9 @@
 """Contact location: the earliest step length at which two fronts come into
 contact range.
 
-``first_contact`` is the search on the step length.  For a flux with
-``Flux.point``, ``locate_on_candidates`` runs the aimed step and that search
-on the fronts of the pairs near a contact alone, on Python floats:
+``first_contact`` is the search on the step length.
+``locate_on_candidates`` runs the aimed step and that search on the fronts of
+the pairs near a contact alone, on Python floats through ``Flux.point``:
 ``stationary.solve_point`` is one element of ``solve_level``'s Newton, and a
 front's speed and RK4 step are its column's operations in
 ``Tracker._speeds`` and ``Tracker._rk4``, so its traces and positions are

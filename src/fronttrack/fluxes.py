@@ -52,11 +52,12 @@ class Flux:
     the certified lower bound on f_uu; it is None for a DSL flux until an
     audit has certified one.
 
-    ``at``, if given, maps positions x to the pair (f(x, .), f_u(x, .)) of
-    functions of u alone, with the work that depends only on x done once; the
-    bound functions must agree with ``f`` and ``fu`` bit for bit.  ``point``,
-    if given, maps Python floats (x, u) to the Python floats (f, f_u, f_x) at
-    that point, bit for bit those of ``f``, ``fu`` and ``fx``.  The tracker
+    ``at`` maps positions x to the pair (f(x, .), f_u(x, .)) of functions of
+    u alone, with the work that depends only on x done once; the bound
+    functions must agree with ``f`` and ``fu`` bit for bit.  ``point`` maps
+    Python floats (x, u) to the Python floats (f, f_u, f_x) at that point,
+    bit for bit those of ``f``, ``fu`` and ``fx``.  Either one not given is
+    derived from ``f``, ``fu`` and ``fx``, with no work shared.  The tracker
     locates contacts on the few fronts near them through ``point`` and moves
     the rest through ``at``, so a located event's positions rest on that
     agreement.  A copy that replaces ``f``, ``fu`` or ``fx`` must therefore
@@ -72,6 +73,13 @@ class Flux:
     params: dict = field(default_factory=dict)
     at: Optional[Callable] = None
     point: Optional[Callable] = None
+
+    def __post_init__(self):
+        f, fu, fx = self.f, self.fu, self.fx
+        object.__setattr__(self, "at", self.at or (lambda x: (lambda u: f(x, u),
+                                                              lambda u: fu(x, u))))
+        object.__setattr__(self, "point", self.point or (lambda x, u: (
+            float(f(x, u)), float(fu(x, u)), float(fx(x, u)))))
 
     def require_alpha(self):
         if self.alpha is None or not 0.0 < self.alpha < np.inf:  # also nan
@@ -220,6 +228,7 @@ def make_builtin_flux(family, **params):
             fx=jet["fx"],
             fuu=jet["fuu"],
             at=jet["at"],
+            point=jet["point"],
             alpha=None,
             family=family,
             params={"expr": source if isinstance(source, str) else fexpr.pretty(source)},

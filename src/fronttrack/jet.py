@@ -72,11 +72,12 @@ def _fail(tree, label, error):
 def _guarded(header, lines, label, tail):
     """A function that runs ``lines`` under one floating-point guard: numpy
     raises on overflow, division by zero or an invalid operation, Python
-    floats raise on division by zero, and ``tail`` follows."""
+    floats raise on division by zero, and ``tail`` follows.  ``label`` is the
+    source of the function's label in a DomainError."""
     return (f"{header}\n    try:\n"
             f"        with _errstate(divide='raise', over='raise', invalid='raise'):\n"
             + "".join(f"            {line}\n" for line in lines or ["pass"])
-            + f"    except _ERRORS as e:\n        raise _fail(_tree, {label!r}, e) from None\n"
+            + f"    except _ERRORS as e:\n        raise _fail(_tree, {label}, e) from None\n"
             + tail)
 
 
@@ -247,15 +248,32 @@ class Jet:
             dead = sorted({a for a in self.ops[t][1] if last.get(a) == t})
             if dead:
                 lines.append("del " + ", ".join(map(_source, dead)))
-        return _guarded(f"def {name}({params}):", lines + [f"out = {_source(out)}"], label,
+        return _guarded(f"def {name}({params}):", lines + [f"out = {_source(out)}"], repr(label),
                         f"    if not _isfinite(out).all():\n"
                         f"        raise _fail(_tree, {label!r}, 'non-finite result')\n"
                         f"    return out\n")
 
+    def _point(self):
+        """point(x, u) -> (f, f_u, f_x) on Python floats.  f, f_u and f_x in
+        turn compute the temporaries not computed before them and check their
+        value, so a failure raises what the first of ``f``, ``fu`` and ``fx``
+        to fail raises."""
+        lines, done = [], set()
+        for name in ("f", "fu", "fx"):
+            out, label = self.outputs[name], _LABELS[name]
+            temps = [t for t in self._needed(out) if t not in done]
+            done.update(temps)
+            lines += [f"label = {label!r}", *map(self._line, temps),
+                      f"{name} = _float({_source(out)})",
+                      f"if not _finite({name}): raise _fail(_tree, label, 'non-finite result')"]
+        return _guarded("def point(x, u):", lines, "label", "    return f, fu, fx\n")
+
     def source(self, name):
-        """The source of the function ``name``: f, fu, fx or fuu of (x, u), or
-        at, which computes the temporaries free of u once and returns f and
-        f_u as functions of u bound to them."""
+        """The source of the function ``name``: f, fu, fx or fuu of (x, u),
+        point, or at, which computes the temporaries free of u once and
+        returns f and f_u as functions of u bound to them."""
+        if name == "point":
+            return self._point()
         if name != "at":
             out = self.f if name == "f" else self.outputs[name]
             return self._function(name, "x, u", out, self._needed(out))
@@ -264,7 +282,7 @@ class Jet:
         bound = "".join(self._function(n, "u", out, [t for t in self._needed(out)
                                                      if self.has_u[t]])
                         for n, out in (("f", f), ("fu", fu)))
-        return _guarded("def at(x):", prologue, "f and f_u",
+        return _guarded("def at(x):", prologue, repr("f and f_u"),
                         textwrap.indent(bound, "    ") + "    return f, fu\n")
 
     def compile(self, *names):
@@ -281,5 +299,6 @@ class Jet:
 # ndarray.all imports numpy's reductions through the caller's builtins
 _NAMESPACE = {"__builtins__": {"__import__": __import__}, "inf": math.inf, "nan": math.nan,
               "_ipow": _ipow, "_errstate": np.errstate, "_isfinite": np.isfinite, "_fail": _fail,
+              "_float": float, "_finite": math.isfinite,
               "_ERRORS": (FloatingPointError, ZeroDivisionError, OverflowError),
               **{name: getattr(np, name) for name in FUNCTIONS}}

@@ -64,13 +64,13 @@ def solve_level(flux, x, g, guess=0.0):
     monotone, so no bisection safeguard is needed beyond clipping into
     [0, bracket].  ``g`` is levels or their ``level_constants``; x keeps its
     shape, so levels stacked on shared x evaluate its part of f once per point,
-    and a flux with ``at`` evaluates that part once per call, not per iteration.
+    and ``flux.at`` binds f at x once per call, so a flux whose ``at`` shares
+    that part evaluates it once per call, not per iteration.
     """
     s, g_abs, u_hi, start, tol = g if isinstance(g, LevelConstants) else \
         level_constants(flux, g)
     x = np.asarray(x, dtype=float)
-    f, fu = flux.at(x) if flux.at is not None else \
-        ((lambda u: flux.f(x, u)), (lambda u: flux.fu(x, u)))
+    f, fu = flux.at(x)
     w = np.minimum(np.abs(np.asarray(guess, dtype=float)), u_hi)
     w = np.where(w > 0.0, w, start)  # 0 at g = 0, where the bracket is 0
 

@@ -8,8 +8,8 @@ front positions.  Between interactions each front obeys its own autonomous
 Rankine-Hugoniot ODE; interactions are located by stepping onto predicted
 contact times and, when a step overshoots, by a safeguarded Illinois
 false-position search on the step length, and always resolve into at most
-one front.  For a flux with ``Flux.point`` the search runs on the fronts of
-the pairs near contact alone, on Python floats with the bits of their array
+one front.  The search first runs on the fronts of the pairs near contact
+alone, through ``Flux.point`` on Python floats with the bits of their array
 columns, and one RK4 step of all fronts to the located length follows
 (``fronttrack.contact``).
 ``TrackedSolution`` keeps a run's solve as dense output: its snapshots
@@ -25,9 +25,8 @@ from typing import Optional
 
 import numpy as np
 
-from .contact import (TOL_EVENT, TOL_POS, few_fronts, first_contact, locate_on_candidates,
-                      point_speed)
-from .stationary import LevelConstants, g_of, level_constants, solve_level
+from .contact import TOL_EVENT, TOL_POS, first_contact, locate_on_candidates
+from .stationary import g_of, level_constants, solve_level
 
 # default integrator step before event capping
 H_ODE_DEFAULT = 0.01
@@ -342,25 +341,20 @@ class _State:
         """Delete fronts a..b (inclusive), then insert the front ``produced =
         (rho, fid)`` between the outer levels if there is one; without it the
         (equal) outer levels become one piece.  The survivors keep the
-        warm-start traces and level constants of the speed evaluation that
-        found the contact; the produced front takes the cluster's outer ones
-        (left of a, right of b), which belong to its own left and right
-        states there."""
+        warm-start traces of the speed evaluation that found the contact; the
+        produced front takes the cluster's outer ones (left of a, right of b),
+        which belong to its own left and right states there.  The level
+        constants are cleared, and the next speed evaluation rebuilds them."""
         keep = a if produced is None else a + 1  # a produced front takes column a
-
-        def splice(arr):  # the fronts are the last axis
-            out = np.concatenate((arr[..., :keep], arr[..., b + 1:]), axis=-1)
-            if produced is not None and out.ndim == 2:
-                out[1, a] = arr[1, b]  # the right row from right of b
-            return out
-
-        self.y, self.ids, self.trace = splice(self.y), splice(self.ids), splice(self.trace)
+        right = self.trace[1, b]
+        self.y, self.ids, self.trace = (  # the fronts are the last axis
+            np.concatenate((arr[..., :keep], arr[..., b + 1:]), axis=-1)
+            for arr in (self.y, self.ids, self.trace))
         if produced is not None:
             self.y[a], self.ids[a] = produced
+            self.trace[1, a] = right  # the right row from right of b
         self.z = np.concatenate((self.z[:a + 1], self.z[b + (2 if produced is None else 1):]))
-        if self.levels is not None:
-            self.levels = LevelConstants(*map(splice, self.levels))
-            self.num = self.levels.g_abs[0] - self.levels.g_abs[1]
+        self.levels = self.num = None
 
     def to_field(self, delta, quantization=None):
         return FrontField(
@@ -401,19 +395,6 @@ class Tracker:
         st.trace = solve_level(self.flux, y, st.levels, guess=st.trace)
         return self._quotient(st, st.num, st.trace, y)
 
-    def _front_speed(self, st, k):
-        """Front k's speed at its position, from an inversion of its column alone
-        (Newton is elementwise, so these are the bits of ``_speeds``)."""
-        if self.flux.point is not None:
-            (front,) = few_fronts(st, [k])
-            v = point_speed(self, st, front, front.y)
-            st.trace[:, k] = front.trace
-            return [v]
-        col = slice(k, k + 1)
-        levels = LevelConstants(*(c[:, col] for c in st.levels))
-        st.trace[:, col] = solve_level(self.flux, st.y[col], levels, guess=st.trace[:, col])
-        return self._quotient(st, st.num[col], st.trace[:, col], st.y[col])
-
     @staticmethod
     def _quotient(st, num, u, y):
         try:
@@ -430,13 +411,12 @@ class Tracker:
 
     # -- events ---------------------------------------------------------------
 
-    def _resolve_leftmost_cluster(self, st, v, contact, v_app, graze_v, log):
+    def _resolve_leftmost_cluster(self, st, contact, v_app, graze_v, log):
         """Merge the leftmost run of in-contact pairs into a single front.
 
-        Returns the speeds v at the new state.  The survivors keep theirs: their
-        positions are unchanged and their traces have converged there, so a new
-        evaluation would return the same bits.  Only the produced front is
-        inverted.
+        The loop then evaluates every speed afresh.  The survivors have not
+        moved and their traces have converged there, so Newton leaves them
+        as they are and their speeds keep their bits.
         """
         first = int(np.flatnonzero(contact)[0])
         last = first
@@ -473,8 +453,6 @@ class Tracker:
             tv_before=self.delta * tv_before, tv_after=self.delta * tv_after,
             grazing=grazing,
         ))
-        mid = v[:0] if produced is None else self._front_speed(st, a)
-        return np.concatenate((v[:a], mid, v[b + 1:]))
 
     # -- main loop ------------------------------------------------------------
 
@@ -526,7 +504,8 @@ class Tracker:
             # freshly split fan siblings separate and are excluded naturally)
             contact = (gaps <= TOL_POS) & (v_app >= -graze_v)
             if contact.any():
-                v = self._resolve_leftmost_cluster(st, v, contact, v_app, graze_v, log)
+                self._resolve_leftmost_cluster(st, contact, v_app, graze_v, log)
+                v = None
                 continue
 
             # step: aim at the earliest predicted pairwise contact
@@ -534,9 +513,8 @@ class Tracker:
             approaching = v_app > 0.0
             if approaching.any():
                 h = min(h, float(np.min(gaps[approaching] / v_app[approaching])))
-            located = (locate_on_candidates(self, st, v, gaps, v_app, h)
-                       if self.flux.point is not None else None)
-            s, st.y = located or self._step(st, v, gaps, h)
+            s, st.y = (locate_on_candidates(self, st, v, gaps, v_app, h)
+                       or self._step(st, v, gaps, h))
             st.t += s
             v = None
             self._check_window(st)

@@ -309,25 +309,17 @@ def characteristic_check(flux, x0, u0, T, steps, window=None):
     The pair (y, z) follows dy = f_u(y, z), dz = -f_x(y, z); f(y, z) is a
     conserved quantity, so the returned max |f(y,z) - f(x0,u0)| measures pure
     integrator error (fourth order in the step).  f, f_u and f_x at a step's
-    end come from one evaluation, which is also the next step's first stage;
-    a flux with ``point`` makes every evaluation on Python floats.
+    end come from one evaluation, which is also the next step's first stage,
+    and every evaluation is ``flux.point`` on Python floats.
     """
-    if flux.point is not None:
-        point = stage = flux.point
-    else:
-        def stage(yy, zz):
-            return None, float(flux.fu(yy, zz)), float(flux.fx(yy, zz))
-
-        def point(yy, zz):
-            return float(flux.f(yy, zz)), float(flux.fu(yy, zz)), float(flux.fx(yy, zz))
-
+    point = flux.point
     y, z = float(x0), float(u0)
     h = float(T) / int(steps)
     drift = 0.0
     k = point(y, z)
     f0 = k[0]
     for step in range(int(steps)):
-        y, z = _characteristic_step(stage, y, z, h, k)
+        y, z = _characteristic_step(point, y, z, h, k)
         if window is not None and not (window[0] <= y <= window[1]):
             raise ValueError(f"characteristic left the window at y={y}, "
                              f"t~{(step + 1) * h}")

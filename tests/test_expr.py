@@ -490,13 +490,13 @@ def test_each_tree_compiles_once(monkeypatch):
             if re.match(r" +(t\d+|out) = ", line)] == [
         "t0 = sin(x)", "t1 = 0.5 * t0", "t2 = 1.0 + t1", "t3 = u * u", "t4 = t2 * t3",
         "t5 = t4 / 2.0", "t6 = _ipow(u, -2)", "t7 = t5 + t6", "out = t7"]
-    # a flux on the tree compiles its other four functions in one source, and
-    # a flux on a fresh tree all five
+    # a flux on the tree compiles its other five functions in one source, and
+    # a flux on a fresh tree all six
     make_builtin_flux("custom_expr", expr=tree)
     make_builtin_flux("custom_expr", expr="(1+0.5*sin(x))*u^2/2 + u^-2")
     assert len(compiled) == 3
     assert [re.findall(r"^def (\w+)", source, re.M) for source in compiled[1:]] == [
-        ["fu", "fx", "fuu", "at"], ["f", "fu", "fx", "fuu", "at"]]
+        ["fu", "fx", "fuu", "at", "point"], ["f", "fu", "fx", "fuu", "at", "point"]]
     flux = make_builtin_flux("custom_expr", expr=tree)
     assert flux.f(1.0, 2.0) == fx.evaluate(tree, 1.0, 2.0)
     assert len(compiled) == 3

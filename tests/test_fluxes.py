@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fronttrack.fluxes import (Flux, make_builtin_flux, audit_assumptions, certify,
+from fronttrack.fluxes import (Flux, DomainError, make_builtin_flux, audit_assumptions, certify,
                                speed_envelope, default_envelope, InvalidFluxParams)
 
 BOX = ((-5.0, 5.0), (-3.0, 3.0))
@@ -82,22 +82,66 @@ def test_bound_flux_agrees_with_f_and_fu_bit_for_bit(family, params, data, n):
             assert np.asarray(bound).tobytes() == np.asarray(full).tobytes()
 
 
-@pytest.mark.parametrize("family, params", [
-    ("homogeneous_burgers", {}),
-    ("modulated_burgers", {"base": 1.0, "amp": 0.5}),
-    ("modulated_burgers", {"base": 1.3, "amp": -0.6, "freq": 2.7, "phase": -0.9}),
-], ids=["homogeneous", "modulated", "negative_amp_phase_freq"])
-def test_point_equals_f_fu_and_fx_on_floats(family, params):
-    flux = make_builtin_flux(family, **params)
+# the benchmark's dsl_fan flux, and a tree whose exp and tanh are numpy's:
+# math.exp and math.tanh differ from them in the last bit at some points
+DSL_FAN = "(1+0.5*sin(x))*u^2/2 + u^4/12"
+DSL_FUNCTIONS = "exp(0.3*x*u)*u^2/2 + tanh(x - u)*u/(2 + x^2) + sqrt(3 + cos(x*u))*(2 + sin(u))^-2"
+
+
+def _hand_built():
+    """A Flux built without ``at`` and ``point``: both are derived."""
+    return Flux(f=lambda x, u: 0.5 * (2.0 + np.cos(x)) * u * u,
+                fu=lambda x, u: (2.0 + np.cos(x)) * u,
+                fx=lambda x, u: -0.5 * np.sin(x) * u * u,
+                fuu=lambda x, u: 2.0 + np.cos(x) + 0.0 * u, alpha=1.0, family="hand_built")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_builtin_flux("homogeneous_burgers"),
+    lambda: make_builtin_flux("modulated_burgers", base=1.0, amp=0.5),
+    lambda: make_builtin_flux("modulated_burgers", base=1.3, amp=-0.6, freq=2.7, phase=-0.9),
+    lambda: make_builtin_flux("custom_expr", expr=DSL_FAN),
+    lambda: make_builtin_flux("custom_expr", expr=DSL_FUNCTIONS),
+    _hand_built,
+], ids=["homogeneous", "modulated", "negative_amp_phase_freq", "dsl_fan", "dsl_functions",
+        "hand_built"])
+def test_point_equals_f_fu_and_fx_on_floats(build):
+    flux = build()
     for x in np.linspace(-10.0, 10.0, 81).tolist():
+        f, fu = flux.at(x)
         for u in np.linspace(-2.5, 2.5, 41).tolist():
             got = flux.point(x, u)
             assert all(type(v) is float for v in got)
-            assert got == (flux.f(x, u), flux.fu(x, u), flux.fx(x, u))
+            want = (flux.f(x, u), flux.fu(x, u), flux.fx(x, u))
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+            assert np.array((f(u), fu(u))).tobytes() == np.array(want[:2]).tobytes()
 
 
-def test_a_dsl_flux_has_no_point():
-    assert make_builtin_flux("custom_expr", expr="u^2/2").point is None
+@pytest.mark.parametrize("expr, x, u, label", [
+    ("u^2/2 + 1/x", 0.0, 1.0, "f"),                  # Python floats divide by zero
+    ("u^2/2 + u^2/sin(x)", 0.0, 1.0, "f"),           # numpy scalars divide by zero
+    ("exp(x*u)*u^2", 800.0, 1.0, "f"),               # numpy's exp overflows
+    ("1e300*u*u*1e300", 0.5, 2.0, "f"),              # a product overflows to inf
+    ("sqrt(x)*u^2/2", -1.0, 0.5, "f"),               # sqrt of a negative number
+    ("u^2*sqrt(x) + x", 0.0, 1.0, "f_x"),            # f and f_u are finite, f_x is not
+    ("sqrt(u^2) + x^2", 1.0, 0.0, "f_u"),            # f is finite, f_u is 0/0
+    ("u^-2 + sqrt(x - 5)", 1.0, 0.0, "f"),           # f fails first
+], ids=["float_division", "numpy_division", "exp_overflow", "product_overflow", "sqrt_negative",
+        "f_x_fails", "f_u_fails", "f_fails_first"])
+def test_a_dsl_point_raises_the_domain_error_of_f_fu_or_fx(expr, x, u, label):
+    flux = make_builtin_flux("custom_expr", expr=expr)
+    errors = []
+    for fn in (flux.f, flux.fu, flux.fx):
+        try:
+            fn(x, u)
+        except DomainError as e:
+            errors.append(str(e))
+    assert errors, "the point must be one where the expression fails"
+    with pytest.raises(DomainError) as info:
+        flux.point(x, u)
+    assert str(info.value) == errors[0]
+    assert str(info.value).startswith("cannot evaluate `")
+    assert (label == "f") != (f"{label}: " in str(info.value))
 
 
 def test_unknown_family_and_params_rejected():

@@ -1,4 +1,3 @@
-import copy
 from dataclasses import replace
 
 import numpy as np
@@ -366,10 +365,10 @@ def _speed_log(tr, monkeypatch):
     return log
 
 
-def _located_steps(tr, f0, t_end, monkeypatch):
+def _located_steps(tr, f0, t_end, monkeypatch, search="few"):
     """Solve with the calls logged; returns the events and, split at the
     loop's speed evaluations, the steps whose contact search made trials
-    (few-front ones if the flux has ``point``, else full-state ones)."""
+    (``search``: "few" for few-front ones, "rk4" for full-state ones)."""
     log = _speed_log(tr, monkeypatch)
     _, events = tr.advance(f0, t_end)
     steps = []
@@ -377,7 +376,6 @@ def _located_steps(tr, f0, t_end, monkeypatch):
         if item[0] == "v":
             steps.append([])
         steps[-1].append(item)
-    search = "rk4" if tr.flux.point is None else "few"
     return events, [s for s in steps if sum(i[0] == search for i in s) > 1]
 
 
@@ -423,11 +421,16 @@ def test_located_merge_costs_at_most_six_rk4_calls(monkeypatch):
     assert sum(i[0] == "few" for i in located[0]) - 1 <= 6
 
 
+def _no_candidates(monkeypatch):
+    """Send every step to the full-state step and search, as when the
+    few-front search misses the contacting pair."""
+    monkeypatch.setattr(contact, "candidates", lambda gaps, v_app, h: [])
+
+
 def test_full_state_search_reuses_the_loop_speeds_and_costs_at_most_six_rk4_calls(monkeypatch):
-    # a flux without ``point`` searches on the full state, as the fallback does
     f0, tr = _located_merge()
-    tr.flux = replace(MODULATED, point=None)
-    events, located = _located_steps(tr, f0, 1.2, monkeypatch)
+    _no_candidates(monkeypatch)
+    events, located = _located_steps(tr, f0, 1.2, monkeypatch, search="rk4")
     assert len(events) == 1 and len(located) == 1
     hs = _assert_trials_start_from_the_loop_speeds(located[0], "rk4")
     assert sum(i[0] in ("v", "k") for i in located[0]) == 1 + 3 * len(hs)
@@ -470,7 +473,7 @@ def test_located_contact_brackets_the_threshold(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the few-front contact search on Python floats (fluxes with ``point``)
+# the few-front contact search on Python floats
 # ---------------------------------------------------------------------------
 
 # the fluxes of tests/test_fluxes.py::test_point_equals_f_fu_and_fx_on_floats
@@ -530,14 +533,15 @@ def _guesses(tr, field_):
     return [np.zeros_like(warm), warm, -warm, odd]
 
 
-@pytest.mark.parametrize("name", list(POINT_FLUXES))
+@pytest.mark.parametrize("name", [*POINT_FLUXES, "dsl_fan"])
 @pytest.mark.parametrize("delta", [0.005, 0.001])
 @pytest.mark.parametrize("t", [0.0, 0.3, 0.9])
-def test_point_speeds_are_the_bits_of_the_array_columns(bump_fields, name, delta, t):
+def test_point_speeds_are_the_bits_of_the_array_columns(bump_fields, name, delta, t, request):
     # the few-front search relies on these bits, and with them on math.sin and
-    # vectorized np.sin agreeing on this host
-    flux = POINT_FLUXES[name]
-    tr, full = Tracker(flux, delta, (-6, 6)), Tracker(replace(flux, point=None), delta, (-6, 6))
+    # vectorized np.sin agreeing on this host, and on numpy's functions giving
+    # the bits of their array loops on Python floats
+    flux = POINT_FLUXES[name] if name in POINT_FLUXES else request.getfixturevalue("dsl_fan_flux")
+    tr = Tracker(flux, delta, (-6, 6))
     for field_ in _variants(bump_fields[delta, t]):
         n = field_.n_fronts
         for guess in _guesses(tr, field_):
@@ -550,11 +554,12 @@ def test_point_speeds_are_the_bits_of_the_array_columns(bump_fields, name, delta
             assert np.transpose([f.trace for f in fronts]).tobytes() == st.trace.tobytes()
 
             for k in sorted({0, n // 3, n - 1}):  # outer fronts have a g = 0 side
-                a = _state_with_levels(full, field_, guess)
+                # one front alone, as the search extracts it
                 b = _state_with_levels(tr, field_, guess)
-                assert np.asarray(tr._front_speed(b, k)).tobytes() == \
-                    full._front_speed(a, k).tobytes()
-                assert b.trace.tobytes() == a.trace.tobytes()
+                (front,) = contact.few_fronts(b, [k])
+                w = np.array([contact.point_speed(tr, b, front, front.y)])
+                assert w.tobytes() == v[k:k + 1].tobytes()
+                assert np.array(front.trace).tobytes() == st.trace[:, k].tobytes()
 
             # an RK4 step of a few columns from the traces the speeds v left, and
             # the next one from the traces that step leaves
@@ -589,12 +594,12 @@ def _largest_deviation(log, ref_log, f1, ref_f1):
 
 
 @pytest.mark.parametrize("delta, cells", [(0.005, 1200), (0.002, 3000), (0.001, 6000)])
-def test_few_front_search_matches_the_full_state_search(delta, cells):
-    # the delta-sweep: the same solve with today's full-state search (no point)
+def test_few_front_search_matches_the_full_state_search(delta, cells, monkeypatch):
+    # the delta-sweep: the same solve with every step on the full-state search
     f0, tr, times = _bump_solve(delta, cells)
-    full = Tracker(replace(MODULATED, point=None), delta, (-6, 6))
     log, f1 = _events_and_positions(tr, f0, times)
-    ref_log, ref_f1 = _events_and_positions(full, f0, times)
+    _no_candidates(monkeypatch)
+    ref_log, ref_f1 = _events_and_positions(tr, f0, times)
     dev = _largest_deviation(log, ref_log, f1, ref_f1)
     print(f"\ndelta = {delta}: {len(log)} events; largest deviation: event time {dev[0]:.1e}, "
           f"event position {dev[1]:.1e}, final position {dev[2]:.1e}")
@@ -606,13 +611,12 @@ def test_benchmark_run_matches_the_full_state_search(tmp_path, monkeypatch):
     cfg = cli.load_config("benchmark.ini")
     cfg.checks = []
     events = []
-    for point in (True, False):
-        if not point:
-            monkeypatch.setattr(cli, "make_builtin_flux",
-                                lambda *a, **k: replace(make_builtin_flux(*a, **k), point=None))
-        manifest, status = cli.run(cfg, tmp_path / str(point))
+    for few in (True, False):
+        if not few:
+            _no_candidates(monkeypatch)
+        manifest, status = cli.run(cfg, tmp_path / str(few))
         assert status == 0
-        rows = np.genfromtxt(tmp_path / str(point) / "events.csv", delimiter=",",
+        rows = np.genfromtxt(tmp_path / str(few) / "events.csv", delimiter=",",
                              names=True, dtype=None, encoding="utf-8")
         events.append(rows)
     a, b = events
@@ -657,7 +661,9 @@ def test_a_missed_candidate_falls_back_to_the_full_state_search(monkeypatch, x0,
     # three shocks whose two pairs meet within one step of each other
     f0 = FrontField(time=0.0, delta=0.5, positions=np.array([x0, -1.0, 0.0]),
                     z=np.array([6, 3, 1, 0]), ids=np.arange(3), next_id=3).validate()
-    ref, ref_log = Tracker(replace(MODULATED, point=None), 0.5, (-8, 8)).advance(f0, 3.0)
+    with monkeypatch.context() as m:
+        _no_candidates(m)
+        ref, ref_log = Tracker(MODULATED, 0.5, (-8, 8)).advance(f0, 3.0)
     fallbacks = _drop_the_earliest_pair(monkeypatch)
     f1, log = Tracker(MODULATED, 0.5, (-8, 8)).advance(f0, 3.0)
     assert max(fallbacks) >= trials
@@ -676,11 +682,9 @@ def test_the_few_front_path_fails_as_the_array_path_does(case):
     f0 = FrontField(time=0.25, delta=delta, positions=np.array([0.3]),
                     z=np.array([1, 0]), ids=np.array([0]), next_id=1)
     tr = Tracker(flux, delta, (-2, 2))
-    full = Tracker(replace(flux, point=None), delta, (-2, 2))
     raised = []
     for call in (lambda st: tr._speeds(st, st.y),
-                 lambda st: full._front_speed(st, 0),
-                 lambda st: tr._front_speed(st, 0),
+                 lambda st: tr._rk4(st, st.y, np.zeros(1), 0.01),
                  lambda st: contact.point_speed(tr, st, *contact.few_fronts(st, [0]), 0.3),
                  lambda st: contact.point_rk4(tr, st, contact.few_fronts(st, [0]), [0.0], 0.01)):
         with pytest.raises(error) as info:
@@ -697,7 +701,7 @@ def test_the_few_front_path_fails_as_the_array_path_does(case):
 def test_the_sweep_solve_makes_few_full_state_inversions(monkeypatch):
     # timing-free guard: a located event costs the loop's evaluation and one RK4
     # step of all fronts (556 calls for 64 events); trials on the full state,
-    # as a flux without ``point`` makes them, cost 1,178
+    # as the fallback makes them, cost 1,178
     import fronttrack.tracker as tracker_module
     calls = []
 
@@ -848,8 +852,10 @@ def test_remove_range_keeps_the_warm_starts():
 
 
 def _assert_levels_rebuilt(st):
-    # the survivors keep their level constants and a produced front takes the
-    # outer ones: the constants of the new levels, bit for bit
+    # remove_range clears the level constants, and the next speed evaluation
+    # rebuilds those of the new levels, bit for bit
+    assert st.levels is None and st.num is None
+    Tracker(BURGERS, 0.1, (-3, 3))._speeds(st, st.y)
     g = 0.1 * st.z.astype(float)
     want = level_constants(BURGERS, np.array((g[:-1], g[1:])))
     assert all(np.array_equal(got, ref) for got, ref in zip(st.levels, want))
@@ -889,60 +895,58 @@ def test_speed_evaluation_after_a_merge_starts_warm():
         return MODULATED.f(x, u)
 
     tr = Tracker(replace(MODULATED, f=f, at=None, point=None), 0.5, (-6, 6), h_ode=0.01)
-    resolve, after = tr._resolve_leftmost_cluster, []
+    resolve, speeds, after = tr._resolve_leftmost_cluster, tr._speeds, []
 
-    def counted_resolve(*args):
+    def marked_resolve(*args):
+        resolve(*args)
+        after.append(None)
+
+    def counted_speeds(st, y):
         n = len(calls)
-        v = resolve(*args)
-        after.append(len(calls) - n)
+        v = speeds(st, y)
+        if after and after[-1] is None:  # the loop's evaluation after the event
+            after[-1] = len(calls) - n
         return v
 
-    tr._resolve_leftmost_cluster = counted_resolve
+    tr._resolve_leftmost_cluster, tr._speeds = marked_resolve, counted_speeds
     f0 = initial_fronts([-1.0, 0.0, 0.5], [4, 1, 0, -1], 0.5)
     _, events = tr.advance(f0, 2.0)
     assert len(events) == 2
-    # the produced front alone is inverted, from the kept outer traces: one
-    # Newton step, one residual check
+    # the survivors' traces have converged, and the produced front starts
+    # from the kept outer traces: one Newton step, one residual check
     assert after == [2, 2]
 
 
-def test_spliced_speeds_after_each_event_equal_a_fresh_evaluation():
-    # benchmark.ini's data: after an event the survivors keep their speeds,
-    # traces and level constants, and only the produced front is inverted
+def test_each_event_costs_one_speed_evaluation_that_keeps_the_survivors_bits():
+    # benchmark.ini's data: an event makes no speed evaluation of its own; the
+    # loop's one evaluation at the new state follows it, and the survivors'
+    # speeds and traces there are their bits before the event
     f0, tr, _ = _bump_solve(0.005, 1200)
-    speeds, resolve, calls, checked = tr._speeds, tr._resolve_leftmost_cluster, [], []
+    speeds, resolve, calls = tr._speeds, tr._resolve_leftmost_cluster, []
 
-    def counted_speeds(st, y):
-        calls.append(1)
-        return speeds(st, y)
-
-    def checked_resolve(st, *args):
-        v = resolve(st, *args)
-        fresh = copy.copy(st)
-        fresh.levels, fresh.trace = None, st.trace.copy()
-        assert np.array_equal(v, speeds(fresh, fresh.y))
-        assert np.array_equal(st.trace, fresh.trace)
-        assert all(np.array_equal(a, b) for a, b in zip(st.levels, fresh.levels))
-        assert np.array_equal(st.num, fresh.num)
-        checked.append(1)
+    def logged_speeds(st, y):
+        v = speeds(st, y)
+        calls.append(("v" if y is st.y else "k", st.ids.copy(), v.copy(), st.trace.copy()))
         return v
 
-    tr._speeds, tr._resolve_leftmost_cluster = counted_speeds, checked_resolve
-    f1, log = tr.advance(f0, 1.0)
-    assert len(checked) == len(log) > 50
-    spliced = len(calls)
+    def logged_resolve(st, *args):
+        n = len(calls)
+        resolve(st, *args)
+        assert len(calls) == n  # no evaluation of its own
+        calls.append(("event",))
 
-    # the same solve with every front's speed evaluated afresh after an event:
-    # one full evaluation more per event, and the same bits
-    def unspliced(*args):
-        resolve(*args)  # returns no speeds, so the loop evaluates them all
-
-    calls.clear()
-    tr._resolve_leftmost_cluster = unspliced
-    g1, fresh_log = tr.advance(f0, 1.0)
-    assert fresh_log == log
-    assert np.array_equal(g1.positions, f1.positions) and np.array_equal(g1.z, f1.z)
-    assert len(calls) - spliced == len(log)
+    tr._speeds, tr._resolve_leftmost_cluster = logged_speeds, logged_resolve
+    _, log = tr.advance(f0, 1.0)
+    events = [i for i, c in enumerate(calls) if c[0] == "event"]
+    assert len(events) == len(log) > 50
+    for i in events:
+        (kind, ids, v, trace), after = calls[i - 1], calls[i + 1]
+        assert kind == after[0] == "v"
+        survivors = np.isin(after[1], ids)
+        assert survivors.sum() >= len(after[1]) - 1
+        kept = np.isin(ids, after[1])
+        assert after[2][survivors].tobytes() == v[kept].tobytes()
+        assert after[3][:, survivors].tobytes() == trace[:, kept].tobytes()
 
 
 @pytest.mark.parametrize("positions, z, message", [
@@ -1472,8 +1476,7 @@ def test_impossible_interaction_aborts_with_forensics():
     tr = Tracker(BURGERS, 0.1, (-2, 2))
     st = _State(corrupt)
     with pytest.raises(AdmissibilityError) as info:
-        tr._resolve_leftmost_cluster(st, np.zeros(2), np.array([True]), np.array([0.0]),
-                                     1e-12, [])
+        tr._resolve_leftmost_cluster(st, np.array([True]), np.array([0.0]), 1e-12, [])
     assert "positions" in str(info.value)  # the dump travels with the error
 
 

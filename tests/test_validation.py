@@ -412,10 +412,10 @@ def test_characteristics_call_budget():
     assert characteristic_check(flux, -0.78, 0.8, 1.0, 100) == \
         characteristic_check(MODULATED, -0.78, 0.8, 1.0, 100)
     assert calls == []
-    # without point: f, f_u and f_x at each step's end, which is also the next
-    # step's first stage, and f_u and f_x at the other three stages
+    # a derived point: f, f_u and f_x at each step's end, which is also the
+    # next step's first stage, and at the other three stages
     characteristic_check(replace(flux, point=None), -0.78, 0.8, 1.0, 100)
-    assert len(calls) == 3 * 101 + 6 * 100
+    assert len(calls) == 3 * (101 + 3 * 100)
 
 
 def test_characteristics_window_exit():
