@@ -38,10 +38,11 @@ BUMP_PRIME_MAX = 2.1703570856905516
 TOL_QUAD_C = 0.5
 TOL_SMOOTH_C = 1.0
 
-# quadrature rows per profile inversion and per f call when sampling the
-# entropy grid: one call per row pays Newton's Python overhead per row; on a
-# benchmark.ini run the whole 256 x 256 grid at once raised peak RSS by 3 MiB,
-# 32-row blocks by 0.3 MiB, and 16-row blocks not measurably
+# quadrature rows per profile inversion, per f call and per pass of the
+# pairs when the entropy residuals stream the grid: it bounds the battery's
+# whole footprint; on benchmark.ini's 256 x 256 grid and 20 pairs the
+# tracemalloc peak was 0.63 / 0.92 / 1.43 MiB for 8 / 16 / 32 rows, with the
+# time level between them, and fewer rows pay Newton's overhead more often
 SAMPLE_BLOCK_ROWS = 16
 
 
@@ -114,19 +115,18 @@ class TestFunction:
     def phi_t(self, x, t):
         return self._terms(*self._bumps(x, t))[2]
 
-    def block(self, xs, ts, t0, whole=False):
-        """phi on the grid ts x xs where it can be nonzero, and on the line t0.
+    def block(self, xs, ts, t0):
+        """phi's bumps on the grid ts x xs, and phi on the line t0.
 
         Returns the row slice of ts and the column slice of xs on which the
-        bumps are nonzero (whole=True: the whole grid), phi, phi_x and phi_t
-        on that block, and phi(xs, t0).
+        bumps are nonzero, the bumps (B and B' at the scaled xs, then at the
+        scaled ts as a (len(ts), 1) column), and phi(xs, t0); ``_terms`` forms
+        phi, phi_x and phi_t on any rows and columns of the bumps.
         """
         bx, dbx, bt, dbt = self._bumps(xs, np.append(ts, t0)[:, None])
         line = self._terms(bx, dbx, bt[-1], dbt[-1])[0]
-        bt, dbt = bt[:-1], dbt[:-1]
-        rows = slice(None) if whole else _nonzero_span(bt[:, 0])
-        cols = slice(None) if whole else _nonzero_span(bx)
-        return rows, cols, self._terms(bx[cols], dbx[cols], bt[rows], dbt[rows]), line
+        bumps = bx, dbx, bt[:-1], dbt[:-1]
+        return _nonzero_span(bt[:-1, 0]), _nonzero_span(bx), bumps, line
 
     @property
     def max_phi(self):
@@ -152,64 +152,68 @@ class TestFunction:
 # entropy residuals
 # ---------------------------------------------------------------------------
 
-def _sample_rows(solution, quad, f):
-    """u on the (nt, nx) quadrature grid (one snapshot per time row), f(x, u)
-    on that grid, and u at t_lo.  The rows are taken SAMPLE_BLOCK_ROWS at a
-    time, and f is evaluated on each block as it is sampled; a
-    TrackedSolution's block is inverted in one solve_level call on its
-    stacked levels.  Newton and f are elementwise, so the bits are those of
-    one call per row and one f call on the whole grid."""
-    u_of = solution.sample_u if hasattr(solution, "sample_u") else solution
-    xs = quad.x_mids()
-    ts = quad.t_mids()
-    u = np.empty((len(ts), len(xs)))
-    f_u = np.empty_like(u)
-    for start in range(0, len(ts), SAMPLE_BLOCK_ROWS):
-        rows = slice(start, start + SAMPLE_BLOCK_ROWS)
-        if isinstance(solution, TrackedSolution):
-            u[rows] = solve_level(solution.tracker.flux, xs,
-                                  np.array([sample_g(solution.field_at(t), xs) for t in ts[rows]]))
-        else:
-            u[rows] = [u_of(xs, t) for t in ts[rows]]
-        f_u[rows] = f(xs, u[rows])
-    return u, f_u, np.asarray(u_of(xs, quad.t_lo), dtype=float)
-
-
 def _nonzero_span(a):
     """The slice from the first to the last nonzero entry of a 1-D array."""
     nz = np.flatnonzero(a)
     return slice(nz[0], nz[-1] + 1) if len(nz) else slice(0, 0)
 
 
-def _residual(samples, f, fx, k, phi, quad):
-    """Residual of one (k, phi) pair over the sampled grid with the flux pair
-    (f, fx); returns it with the source row fx(x, k).
+def _residuals(solution, f, fx, quad, pairs):
+    """Residuals of the (k, phi) pairs over the quadrature grid with the flux
+    pair (f, fx); returns (residual, fx(x, k) row) for each pair.
 
-    On finite samples every term vanishes off phi's support, so the integrand
-    is evaluated on the support's block and zero-padded to whole rows, and
-    each row is summed in the order of the whole grid's row (where a zero off
-    the block may be -0.0, which changes no nonzero sum).  A non-finite
-    sample anywhere makes the block the whole grid, which carries it into
-    the residual.
+    u and f(x, u) are sampled SAMPLE_BLOCK_ROWS rows at a time and each block
+    is used up at once: every pair adds the sums of its rows into the pair's
+    nt-long row-sum vector, whose running total is the residual.  A
+    TrackedSolution's block is one solve_level call on its stacked levels;
+    Newton and f are elementwise, so the bits are those of one call per row.
+
+    On finite samples every term vanishes off phi's support, so a row is
+    summed over the support's columns zero-padded to the whole row (a zero
+    off it may be -0.0, which changes no nonzero sum).  A block with a
+    non-finite u or f(x, u) is summed over whole rows for every pair, and a
+    pair with a non-finite f(x, k) or fx(x, k) row is summed so in every
+    block, which carries the value into the residual.
     """
-    u, f_u, u0 = samples
-    xs = quad.x_mids()
-    k_row = np.full_like(xs, k)
-    f_row_k = np.asarray(f(xs, k_row), dtype=float)
-    fx_row_k = np.asarray(fx(xs, k_row), dtype=float)
-    finite = all(np.isfinite(a).all() for a in (u, f_u, f_row_k, fx_row_k))
-    rows, cols, (p, p_x, p_t), p0 = phi.block(xs, quad.t_mids(), quad.t_lo, whole=not finite)
-    u_b = u[rows, cols]
-    sgn = np.sign(u_b - k)
-    grid = np.zeros((len(p), len(xs)))
-    grid[:, cols] = (np.abs(u_b - k) * p_t + sgn * (f_u[rows, cols] - f_row_k[cols]) * p_x
-                     - sgn * fx_row_k[cols] * p)
-    row_sums = np.zeros(quad.nt)
-    row_sums[rows] = np.sum(grid, axis=1)
+    if not pairs:
+        return []
+    u_of = solution.sample_u if hasattr(solution, "sample_u") else solution
+    xs, ts = quad.x_mids(), quad.t_mids()
+    whole = slice(0, quad.nt), slice(None)
+    state = []
+    for k, phi in pairs:
+        k_row = np.full_like(xs, k)
+        f_k, fx_k = (np.asarray(g(xs, k_row), dtype=float) for g in (f, fx))
+        rows, cols, bumps, line = phi.block(xs, ts, quad.t_lo)
+        if not (np.isfinite(f_k).all() and np.isfinite(fx_k).all()):
+            rows, cols = whole
+        state.append((k, phi, f_k, fx_k, rows, cols, bumps, line, np.zeros(quad.nt)))
+    for start in range(0, quad.nt, SAMPLE_BLOCK_ROWS):
+        block_ts = ts[start:start + SAMPLE_BLOCK_ROWS]
+        if isinstance(solution, TrackedSolution):
+            u = solve_level(solution.tracker.flux, xs,
+                            np.array([sample_g(solution.field_at(t), xs) for t in block_ts]))
+        else:
+            u = np.array([u_of(xs, t) for t in block_ts], dtype=float)
+        f_u = np.asarray(f(xs, u), dtype=float)
+        finite = np.isfinite(u).all() and np.isfinite(f_u).all()
+        for k, phi, f_k, fx_k, rows, cols, (bx, dbx, bt, dbt), _, row_sums in state:
+            rows, cols = (rows, cols) if finite else whole
+            lo, hi = max(rows.start, start), min(rows.stop, start + len(u))
+            if lo >= hi:
+                continue
+            p, p_x, p_t = phi._terms(bx[cols], dbx[cols], bt[lo:hi], dbt[lo:hi])
+            u_b, f_b = (a[lo - start:hi - start, cols] for a in (u, f_u))
+            sgn = np.sign(u_b - k)
+            grid = np.zeros((hi - lo, len(xs)))
+            grid[:, cols] = (np.abs(u_b - k) * p_t + sgn * (f_b - f_k[cols]) * p_x
+                             - sgn * fx_k[cols] * p)
+            row_sums[lo:hi] = np.sum(grid, axis=1)
+    u0 = np.asarray(u_of(xs, quad.t_lo), dtype=float)
     # the row sums added in row order: the value of a running total over rows
-    total = float(np.cumsum(row_sums)[-1]) * (quad.dx * quad.dt)
-    total += float(np.sum(np.abs(u0 - k) * p0)) * quad.dx
-    return total, fx_row_k
+    return [(float(np.cumsum(row_sums)[-1]) * (quad.dx * quad.dt)
+             + float(np.sum(np.abs(u0 - k) * line)) * quad.dx, fx_k)
+            for k, _, _, fx_k, _, _, _, line, row_sums in state]
 
 
 def kruzkov_residual(solution, flux, k, phi, quad):
@@ -220,8 +224,7 @@ def kruzkov_residual(solution, flux, k, phi, quad):
     - sgn(u-k) f_x(x,k) phi, plus the initial line integral of |u0-k| phi(.,0).
     """
     phi.check_support(quad)
-    samples = _sample_rows(solution, quad, flux.f)
-    return _residual(samples, flux.f, flux.fx, float(k), phi, quad)[0]
+    return _residuals(solution, flux.f, flux.fx, quad, [(float(k), phi)])[0][0]
 
 
 def approx_kruzkov_residual(solution, af, k, phi, quad):
@@ -231,8 +234,7 @@ def approx_kruzkov_residual(solution, af, k, phi, quad):
     conservation law, so this must be >= -tol_quad for every (k, phi).
     """
     phi.check_support(quad)
-    samples = _sample_rows(solution, quad, af.eval)
-    return _residual(samples, af.eval, af.eval_dx, float(k), phi, quad)[0]
+    return _residuals(solution, af.eval, af.eval_dx, quad, [(float(k), phi)])[0][0]
 
 
 def entropy_tol(quad, phi, tv_u, speed_bound, src_sup, state_scale=1.0):
@@ -258,10 +260,10 @@ def entropy_battery(solution, af, quad, rng, pairs, k_bound, tv_u, speed_bound):
     """Randomized (k, phi) battery of approximate entropy residuals.
 
     Returns one record per pair with the residual and its reported tolerance.
-    u and f^delta(x, u) are sampled once, on the first pair, and shared by all.
+    Every pair is drawn first; u and f^delta(x, u) are then sampled once, one
+    row block at a time, and each block is shared by all pairs.
     """
-    samples = None
-    records = []
+    drawn = []
     x_span = quad.x_hi - quad.x_lo
     t_span = quad.t_hi - quad.t_lo
     for _ in range(pairs):
@@ -272,14 +274,12 @@ def entropy_battery(solution, af, quad, rng, pairs, k_bound, tv_u, speed_bound):
         tc = float(rng.uniform(quad.t_lo, quad.t_hi - 1.05 * tr))
         phi = TestFunction(x_center=xc, x_radius=xr, t_center=tc, t_radius=tr)
         phi.check_support(quad)
-        if samples is None:
-            samples = _sample_rows(solution, quad, af.eval)
-        residual, fx_row = _residual(samples, af.eval, af.eval_dx, k, phi, quad)
-        src_sup = float(np.max(np.abs(fx_row)))
-        tol = entropy_tol(quad, phi, tv_u, speed_bound, src_sup,
-                          state_scale=abs(k) + k_bound)
-        records.append({"k": k, "phi": phi, "residual": residual, "tol": tol})
-    return records
+        drawn.append((k, phi))
+    results = _residuals(solution, af.eval, af.eval_dx, quad, drawn)
+    return [{"k": k, "phi": phi, "residual": residual,
+             "tol": entropy_tol(quad, phi, tv_u, speed_bound, float(np.max(np.abs(fx_row))),
+                                state_scale=abs(k) + k_bound)}
+            for (k, phi), (residual, fx_row) in zip(drawn, results)]
 
 
 # ---------------------------------------------------------------------------

@@ -148,6 +148,48 @@ def test_emit_profile_empty_field_all_zero(tmp_path):
     assert np.all(us == 0.0) and np.all(gs == 0.0)
 
 
+def _row_writer_profile(flux, field_, window, resolution, path):
+    """The profile writer as one write per row: the reference for the bytes."""
+    from fronttrack.tracker import sample_g, sample_u
+    xs = np.linspace(window[0], window[1], int(resolution))
+    with open(path, "w", newline="\n") as fh:
+        fh.write("x,u,g\n")
+        for x, u, g in zip(xs, sample_u(flux, field_, xs), sample_g(field_, xs)):
+            fh.write(f"{repr(float(x))},{repr(float(u))},{repr(float(g))}\n")
+
+
+def _row_writer_events(log, path):
+    """The event writer as one write per row: the reference for the bytes."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write("t,x,consumed_ids,produced_id,tv_before,tv_after\n")
+        for e in log:
+            consumed = ";".join(str(i) for i in e.consumed)
+            produced = "" if e.produced is None else str(e.produced)
+            fh.write(f"{repr(float(e.time))},{repr(float(e.position))},{consumed},{produced},"
+                     f"{repr(float(e.tv_before))},{repr(float(e.tv_after))}\n")
+
+
+def test_artifact_writers_write_the_row_writers_bytes(tmp_path):
+    flux = make_builtin_flux("homogeneous_burgers")
+    # the window ends at -0.0, where u and g are 0.0
+    field = initial_fronts([-0.5, -0.3], [-3, 2, 0], 0.1)
+    for window, resolution in (((-1.0, -0.0), 9), ((-1.0, 1.0), 2048), ((-1.0, 1.0), 1)):
+        emit_profile(flux, field, window, resolution, tmp_path / "a.csv")
+        _row_writer_profile(flux, field, window, resolution, tmp_path / "b.csv")
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        if window[1] == 0.0:
+            assert (tmp_path / "a.csv").read_text().endswith("\n-0.0,0.0,0.0\n")
+    solved = Tracker(flux, 0.1, (-3, 3)).advance(initial_fronts([-0.5, 0.0], [4, 1, 0], 0.1),
+                                                 2.0)[1]
+    by_hand = [Event(time=np.float64(0.25), position=-0.0, consumed=(0, 1), produced=None,
+                     tv_before=np.float64(0.1), tv_after=-0.0)]
+    for log in ([], solved, by_hand):
+        emit_events(log, tmp_path / "a.csv")
+        _row_writer_events(log, tmp_path / "b.csv")
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    assert solved
+
+
 # ---------------------------------------------------------------------------
 # runs
 # ---------------------------------------------------------------------------
@@ -252,6 +294,26 @@ def test_main_options_before_or_after_subcommand(tmp_path, capsys, before):
     assert main(argv) == 0
     assert os.path.exists(os.path.join(out, "manifest.json"))
     assert "done: ok" in capsys.readouterr().out
+
+
+def test_verbose_prints_phase_times_and_changes_no_artifact(tmp_path, capsys):
+    good = write_config(tmp_path, GOOD_CONFIG)
+    outs = [str(tmp_path / "quiet"), str(tmp_path / "verbose")]
+    assert main(["--out", outs[0], "run", good]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["--out", outs[1], "--verbose", "run", good]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    timed = [line for line in lines if line.endswith(" s")]
+    assert [line.split(":")[0] for line in timed] == ["solve", "artifacts", "check tvd",
+                                                      "check entropy"]
+    assert all(float(line.split()[-2]) >= 0.0 for line in timed)
+    for name in sorted(os.listdir(outs[0])):
+        a, b = (open(os.path.join(out, name)).read() for out in outs)
+        if name == "manifest.json":
+            a, b = (json.loads(text) for text in (a, b))
+            a.pop("wall_time_s"), b.pop("wall_time_s")
+        assert a == b
+    assert sorted(os.listdir(outs[0])) == sorted(os.listdir(outs[1]))
 
 
 @pytest.mark.parametrize("old, new, option", [

@@ -275,13 +275,13 @@ def test_grid_residual_equals_the_row_loop_bit_for_bit(solution, approx):
     af = ApproxFlux(MODULATED, 0.1)
     f, fx = (af.eval, af.eval_dx) if approx else (MODULATED.f, MODULATED.fx)
     quad = QuadSpec(-2.5, 2.5, 0.0, 1.0, nx=96, nt=72)
-    samples = validation._sample_rows(sol, quad, f)
-    for k in (-0.3, 0.05, 0.62, 1.4):
-        for phi in (PHI, TestFunction(0.0, 1.2, 0.1, 0.3)):  # the second touches t = 0
-            total, fx_row = validation._residual(samples, f, fx, k, phi, quad)
-            ref_total, ref_fx_row = _row_loop_residual(sol, f, fx, k, phi, quad)
-            assert total == ref_total
-            assert np.array_equal(fx_row, ref_fx_row)
+    # the second test function touches t = 0; all eight pairs share one sampling
+    pairs = [(k, phi) for k in (-0.3, 0.05, 0.62, 1.4)
+             for phi in (PHI, TestFunction(0.0, 1.2, 0.1, 0.3))]
+    for (k, phi), (total, fx_row) in zip(pairs, validation._residuals(sol, f, fx, quad, pairs)):
+        ref_total, ref_fx_row = _row_loop_residual(sol, f, fx, k, phi, quad)
+        assert total == ref_total
+        assert np.array_equal(fx_row, ref_fx_row)
 
 
 @pytest.mark.parametrize("nt", [16, 40])
@@ -325,7 +325,17 @@ def test_blockwise_f_grid_equals_one_whole_grid_call(solution):
         sol = sol.sample_u
     af = ApproxFlux(MODULATED, 0.07)
     quad = QuadSpec(-2.5, 2.5, 0.0, 1.0, nx=48, nt=40)
-    u, f_u, _ = validation._sample_rows(sol, quad, af.eval)
+    blocks = []
+
+    def f(x, u):  # records each block the accumulator samples
+        out = af.eval(x, u)
+        if np.ndim(u) == 2:
+            blocks.append((u, out))
+        return out
+
+    validation._residuals(sol, f, af.eval_dx, quad, [(0.3, PHI)])
+    assert [len(u) for u, _ in blocks] == [16, 16, 8]
+    u, f_u = (np.concatenate(parts) for parts in zip(*blocks))
     assert u.shape == f_u.shape == (40, 48)
     assert not af._locate(quad.x_mids(), u)[1].all()
     assert np.array_equal(f_u, af.eval(quad.x_mids(), u))
@@ -335,7 +345,8 @@ def test_block_holds_the_test_function_and_zeros_lie_outside_it():
     quad = QuadSpec(-2.5, 2.5, 0.0, 1.0, nx=96, nt=72)
     xs, ts = quad.x_mids(), quad.t_mids()
     for phi in (PHI, TestFunction(0.0, 1.2, 0.1, 0.3)):
-        rows, cols, terms, line = phi.block(xs, ts, quad.t_lo)
+        rows, cols, (bx, dbx, bt, dbt), line = phi.block(xs, ts, quad.t_lo)
+        terms = phi._terms(bx[cols], dbx[cols], bt[rows], dbt[rows])
         assert 0 < rows.stop - rows.start < quad.nt and 0 < cols.stop - cols.start < quad.nx
         for full, part in zip((phi.phi, phi.phi_x, phi.phi_t), terms):
             whole = full(xs, ts[:, None])
@@ -344,7 +355,7 @@ def test_block_holds_the_test_function_and_zeros_lie_outside_it():
             outside[rows, cols] = 0.0
             assert not outside.any()
         assert np.array_equal(line, phi.phi(xs, quad.t_lo))
-        rows, cols, terms, line = phi.block(xs, ts, quad.t_lo, whole=True)
+        terms = phi._terms(*phi.block(xs, ts, quad.t_lo)[2])  # the whole grid
         assert np.array_equal(terms[0], phi.phi(xs, ts[:, None]))
 
 
@@ -354,12 +365,186 @@ def test_non_finite_sample_outside_the_support_is_not_dropped(where, bad):
     # phi is zero at the grid's corner, but 0 * nan is nan on the whole grid
     sol = burgers_shock_solution()
     quad = QuadSpec(-2.0, 2.0, 0.0, 1.0, nx=32, nt=16)
-    u, f_u, u0 = (a.copy() for a in validation._sample_rows(sol, quad, BURGERS.f))
-    {"u": u, "f_u": f_u, "u0": u0}[where].flat[0] = bad
+    corner_t = quad.t_lo if where == "u0" else quad.t_mids()[0]
+
+    def sampler(x, t):  # the grid's corner sample, or u0's first, planted
+        u = sol.sample_u(x, t).copy()
+        if where != "f_u" and t == corner_t:
+            u[0] = bad
+        return u
+
+    def f(x, u):
+        out = np.array(BURGERS.f(x, u))
+        if where == "f_u" and np.ndim(u) == 2:
+            out.flat[0] = bad
+        return out
+
     assert PHI.phi(quad.x_mids()[0], quad.t_mids()[0]) == 0.0
     with np.errstate(invalid="ignore"):
-        total, _ = validation._residual((u, f_u, u0), BURGERS.f, BURGERS.fx, 0.1, PHI, quad)
+        [(total, _)] = validation._residuals(sampler, f, BURGERS.fx, quad, [(0.1, PHI)])
     assert not np.isfinite(total)
+
+
+def _whole_grid_samples(solution, quad, f):
+    """u and f(x, u) on the whole (nt, nx) quadrature grid, and u at t_lo."""
+    u_of = solution.sample_u if hasattr(solution, "sample_u") else solution
+    xs = quad.x_mids()
+    u = np.array([u_of(xs, t) for t in quad.t_mids()], dtype=float)
+    return u, np.asarray(f(xs, u), dtype=float), np.asarray(u_of(xs, quad.t_lo), dtype=float)
+
+
+def _whole_grid_residual(samples, f, fx, k, phi, quad):
+    """The residual from whole-grid samples, the reference the row-block
+    accumulator must reproduce: the integrand on phi's support block,
+    zero-padded to whole rows, or on the whole grid when any sample or
+    either k row is not finite."""
+    u, f_u, u0 = samples
+    xs = quad.x_mids()
+    k_row = np.full_like(xs, k)
+    f_row_k = np.asarray(f(xs, k_row), dtype=float)
+    fx_row_k = np.asarray(fx(xs, k_row), dtype=float)
+    rows, cols, (bx, dbx, bt, dbt), p0 = phi.block(xs, quad.t_mids(), quad.t_lo)
+    if not all(np.isfinite(a).all() for a in (u, f_u, f_row_k, fx_row_k)):
+        rows = cols = slice(None)
+    p, p_x, p_t = phi._terms(bx[cols], dbx[cols], bt[rows], dbt[rows])
+    u_b = u[rows, cols]
+    sgn = np.sign(u_b - k)
+    grid = np.zeros((len(p), len(xs)))
+    grid[:, cols] = (np.abs(u_b - k) * p_t + sgn * (f_u[rows, cols] - f_row_k[cols]) * p_x
+                     - sgn * fx_row_k[cols] * p)
+    row_sums = np.zeros(quad.nt)
+    row_sums[rows] = np.sum(grid, axis=1)
+    total = float(np.cumsum(row_sums)[-1]) * (quad.dx * quad.dt)
+    return total + float(np.sum(np.abs(u0 - k) * p0)) * quad.dx
+
+
+def _same_residual(a, b):
+    """Equal, or both NaN: the sign of an infinity is compared by ==."""
+    return a == b or (np.isnan(a) and np.isnan(b))
+
+
+def _benchmark_solve():
+    """benchmark.ini's flux, data and recorded solve, with its f^delta and grid."""
+    delta = 0.005
+    f0 = quantize_initial(MODULATED, make_initial("bump", amp=0.8, center=0.0, width=1.0),
+                          delta, (-3, 3), 1200)
+    sol = TrackedSolution(Tracker(MODULATED, delta, (-6, 6)), f0)
+    for t in (0.5, 1.0):
+        sol.advance(t)
+    return sol, ApproxFlux(MODULATED, delta), QuadSpec(-3.0, 3.0, 0.0, 1.0, nx=256, nt=256)
+
+
+def _benchmark_battery(sol, af, quad):
+    # the run's entropy stream for benchmark.ini's seed
+    return entropy_battery(sol, af, quad, validation._Philox((20260810, 1)), pairs=20,
+                           k_bound=1.2, tv_u=2.0, speed_bound=1.7)
+
+
+def test_entropy_battery_equals_the_whole_grid_residuals_on_the_benchmark():
+    sol, af, quad = _benchmark_solve()
+    records = _benchmark_battery(sol, af, quad)
+    samples = _whole_grid_samples(sol, quad, af.eval)
+    assert len(records) == 20
+    for r in records:
+        assert r["residual"] == _whole_grid_residual(samples, af.eval, af.eval_dx,
+                                                     r["k"], r["phi"], quad)
+
+
+def test_entropy_battery_peak_memory_on_the_benchmark():
+    # no (nt, nx) grid is held: the measured peak was 0.92 MiB with 16-row
+    # blocks, 2.46 MiB when u and f^delta(x, u) were sampled whole
+    import tracemalloc
+    sol, af, quad = _benchmark_solve()
+    _benchmark_battery(sol, af, quad)  # first-call caches out of the measurement
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        _benchmark_battery(sol, af, quad)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 2 ** 20
+
+
+# supports that start and end inside a 16-row block of nt = 40 (rows 4-19,
+# 12-35 and 0-10), and one that reaches the ragged last block (rows 24-39)
+RAGGED_PHIS = (TestFunction(0.0, 1.2, 0.3, 0.2), TestFunction(-0.4, 0.9, 0.6, 0.3),
+               TestFunction(0.5, 1.0, 0.1, 0.17), TestFunction(0.2, 1.1, 0.79, 0.2))
+
+
+@pytest.mark.parametrize("solution", ["tracked", "callable"])
+def test_ragged_blocks_equal_the_whole_grid_residuals(solution):
+    f0 = initial_fronts([-0.8, 0.3], [0, 6, 0], 0.1)  # fan then shock
+    sol = TrackedSolution(Tracker(MODULATED, 0.1, (-3.5, 3.5)), f0)
+    if solution == "callable":
+        sol = sol.sample_u
+    af = ApproxFlux(MODULATED, 0.07)
+    quad = QuadSpec(-2.5, 2.5, 0.0, 1.0, nx=48, nt=40)
+    ts = quad.t_mids()
+    spans = [phi.block(quad.x_mids(), ts, quad.t_lo)[0] for phi in RAGGED_PHIS]
+    assert [(r.start, r.stop) for r in spans] == [(4, 20), (12, 36), (0, 11), (24, 40)]
+    pairs = [(k, phi) for k in (-0.2, 0.35, 0.9) for phi in RAGGED_PHIS]
+    samples = _whole_grid_samples(sol, quad, af.eval)
+    for (k, phi), (total, _) in zip(pairs, validation._residuals(sol, af.eval, af.eval_dx,
+                                                                 quad, pairs)):
+        assert total == _whole_grid_residual(samples, af.eval, af.eval_dx, k, phi, quad)
+
+
+def _planted_f(af, row, col, bad):
+    """af.eval with `bad` at grid row `row` (counted over the calls' rows in
+    order, as both paths make them) and column `col`; row None plants it in
+    the f(x, k) row instead."""
+    seen = [0]
+
+    def f(x, u):
+        out = np.array(af.eval(x, u))
+        if np.ndim(u) == 2:
+            if row is not None and 0 <= row - seen[0] < len(out):
+                out[row - seen[0], col] = bad
+            seen[0] += len(out)
+        elif row is None:
+            out[col] = bad
+        return out
+
+    return f
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("plant", ["sampled_row", "f_inside", "f_outside", "f_k_inside",
+                                   "f_k_outside"])
+def test_non_finite_samples_give_the_whole_grid_residuals(plant, bad):
+    # inside: row 20, column 24 lies in every pair's support; outside: row 37,
+    # column 1 lies in none; the sampler plants its whole row 20
+    f0 = initial_fronts([-0.8, 0.3], [0, 6, 0], 0.1)
+    tracked = TrackedSolution(Tracker(MODULATED, 0.1, (-3.5, 3.5)), f0)
+    af = ApproxFlux(MODULATED, 0.07)
+    quad = QuadSpec(-2.5, 2.5, 0.0, 1.0, nx=48, nt=40)
+    ts = quad.t_mids()
+    phis = (TestFunction(0.0, 1.2, 0.5, 0.2), TestFunction(-0.2, 0.9, 0.45, 0.3))
+
+    def sampler(x, t):
+        u = tracked.sample_u(x, t)
+        return np.full_like(u, bad) if plant == "sampled_row" and t == ts[20] else u
+
+    row, col = (20, 24) if plant.endswith("inside") else (37, 1)
+
+    def make_f():  # a fresh row count for each path
+        if plant == "sampled_row":
+            return af.eval
+        return _planted_f(af, None if plant.startswith("f_k") else row, col, bad)
+
+    for phi in phis:
+        rows, cols, _, _ = phi.block(quad.x_mids(), ts, quad.t_lo)
+        assert (rows.start <= 20 < rows.stop and cols.start <= 24 < cols.stop
+                and not rows.start <= 37 < rows.stop and not cols.start <= 1 < cols.stop)
+    pairs = [(k, phi) for k in (-0.2, 0.35) for phi in phis]
+    with np.errstate(invalid="ignore"):
+        got = validation._residuals(sampler, make_f(), af.eval_dx, quad, pairs)
+        f = make_f()
+        samples = _whole_grid_samples(sampler, quad, f)
+        want = [_whole_grid_residual(samples, f, af.eval_dx, k, phi, quad) for k, phi in pairs]
+    assert all(not np.isfinite(total) for total, _ in got)
+    assert all(_same_residual(total, w) for (total, _), w in zip(got, want))
 
 
 # ---------------------------------------------------------------------------
