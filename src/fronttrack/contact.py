@@ -1,14 +1,13 @@
 """Contact location: the earliest step length at which two fronts come into
 contact range.
 
-``first_contact`` is the search on the step length.
-``locate_on_candidates`` runs the aimed step and that search on the fronts of
-the pairs near a contact alone, on Python floats through ``Flux.point``:
-``stationary.solve_point`` is one element of ``solve_level``'s Newton, and a
-front's speed and RK4 step are its column's operations in
-``Tracker._speeds`` and ``Tracker._rk4``, so its traces and positions are
-bit for bit those of that column.  One RK4 step of all fronts to the
-located length follows.
+``first_contact`` is the search on the step length.  ``locate`` runs the aimed
+step and that search on the fronts of the given pairs alone, on Python floats
+through ``Flux.point``: ``stationary.solve_point`` is one element of
+``solve_level``'s Newton, and a front's speed and RK4 step are its column's
+operations in ``Tracker._speeds`` and ``Tracker._rk4``, so its traces and
+positions are bit for bit those of that column.  ``Tracker._step`` follows it
+with one RK4 step of all fronts to the located length.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ TOL_EVENT = 1e-11
 # gap / v_app is at most this many aimed steps: the aimed step h is the least
 # of those times, and an accelerating approach can bring a pair predicted a
 # little past h into contact within it.  A pair left out costs time, not
-# correctness: the full-state check after the located step finds it.
+# correctness: the step of all fronts finds it, and the search runs again.
 CANDIDATE_WINDOW = 2.0
 
 
@@ -45,7 +44,7 @@ def first_contact(step, h, f_lo, f_hi, y_hi):
     consecutive secant steps that each left more than half of it, so the
     search costs at most about three times the halvings of bisection.
     Returns (s, positions at s) at the upper end of the final bracket, where
-    F <= 0, once its width is at most TOL_EVENT.
+    F <= 0, once its width is at most TOL_EVENT or no float lies inside it.
     """
     lo, hi, y = 0.0, h, y_hi
     side = stalls = 0  # side: +1 if the last point moved hi, -1 if it moved lo
@@ -57,6 +56,8 @@ def first_contact(step, h, f_lo, f_hi, y_hi):
             s = min(max(s, lo + 0.25 * TOL_EVENT), hi - 0.25 * TOL_EVENT)
         else:
             s = lo + 0.5 * width
+        if not lo < s < hi:  # the floats between lo and hi are spent
+            break
         f, y_s = step(s)
         if f <= 0.0:
             if side > 0:
@@ -109,39 +110,39 @@ def point_rk4(tracker, st, fronts, k1, h):
     return out
 
 
+def in_contact_range(before, after):
+    """The contact-range rule: a pair whose gap after the step is at most
+    TOL_POS and below its gap before it."""
+    return (after <= TOL_POS) & (after < before)
+
+
 def candidates(gaps, v_app, h):
     """The pairs (by their left fronts) whose approach may close within a step
     of h: those approaching with gap / v_app at most CANDIDATE_WINDOW * h."""
     return np.flatnonzero((v_app > 0.0) & (gaps <= CANDIDATE_WINDOW * h * v_app)).tolist()
 
 
-def locate_on_candidates(tracker, st, v, gaps, v_app, h):
-    """``tracker._step`` on the candidate pairs' fronts, on Python floats.
-
-    If a candidate pair comes into contact range within h, the search runs on
-    those fronts alone, with their columns' operations and trace chain, and
-    one RK4 step of all fronts to the located length follows; the
-    candidates' positions and traces are then the search's.  Returns (step
-    length, positions), or None, with the state as it was, when no candidate
-    pair comes into contact range within h or another pair is in contact
-    range or crossed at the located length: ``tracker._step`` decides then.
-    """
-    pairs = candidates(gaps, v_app, h)
+def locate(tracker, st, v, gaps, pairs, h):
+    """The earliest step length within h at which one of ``pairs`` (by their
+    left fronts) comes into contact range, on those pairs' fronts alone, with
+    their columns' operations and trace chain; the state is left as it was.
+    Returns (h, None) when none does, and otherwise (s, (cols, positions,
+    traces)): the fronts' columns, their positions at s and the traces the
+    search leaves."""
     if not pairs:
-        return None
+        return h, None
     cols = sorted({*pairs, *(p + 1 for p in pairs)})
     few = few_fronts(st, cols)
     k1 = v[cols].tolist()
     y_h = point_rk4(tracker, st, few, k1, h)
-    troubled, ends, f_lo = set(), [], math.inf  # ends: their left fronts' places in cols
+    ends, f_lo = [], math.inf  # ends: the troubled pairs' left fronts' places in cols
     for p, gap in zip(pairs, gaps[pairs].tolist()):
         i = bisect.bisect_left(cols, p)
-        if y_h[i + 1] - y_h[i] <= TOL_POS and y_h[i + 1] - y_h[i] < gap:
-            troubled.add(p)
+        if in_contact_range(gap, y_h[i + 1] - y_h[i]):
             ends.append(i)
             f_lo = min(f_lo, gap)
-    if not troubled:
-        return None
+    if not ends:
+        return h, None
 
     def least_gap(y):
         return min(y[i + 1] - y[i] for i in ends) - TOL_POS
@@ -151,13 +152,4 @@ def locate_on_candidates(tracker, st, v, gaps, v_app, h):
         return least_gap(y_s), y_s
 
     s, y_c = first_contact(contact_gap, h, f_lo - TOL_POS, least_gap(y_h), y_h)
-    trace = st.trace
-    y_s = tracker._rk4(st, st.y, v, s)
-    y_s[cols] = y_c
-    st.trace[:, cols] = np.transpose([f.trace for f in few])
-    gaps_s = np.diff(y_s)
-    for q in np.flatnonzero(gaps_s <= TOL_POS).tolist():
-        if q not in troubled and (gaps_s[q] <= 0.0 or gaps_s[q] < gaps[q]):
-            st.trace = trace
-            return None
-    return s, y_s
+    return s, (cols, y_c, np.transpose([f.trace for f in few]))

@@ -8,10 +8,11 @@ front positions.  Between interactions each front obeys its own autonomous
 Rankine-Hugoniot ODE; interactions are located by stepping onto predicted
 contact times and, when a step overshoots, by a safeguarded Illinois
 false-position search on the step length, and always resolve into at most
-one front.  The search first runs on the fronts of the pairs near contact
-alone, through ``Flux.point`` on Python floats with the bits of their array
-columns, and one RK4 step of all fronts to the located length follows
-(``fronttrack.contact``).
+one front.  The search runs on the fronts of the pairs near contact alone,
+through ``Flux.point`` on Python floats with the bits of their array columns
+(``fronttrack.contact``), and one RK4 step of all fronts to the located
+length follows; a pair that step brings into contact range joins the
+searched pairs, and the search runs again.
 ``TrackedSolution`` keeps a run's solve as dense output: its snapshots
 inside the solve are cubic Hermite interpolants of the RK4 steps.
 """
@@ -25,7 +26,8 @@ from typing import Optional
 
 import numpy as np
 
-from .contact import TOL_EVENT, TOL_POS, first_contact, locate_on_candidates
+from . import contact
+from .contact import TOL_EVENT, TOL_POS
 from .stationary import g_of, level_constants, solve_level
 
 # default integrator step before event capping
@@ -411,16 +413,16 @@ class Tracker:
 
     # -- events ---------------------------------------------------------------
 
-    def _resolve_leftmost_cluster(self, st, contact, v_app, graze_v, log):
+    def _resolve_leftmost_cluster(self, st, touching, v_app, graze_v, log):
         """Merge the leftmost run of in-contact pairs into a single front.
 
         The loop then evaluates every speed afresh.  The survivors have not
         moved and their traces have converged there, so Newton leaves them
         as they are and their speeds keep their bits.
         """
-        first = int(np.flatnonzero(contact)[0])
+        first = int(np.flatnonzero(touching)[0])
         last = first
-        while last + 1 < len(contact) and contact[last + 1]:
+        while last + 1 < len(touching) and touching[last + 1]:
             last += 1
         a, b = first, last + 1  # fronts a..b collide
         z_l = int(st.z[a])
@@ -502,9 +504,9 @@ class Tracker:
 
             # resolve contacts at the current time (approaching or grazing only;
             # freshly split fan siblings separate and are excluded naturally)
-            contact = (gaps <= TOL_POS) & (v_app >= -graze_v)
-            if contact.any():
-                self._resolve_leftmost_cluster(st, contact, v_app, graze_v, log)
+            touching = (gaps <= TOL_POS) & (v_app >= -graze_v)
+            if touching.any():
+                self._resolve_leftmost_cluster(st, touching, v_app, graze_v, log)
                 v = None
                 continue
 
@@ -513,8 +515,7 @@ class Tracker:
             approaching = v_app > 0.0
             if approaching.any():
                 h = min(h, float(np.min(gaps[approaching] / v_app[approaching])))
-            s, st.y = (locate_on_candidates(self, st, v, gaps, v_app, h)
-                       or self._step(st, v, gaps, h))
+            s, st.y = self._step(st, v, gaps, v_app, h)
             st.t += s
             v = None
             self._check_window(st)
@@ -534,29 +535,31 @@ class Tracker:
         strict = t_target - field_.time > TOL_EVENT
         return out.validate(strict_positions=strict), log
 
-    def _step(self, st, v, gaps, h):
+    def _step(self, st, v, gaps, v_app, h):
         """One RK4 step of all fronts, of length h or, if a pair comes into
         contact range within it, of the earliest length at which one does.
-        Returns (step length, positions)."""
-        y_try = self._rk4(st, st.y, v, h)
-        gaps_try = np.diff(y_try)
-        trouble = (gaps_try <= TOL_POS) & (gaps_try < gaps)
-        if not trouble.any():
-            if (gaps_try <= 0.0).any():
-                raise OrderingLostError(
-                    f"ordering lost without a contact flag in a step of {h!r}", st)
-            return h, y_try
-
-        # locate the earliest step length at which a troubled pair reaches
-        # contact range; the loop's next iteration resolves that contact
-        t_idx = np.flatnonzero(trouble)
-
-        def contact_gap(s):
-            y_s = self._rk4(st, st.y, v, s)
-            return float(np.min(y_s[t_idx + 1] - y_s[t_idx])) - TOL_POS, y_s
-
-        return first_contact(contact_gap, h, float(np.min(gaps[t_idx])) - TOL_POS,
-                             float(np.min(gaps_try[t_idx])) - TOL_POS, y_try)
+        Returns (step length, positions).  The search runs on the candidate
+        pairs, and reruns from the loop's state with any pair outside them
+        that the step of all fronts brings into contact range: the searched
+        pairs only grow, so there are at most n - 1 reruns."""
+        pairs, trace = contact.candidates(gaps, v_app, h), st.trace
+        while True:
+            s, located = contact.locate(self, st, v, gaps, pairs, h)
+            y = self._rk4(st, st.y, v, s)
+            if located is not None:
+                cols, y_c, trace_c = located
+                y[cols], st.trace[:, cols] = y_c, trace_c
+            gaps_s = np.diff(y)
+            closing = np.flatnonzero(contact.in_contact_range(gaps, gaps_s)).tolist()
+            missed = [q for q in closing if q not in pairs]
+            if not missed:
+                break
+            st.trace = trace
+            pairs = sorted(pairs + missed)
+        if located is None and (gaps_s <= 0.0).any():
+            raise OrderingLostError(
+                f"ordering lost without a contact flag in a step of {h!r}", st)
+        return s, y
 
     def _check_window(self, st):
         if len(st.y) == 0:

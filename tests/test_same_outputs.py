@@ -1,0 +1,64 @@
+"""The comparison of tools/same_outputs.py, on synthetic observations."""
+
+import importlib.util
+import os
+
+_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "same_outputs.py")
+_spec = importlib.util.spec_from_file_location("same_outputs", _PATH)
+same_outputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(same_outputs)
+
+
+def _obs():
+    # two solves as the worker records them: [t, x, consumed, produced, tv_before, tv_after]
+    return {"solves": [
+        {"label": "d0.005", "n0": 3, "max_up": 1, "final_positions": [-0.5, 0.25],
+         "events": [[0.125, -0.25, [0, 1], 3, 1.5, 1.0], [0.5, 0.0, [3, 2], None, 1.0, 0.5]]},
+        {"label": "cli", "n0": 2, "max_up": 0.0, "final_positions": None,
+         "events": [[0.75, 1.0, [0, 1], 2, 1.0, 0.5]]},
+    ], "sample_sums": [1.0, 2.0]}
+
+
+def test_equal_observations_are_identical():
+    result = same_outputs.compare(_obs(), _obs())
+    assert result["identical"] and result["same_ids"] and result["other"] == []
+    assert (result["event_time"], result["event_position"], result["final_position"]) == (0, 0, 0)
+    assert same_outputs.describe(result) == "identical"
+
+
+def test_moved_positions_give_the_largest_deviations():
+    change = _obs()
+    change["solves"][0]["events"][1][0] += 2.0 ** -40
+    change["solves"][1]["events"][0][1] -= 2.0 ** -38
+    change["solves"][0]["final_positions"][0] += 2.0 ** -36
+    result = same_outputs.compare(_obs(), change)
+    assert not result["identical"] and result["same_ids"] and result["other"] == []
+    assert result["event_time"] == 2.0 ** -40
+    assert result["event_position"] == 2.0 ** -38
+    assert result["final_position"] == 2.0 ** -36
+    assert same_outputs.describe(result) == ("largest deviation: event time 9.1e-13, "
+                                             "event position 3.6e-12, final position 1.5e-11")
+
+
+def test_differing_event_ids_are_reported():
+    produced, consumed, fewer = _obs(), _obs(), _obs()
+    produced["solves"][0]["events"][1][3] = 4
+    consumed["solves"][1]["events"][0][2] = [1, 0]
+    fewer["solves"][0]["events"].pop()
+    for change in (produced, consumed, fewer):
+        result = same_outputs.compare(_obs(), change)
+        assert not result["same_ids"]
+        assert same_outputs.describe(result).startswith("event ids differ; ")
+    assert not same_outputs.compare(_obs(), {"solves": _obs()["solves"][:1]})["same_ids"]
+
+
+def test_other_differing_values_are_named():
+    change = _obs()
+    change["sample_sums"][1] = 2.5
+    change["solves"][0]["max_up"] = 2
+    change["solves"][1]["events"][0][5] = 0.25
+    result = same_outputs.compare(_obs(), change)
+    assert result["same_ids"] and not result["identical"]
+    assert result["other"] == ["sample_sums", "d0.005.max_up", "cli.tv"]
+    assert same_outputs.describe(result).endswith(
+        "; other values differ: sample_sums, d0.005.max_up, cli.tv")

@@ -365,10 +365,9 @@ def _speed_log(tr, monkeypatch):
     return log
 
 
-def _located_steps(tr, f0, t_end, monkeypatch, search="few"):
+def _located_steps(tr, f0, t_end, monkeypatch):
     """Solve with the calls logged; returns the events and, split at the
-    loop's speed evaluations, the steps whose contact search made trials
-    (``search``: "few" for few-front ones, "rk4" for full-state ones)."""
+    loop's speed evaluations, the steps whose contact search made trials."""
     log = _speed_log(tr, monkeypatch)
     _, events = tr.advance(f0, t_end)
     steps = []
@@ -376,7 +375,7 @@ def _located_steps(tr, f0, t_end, monkeypatch, search="few"):
         if item[0] == "v":
             steps.append([])
         steps[-1].append(item)
-    return events, [s for s in steps if sum(i[0] == search for i in s) > 1]
+    return events, [s for s in steps if sum(i[0] == "few" for i in s) > 1]
 
 
 def _located_merge():
@@ -391,15 +390,14 @@ def test_one_regular_step_costs_four_speed_evaluations(monkeypatch):
     assert sum(i[0] in ("v", "k") for i in log) == 4
 
 
-def _assert_trials_start_from_the_loop_speeds(step, search):
-    """Every RK4 call of a located step of two fronts (both candidates) starts
-    from the loop's speeds, and the search's calls (``search``: "few" or
-    "rk4") have distinct lengths: its upper end is never integrated twice.
-    Returns those lengths."""
+def _assert_trials_start_from_the_loop_speeds(step):
+    """Every RK4 call of a located step of two fronts starts from the loop's
+    speeds, and the search's few-front calls have distinct lengths: its
+    upper end is never integrated twice.  Returns those lengths."""
     (_, v), trials = step[0], [i for i in step[1:] if i[0] in ("few", "rk4")]
     for trial in trials:
         assert np.array_equal(trial[-1], v)
-    searched = [i[1] for i in trials if i[0] == search]
+    searched = [i[1] for i in trials if i[0] == "few"]
     assert len(set(searched)) == len(searched)
     return searched
 
@@ -408,7 +406,7 @@ def test_located_merge_reuses_the_loop_speeds_and_does_not_restep(monkeypatch):
     f0, tr = _located_merge()
     events, located = _located_steps(tr, f0, 1.2, monkeypatch)
     assert len(events) == 1 and len(located) == 1
-    searched = _assert_trials_start_from_the_loop_speeds(located[0], "few")
+    searched = _assert_trials_start_from_the_loop_speeds(located[0])
     # the full-state step runs once, to a length the search tried
     (full,) = [i[1] for i in located[0] if i[0] == "rk4"]
     assert full in searched
@@ -422,19 +420,24 @@ def test_located_merge_costs_at_most_six_rk4_calls(monkeypatch):
 
 
 def _no_candidates(monkeypatch):
-    """Send every step to the full-state step and search, as when the
-    few-front search misses the contacting pair."""
+    """Send every contact to the rerun path, as when the search misses the
+    contacting pair: the step of all fronts finds it, and the search runs
+    again on the pairs that step brings into contact range."""
     monkeypatch.setattr(contact, "candidates", lambda gaps, v_app, h: [])
 
 
-def test_full_state_search_reuses_the_loop_speeds_and_costs_at_most_six_rk4_calls(monkeypatch):
+def test_a_rerun_reuses_the_loop_speeds_and_costs_at_most_six_trials(monkeypatch):
     f0, tr = _located_merge()
     _no_candidates(monkeypatch)
-    events, located = _located_steps(tr, f0, 1.2, monkeypatch, search="rk4")
+    events, located = _located_steps(tr, f0, 1.2, monkeypatch)
     assert len(events) == 1 and len(located) == 1
-    hs = _assert_trials_start_from_the_loop_speeds(located[0], "rk4")
-    assert sum(i[0] in ("v", "k") for i in located[0]) == 1 + 3 * len(hs)
-    assert len(hs) - 1 <= 6
+    searched = _assert_trials_start_from_the_loop_speeds(located[0])
+    # the loop's evaluation, the step of all fronts to h that finds the
+    # contact, and the one to the located length
+    full = [i[1] for i in located[0] if i[0] == "rk4"]
+    assert full[0] == searched[0] and full[1] in searched and len(full) == 2
+    assert sum(i[0] in ("v", "k") for i in located[0]) == 1 + 3 + 3
+    assert len(searched) - 1 <= 6
 
 
 def test_a_located_merge_makes_one_full_state_step(monkeypatch):
@@ -442,7 +445,7 @@ def test_a_located_merge_makes_one_full_state_step(monkeypatch):
     events, located = _located_steps(tr, f0, 1.2, monkeypatch)
     assert len(events) == 1 and len(located) == 1
     # the loop's own evaluation and one RK4 step of all fronts: 1 + 3 speed
-    # evaluations, where the full-state search makes 1 + 3 per trial
+    # evaluations, where a rerun makes 1 + 3 + 3
     assert sum(i[0] in ("v", "k") for i in located[0]) == 1 + 3
     assert sum(i[0] == "rk4" for i in located[0]) == 1
     assert sum(i[0] == "few" for i in located[0]) > 2
@@ -595,7 +598,8 @@ def _largest_deviation(log, ref_log, f1, ref_f1):
 
 @pytest.mark.parametrize("delta, cells", [(0.005, 1200), (0.002, 3000), (0.001, 6000)])
 def test_few_front_search_matches_the_full_state_search(delta, cells, monkeypatch):
-    # the delta-sweep: the same solve with every step on the full-state search
+    # the delta-sweep: the same solve with every contact found by the step of
+    # all fronts and then searched on a rerun
     f0, tr, times = _bump_solve(delta, cells)
     log, f1 = _events_and_positions(tr, f0, times)
     _no_candidates(monkeypatch)
@@ -630,10 +634,11 @@ def test_benchmark_run_matches_the_full_state_search(tmp_path, monkeypatch):
 
 def _drop_the_earliest_pair(monkeypatch):
     """Take from the candidates the pair with the least linear contact time,
-    the one that makes contact; returns, for each full-state step, the
-    number of few-front trials made at its state before it."""
-    select, few, step = contact.candidates, contact.point_rk4, Tracker._step
-    trials, fallbacks = [], []
+    the one that makes contact; returns, for each step of all fronts, its
+    start time and the number of few-front trials made at its state before
+    it.  A second step from the same state is a rerun's."""
+    select, few, rk4 = contact.candidates, contact.point_rk4, Tracker._rk4
+    trials, steps = [], []
 
     def dropping(gaps, v_app, h):
         pairs = select(gaps, v_app, h)
@@ -643,30 +648,32 @@ def _drop_the_earliest_pair(monkeypatch):
         trials.append(st.t)
         return few(tracker, st, *args)
 
-    def counted_step(self, st, *args):
-        fallbacks.append(trials.count(st.t))
-        return step(self, st, *args)
+    def counted_rk4(self, st, *args):
+        steps.append((st.t, trials.count(st.t)))
+        return rk4(self, st, *args)
 
     monkeypatch.setattr(contact, "candidates", dropping)
     monkeypatch.setattr(contact, "point_rk4", counted_few)
-    monkeypatch.setattr(Tracker, "_step", counted_step)
-    return fallbacks
+    monkeypatch.setattr(Tracker, "_rk4", counted_rk4)
+    return steps
 
 
 @pytest.mark.parametrize("x0, trials", [
     (-1.6953, 2),   # the kept pair is located, and the dropped one is in contact there
     (-1.695, 1),    # the kept pair does not reach contact range within h
 ], ids=["searched", "unlocated"])
-def test_a_missed_candidate_falls_back_to_the_full_state_search(monkeypatch, x0, trials):
+def test_a_missed_candidate_is_searched_on_a_rerun(monkeypatch, x0, trials):
     # three shocks whose two pairs meet within one step of each other
     f0 = FrontField(time=0.0, delta=0.5, positions=np.array([x0, -1.0, 0.0]),
                     z=np.array([6, 3, 1, 0]), ids=np.arange(3), next_id=3).validate()
     with monkeypatch.context() as m:
         _no_candidates(m)
         ref, ref_log = Tracker(MODULATED, 0.5, (-8, 8)).advance(f0, 3.0)
-    fallbacks = _drop_the_earliest_pair(monkeypatch)
+    steps = _drop_the_earliest_pair(monkeypatch)
     f1, log = Tracker(MODULATED, 0.5, (-8, 8)).advance(f0, 3.0)
-    assert max(fallbacks) >= trials
+    # the trials made before each step of all fronts that a rerun follows
+    rerun = [n for (t, n), (t_next, _) in zip(steps, steps[1:]) if t_next == t]
+    assert rerun and max(rerun) >= trials
     assert log == ref_log and len(log) == 2
     assert f1.positions.tobytes() == ref.positions.tobytes()
 
@@ -700,8 +707,8 @@ def test_the_few_front_path_fails_as_the_array_path_does(case):
 
 def test_the_sweep_solve_makes_few_full_state_inversions(monkeypatch):
     # timing-free guard: a located event costs the loop's evaluation and one RK4
-    # step of all fronts (556 calls for 64 events); trials on the full state,
-    # as the fallback makes them, cost 1,178
+    # step of all fronts (556 calls for 64 events); with every contact found
+    # on a rerun, which first steps all fronts to h, the solve costs 812
     import fronttrack.tracker as tracker_module
     calls = []
 
@@ -743,6 +750,23 @@ def test_first_contact_ends_within_the_halving_bound(f):
     assert lo == 0.0 or f(lo) > 0.0
     assert len(set(evals)) == len(evals) and 0.0 < min(evals + [s]) and h not in evals
     assert len(evals) <= 3 * int(np.ceil(np.log2(h / TOL_EVENT)))
+
+
+@pytest.mark.parametrize("h", [1e6, 1e7])
+def test_first_contact_ends_when_no_float_lies_inside_its_bracket(h):
+    # ulp(h) is above TOL_EVENT here: the bracket cannot shrink to TOL_EVENT
+    f, evals = lambda s: 0.37 * h - s, []
+
+    def step(s):
+        evals.append(s)
+        if len(evals) > 200:
+            raise RuntimeError(f"no end after {len(evals) - 1} trials")
+        return f(s), np.array([s])
+
+    s, y = first_contact(step, h, f(0.0), f(h), np.array([h]))
+    assert f(s) <= 0.0 and y[0] == s
+    lo = max([e for e in evals if e < s], default=0.0)
+    assert lo == 0.0 or f(lo) > 0.0
 
 
 def test_fan_then_shock_pile_up_keeps_invariants():
@@ -1499,8 +1523,9 @@ def test_degenerate_states_error_carries_time_and_state():
 
 
 def _ordering_lost(monkeypatch):
-    # a valid fan pair whose every RK4 step lands crossed: the contact search
-    # stops on the crossed pair, which separates there, yet stays crossed
+    # a valid fan pair whose every RK4 step of all fronts lands crossed: the
+    # rerun searches the crossed pair, which separates on floats, and the
+    # step to h still lands crossed
     f0 = FrontField(time=0.5, delta=0.1, positions=np.array([0.0, 0.1]),
                     z=np.array([0, 1, 2], dtype=np.int64),
                     ids=np.array([0, 1], dtype=np.int64), next_id=2)

@@ -1,0 +1,133 @@
+"""Compare the recorded outputs of a parent checkout and a change checkout.
+
+Usage (from the repository root):
+
+    python3 tools/same_outputs.py --parent ../parent --change .
+
+For each workload, at perfbench's default seed and at seed 7, it runs one
+untraced repetition (``perfbench/run.py``'s ``Session.rep("run",
+record=...)``) in each checkout and compares the two recorded observations:
+the event logs, the final front positions and every other recorded value.
+It prints, per workload and seed, "identical", or the largest event-time,
+event-position and final-position deviations and the other values that
+differ.  The exit status is 1 when the event ids (each event's consumed and
+produced fronts) differ anywhere, 2 when a repetition fails, and 0
+otherwise.  It reads ``perfbench/`` and changes nothing there: a
+repetition's scratch files go to a temporary directory in its checkout, and
+the records to a system temporary directory, both removed at the end.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import json
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+# one recorded repetition in the checkout that is the working directory
+_REP = """
+import shutil, sys, tempfile
+from pathlib import Path
+sys.path.insert(0, "perfbench")
+from run import ROOT, SCRATCH_PREFIX, Session
+workload, seed, record = sys.argv[1], int(sys.argv[2]), sys.argv[3]
+tmp = Path(tempfile.mkdtemp(prefix=SCRATCH_PREFIX, dir=ROOT))
+try:
+    ok = Session(workload, seed, False, None, tmp).rep("run", record=record) is not None
+finally:
+    shutil.rmtree(tmp, ignore_errors=True)
+sys.exit(0 if ok else 1)
+"""
+
+
+def compare(parent, change):
+    """Compare two recorded observations (dicts with a "solves" list).
+
+    Returns a dict: ``identical``; ``same_ids``, when both have the same
+    solves with the same consumed and produced fronts in every event; the
+    largest ``event_time``, ``event_position`` and ``final_position``
+    deviations over the events and fronts that both have; and ``other``, the
+    names of the other values that differ.
+    """
+    dev = {"event_time": 0.0, "event_position": 0.0, "final_position": 0.0}
+    other = sorted(k for k in parent.keys() | change.keys()
+                   if k != "solves" and parent.get(k) != change.get(k))
+    a, b = parent["solves"], change["solves"]
+    same_ids = len(a) == len(b)
+    for x, y in zip(a, b):
+        same_ids &= (x["label"] == y["label"]
+                     and [e[2:4] for e in x["events"]] == [e[2:4] for e in y["events"]])
+        for e, f in zip(x["events"], y["events"]):
+            dev["event_time"] = max(dev["event_time"], abs(e[0] - f[0]))
+            dev["event_position"] = max(dev["event_position"], abs(e[1] - f[1]))
+        for p, q in zip(x["final_positions"] or [], y["final_positions"] or []):
+            dev["final_position"] = max(dev["final_position"], abs(p - q))
+        other += [f"{x['label']}.{k}" for k in sorted(x.keys() | y.keys())
+                  if k not in ("label", "events", "final_positions") and x.get(k) != y.get(k)]
+        if [e[4:] for e in x["events"]] != [e[4:] for e in y["events"]]:
+            other.append(f"{x['label']}.tv")
+        if (x["final_positions"] is None) != (y["final_positions"] is None):
+            other.append(f"{x['label']}.final_positions")
+    return {"identical": parent == change, "same_ids": same_ids, **dev, "other": other}
+
+
+def describe(result):
+    """One line for a comparison's result."""
+    if result["identical"]:
+        return "identical"
+    line = ("event ids differ; " if not result["same_ids"] else "") + (
+        f"largest deviation: event time {result['event_time']:.1e}, "
+        f"event position {result['event_position']:.1e}, "
+        f"final position {result['final_position']:.1e}")
+    return line + (f"; other values differ: {', '.join(result['other'])}"
+                   if result["other"] else "")
+
+
+def record(checkout, workload, seed, out):
+    """One recorded repetition in the checkout; its observation, or None."""
+    proc = subprocess.run([sys.executable, "-c", _REP, workload, str(seed), str(out)],
+                          cwd=checkout, capture_output=True, text=True)
+    if proc.returncode != 0:
+        print(f"{checkout}: {workload} seed {seed} failed: "
+              + " | ".join(proc.stderr.strip().splitlines()[-3:]), file=sys.stderr)
+        return None
+    return json.loads(Path(out).read_text())
+
+
+def workload_inputs(checkout):
+    """The workload names and default seed of the checkout's perfbench."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_inputs", Path(checkout) / "perfbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return inputs.WORKLOADS, inputs.DEFAULT_SEED
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, help="checkout of the parent commit")
+    parser.add_argument("--change", required=True, help="checkout of the change")
+    args = parser.parse_args(argv)
+
+    workloads, default_seed = workload_inputs(args.change)
+    status = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for workload in workloads:
+            for seed in (default_seed, 7):
+                obs = [record(checkout, workload, seed, Path(tmp) / f"{side}.json")
+                       for side, checkout in (("parent", args.parent), ("change", args.change))]
+                if None in obs:
+                    status = 2
+                    continue
+                result = compare(*obs)
+                if not result["same_ids"]:
+                    status = max(status, 1)
+                print(f"{workload} seed {seed}: {describe(result)}")
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())
