@@ -4,8 +4,8 @@ Experiments are described by INI-style config files (flux family or DSL
 expression, initial profile, delta, window, horizon, checks).  A run writes
 profile CSVs, an event-log CSV and a JSON manifest; the exit status is
 nonzero iff any requested check fails or a solver invariant is breached.
-All randomized batteries derive from the single config seed through a
-counter-based generator, so results are reproducible byte for byte.
+Each randomized check draws from a stream of Python's ``random`` keyed by the
+config seed and its name, so results are reproducible byte for byte.
 """
 
 from __future__ import annotations

@@ -4,16 +4,17 @@ contact range.
 ``first_contact`` is the search on the step length.  ``locate`` runs the aimed
 step and that search on the fronts of the given pairs alone, on Python floats
 through ``Flux.point``: ``stationary.solve_point`` is one element of
-``solve_level``'s Newton, and a front's speed and RK4 step are its column's
-operations in ``Tracker._speeds`` and ``Tracker._rk4``, so its traces and
-positions are bit for bit those of that column.  ``Tracker._step`` follows it
-with one RK4 step of all fronts to the located length.
+``solve_level``'s Newton, a front's speed is its column's operations in
+``Tracker._speeds``, and ``rk4`` is the one RK4 step of both, so its traces
+and positions are bit for bit those of that column.  ``Tracker._step``
+follows it with one RK4 step of all fronts to the located length.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -98,16 +99,21 @@ def point_speed(tracker, st, front, y):
     return front.num / den
 
 
+def rk4(speed, y, k1, h):
+    """One RK4 step of length h from y, whose speeds k1 the caller holds, with
+    ``speed`` the speeds at a position: plain arithmetic, so the same stages
+    step an array of fronts or one front on Python floats."""
+    k2 = speed(y + 0.5 * h * k1)
+    k3 = speed(y + 0.5 * h * k2)
+    k4 = speed(y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def point_rk4(tracker, st, fronts, k1, h):
     """``tracker._rk4`` of the fronts alone, from their positions and speeds
     k1; their traces chain from call to call as st.trace does."""
-    out = []
-    for f, v in zip(fronts, k1):
-        k2 = point_speed(tracker, st, f, f.y + 0.5 * h * v)
-        k3 = point_speed(tracker, st, f, f.y + 0.5 * h * k2)
-        k4 = point_speed(tracker, st, f, f.y + h * k3)
-        out.append(f.y + (h / 6.0) * (v + 2.0 * k2 + 2.0 * k3 + k4))
-    return out
+    return [rk4(partial(point_speed, tracker, st, f), f.y, v, h)
+            for f, v in zip(fronts, k1)]
 
 
 def in_contact_range(before, after):

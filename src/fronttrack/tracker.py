@@ -406,10 +406,7 @@ class Tracker:
 
     def _rk4(self, st, y, k1, h):
         """One RK4 step of length h from y, whose speeds k1 the caller holds."""
-        k2 = self._speeds(st, y + 0.5 * h * k1)
-        k3 = self._speeds(st, y + 0.5 * h * k2)
-        k4 = self._speeds(st, y + h * k3)
-        return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        return contact.rk4(lambda x: self._speeds(st, x), y, k1, h)
 
     # -- events ---------------------------------------------------------------
 

@@ -16,6 +16,7 @@ that needs scipy must likewise import it in its own body.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -659,43 +660,8 @@ class RunContext:
     u0_l1: float
 
     def rng(self, check_name):
-        return _Philox((self.config.seed % (2 ** 63), list(CHECKS).index(check_name)))
-
-
-_MASK64 = 2 ** 64 - 1
-# Philox4x64's round multipliers and key increments (Salmon et al., SC'11)
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-
-
-class _Philox:
-    """numpy's ``Generator(Philox(key=key)).uniform`` stream in pure Python,
-    so that a run needs no numpy.random: Philox4x64-10 on a 256-bit counter
-    that starts at 1, each block's four words read in order, and a uniform
-    draw from the top 53 bits of a word, as numpy makes it."""
-
-    def __init__(self, key):
-        self._key = key
-        self._counter = 0
-        self._words = []  # the block's unread words, last first
-
-    def _next64(self):
-        if not self._words:
-            self._counter += 1
-            c = [(self._counter >> (64 * i)) & _MASK64 for i in range(4)]
-            k0, k1 = self._key
-            for _ in range(10):
-                p0, p1 = _PHILOX_M[0] * c[0], _PHILOX_M[1] * c[2]
-                c = [(p1 >> 64) ^ c[1] ^ k0, p1 & _MASK64, (p0 >> 64) ^ c[3] ^ k1, p0 & _MASK64]
-                k0, k1 = (k0 + _PHILOX_W[0]) & _MASK64, (k1 + _PHILOX_W[1]) & _MASK64
-            self._words = c[::-1]
-        return self._words.pop()
-
-    def uniform(self, low, high):
-        low, high = float(low), float(high)
-        if not 0.0 <= high - low < math.inf:
-            raise ValueError(f"uniform needs finite low <= high, got {low!r}, {high!r}")
-        return low + (high - low) * ((self._next64() >> 11) * 2.0 ** -53)
+        """The check's random stream, keyed by the run's seed and its name."""
+        return random.Random(f"{self.config.seed} {check_name}")
 
 
 def _check_tvd(ctx, report):
@@ -833,7 +799,7 @@ def _check_fv_crossval(ctx, report):
                fv_cells=FV_CELLS, cfl=FV_CFL, u0_l1=ctx.u0_l1)
 
 
-# the checks in run order; a check's position is its random-stream key
+# the checks, in the order in which a run runs and reports them
 CHECKS = {
     "tvd": _check_tvd,
     "entropy": _check_entropy,

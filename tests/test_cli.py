@@ -40,6 +40,9 @@ entropy_quad = 128
 """
 
 
+BENCHMARK_INI = os.path.join(os.path.dirname(__file__), os.pardir, "benchmark.ini")
+
+
 def write_config(tmp_path, text, name="run.ini"):
     path = tmp_path / name
     path.write_text(text)
@@ -84,8 +87,9 @@ def test_load_config_rejects_unknown_check(tmp_path):
 
 
 def test_check_registry_order_and_identity():
-    # a check's position keys its random stream, and perfbench/tracing.py
-    # wraps the entries of the runner's table in place
+    # a check's position sets the order in which a run runs and reports the
+    # checks, and perfbench/tracing.py wraps the entries of the runner's table
+    # in place
     assert list(validation.CHECKS) == ["tvd", "entropy", "lipschitz_l1", "characteristics",
                                        "flux_convergence", "inversion_bounds", "fv_crossval"]
     assert cli._CHECK_IMPL is validation.CHECKS
@@ -211,6 +215,19 @@ def test_run_end_to_end(tmp_path):
     rows = open(os.path.join(out, "events.csv")).read().splitlines()[1:]
     tv_after = [float(r.split(",")[5]) for r in rows]
     assert all(b <= a + 1e-15 for a, b in zip(tv_after, tv_after[1:]))
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_benchmark_passes_every_check_at_other_seeds(tmp_path, seed):
+    # tests/test_imports.py runs benchmark.ini at its own seed
+    text = open(BENCHMARK_INI).read()
+    assert text.count("seed = 20260810\n") == 1
+    config = write_config(tmp_path, text.replace("seed = 20260810\n", f"seed = {seed}\n"))
+    assert main(["--out", str(tmp_path / "out"), "run", config]) == 0
+    manifest = json.load(open(tmp_path / "out" / "manifest.json"))
+    assert manifest["config"]["seed"] == seed
+    assert manifest["checks"]["passed"]
+    assert all(c["passed"] for c in manifest["checks"]["checks"])
 
 
 def test_run_deterministic_artifacts(tmp_path):

@@ -3,7 +3,7 @@
 A solve needs the flux, inversion, profile, contact and tracker modules only; the
 check modules and the DSL parser are imported on first access, and np.unique
 (which imports all of numpy.ma on its first call) is not used.  A run's checks draw their random
-numbers from a pure-Python Philox stream, so no run loads numpy.random.
+numbers from the standard library's ``random``, so no run loads numpy.random.
 """
 
 import ast
@@ -13,10 +13,9 @@ import sys
 
 import fronttrack
 
-from test_cli import GOOD_CONFIG
+from test_cli import BENCHMARK_INI, GOOD_CONFIG
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-BENCHMARK_INI = os.path.join(os.path.dirname(__file__), os.pardir, "benchmark.ini")
 
 # set(fronttrack.__all__) before the check modules became lazy, and the
 # contact-location submodule

@@ -62,3 +62,40 @@ def test_other_differing_values_are_named():
     assert result["other"] == ["sample_sums", "d0.005.max_up", "cli.tv"]
     assert same_outputs.describe(result).endswith(
         "; other values differ: sample_sums, d0.005.max_up, cli.tv")
+
+
+def _checks():
+    # check records as a run's manifest.json holds them
+    return [{"name": "tvd.events", "measured": 0.0, "bound": 0.0, "passed": True,
+             "params": {"events": 64}},
+            {"name": "entropy.battery", "measured": 0.0125, "bound": 0.0, "passed": True,
+             "params": {"pairs": 20}},
+            {"name": "lipschitz_l1", "measured": -0.5, "bound": 1e-08, "passed": True,
+             "params": {"pairs": 20}}]
+
+
+def test_equal_check_records_are_identical():
+    assert same_outputs.compare_checks(_checks(), _checks()) == []
+    assert same_outputs.describe_checks([]) == "identical"
+
+
+def test_moved_values_and_pass_flags_are_listed_with_both_sides():
+    change = _checks()
+    change[1]["measured"] = 0.0375
+    change[2].update(measured=2e-08, passed=False)
+    change[0]["params"]["events"] = 63  # a parameter alone is not listed
+    diffs = same_outputs.compare_checks(_checks(), change)
+    assert diffs == [("entropy.battery", (0.0125, True), (0.0375, True)),
+                     ("lipschitz_l1", (-0.5, True), (2e-08, False))]
+    assert same_outputs.describe_checks(diffs) == (
+        "differ: entropy.battery 0.0125 -> 0.0375, lipschitz_l1 -0.5 -> 2e-08 (failed)")
+
+
+def test_a_check_record_on_one_side_only_is_listed():
+    fewer, more = _checks()[:2], _checks() + [
+        {"name": "fv_crossval", "measured": None, "bound": 0.1, "passed": False, "params": {}}]
+    assert same_outputs.compare_checks(_checks(), fewer) == \
+        [("lipschitz_l1", (-0.5, True), None)]
+    diffs = same_outputs.compare_checks(_checks(), more)
+    assert diffs == [("fv_crossval", None, (None, False))]
+    assert same_outputs.describe_checks(diffs) == "differ: fv_crossval absent -> None (failed)"

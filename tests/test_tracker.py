@@ -597,7 +597,7 @@ def _largest_deviation(log, ref_log, f1, ref_f1):
 
 
 @pytest.mark.parametrize("delta, cells", [(0.005, 1200), (0.002, 3000), (0.001, 6000)])
-def test_few_front_search_matches_the_full_state_search(delta, cells, monkeypatch):
+def test_few_front_search_matches_the_rerun_search(delta, cells, monkeypatch):
     # the delta-sweep: the same solve with every contact found by the step of
     # all fronts and then searched on a rerun
     f0, tr, times = _bump_solve(delta, cells)
@@ -610,7 +610,7 @@ def test_few_front_search_matches_the_full_state_search(delta, cells, monkeypatc
     assert max(dev) <= 1e-9
 
 
-def test_benchmark_run_matches_the_full_state_search(tmp_path, monkeypatch):
+def test_benchmark_run_matches_the_rerun_search(tmp_path, monkeypatch):
     import fronttrack.cli as cli
     cfg = cli.load_config("benchmark.ini")
     cfg.checks = []

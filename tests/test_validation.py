@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from dataclasses import replace
@@ -434,9 +435,14 @@ def _benchmark_solve():
     return sol, ApproxFlux(MODULATED, delta), QuadSpec(-3.0, 3.0, 0.0, 1.0, nx=256, nt=256)
 
 
+def _run_rng(seed, name):
+    """The random stream of the named check in a run with this seed."""
+    return validation.RunContext(SimpleNamespace(seed=seed), *[None] * 8).rng(name)
+
+
 def _benchmark_battery(sol, af, quad):
     # the run's entropy stream for benchmark.ini's seed
-    return entropy_battery(sol, af, quad, validation._Philox((20260810, 1)), pairs=20,
+    return entropy_battery(sol, af, quad, _run_rng(20260810, "entropy"), pairs=20,
                            k_bound=1.2, tv_u=2.0, speed_bound=1.7)
 
 
@@ -754,30 +760,22 @@ def test_flux_convergence_burgers_golden_bound():
     assert row.sup_f_err <= row.bound_f
 
 
-@pytest.mark.parametrize("seed", [0, 7, 20260810, 2 ** 63 - 1])
-def test_run_stream_is_numpys_philox_bit_for_bit(seed):
-    # the (low, high) ranges mix the checks' own with wide, narrow, negative
-    # and empty ones; numpy's generator is the reference
-    ranges = [(0.0, 1.0), (-1.2, 1.2), (0.12, 0.35), (1e-3, 0.4), (-3.5, -3.5),
-              (-1e6, 2.5e7), (0.5, 0.5 + 1e-12)]
-    for stream in range(7):
-        ours = validation._Philox((seed, stream))
-        ref = np.random.Generator(np.random.Philox(key=np.array([seed, stream],
-                                                                dtype=np.uint64)))
-        for i in range(1000):
-            low, high = ranges[(i * (stream + 1)) % len(ranges)]
-            assert ours.uniform(low, high) == ref.uniform(low, high)
+def _draws(rng, n=3):
+    return [rng.uniform(-1.0, 1.0) for _ in range(n)]
 
 
 def test_run_context_draws_from_its_checks_stream():
-    ctx = validation.RunContext(SimpleNamespace(seed=-5), *[None] * 8)
-    ref = np.random.Generator(np.random.Philox(
-        key=np.array([(-5) % 2 ** 63, list(validation.CHECKS).index("entropy")],
-                     dtype=np.uint64)))
-    rng = ctx.rng("entropy")
-    assert [rng.uniform(-1.0, 1.0) for _ in range(9)] == list(ref.uniform(-1.0, 1.0, 9))
-    with pytest.raises(ValueError):
-        rng.uniform(1.0, 0.0)
+    assert _draws(_run_rng(-5, "entropy"), 9) == _draws(random.Random("-5 entropy"), 9)
+
+
+def test_a_checks_stream_is_keyed_by_its_name(monkeypatch):
+    entropy = _draws(_run_rng(20260810, "entropy"))
+    assert entropy == [-0.3494141470095611, -0.8970726233024322, -0.2034475443668311]
+    # a check's position in the registry moves none of its draws
+    monkeypatch.setattr(validation, "CHECKS", dict(reversed(validation.CHECKS.items())))
+    assert _draws(_run_rng(20260810, "entropy")) == entropy
+    assert _draws(_run_rng(20260810, "lipschitz_l1")) != entropy
+    assert _draws(_run_rng(20260811, "entropy")) != entropy
 
 
 def test_validation_report_aggregates():

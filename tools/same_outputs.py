@@ -10,11 +10,15 @@ record=...)``) in each checkout and compares the two recorded observations:
 the event logs, the final front positions and every other recorded value.
 It prints, per workload and seed, "identical", or the largest event-time,
 event-position and final-position deviations and the other values that
-differ.  The exit status is 1 when the event ids (each event's consumed and
-produced fronts) differ anywhere, 2 when a repetition fails, and 0
-otherwise.  It reads ``perfbench/`` and changes nothing there: a
-repetition's scratch files go to a temporary directory in its checkout, and
-the records to a system temporary directory, both removed at the end.
+differ.  perfbench records only the names of failed checks, so it also runs
+``fronttrack run benchmark.ini`` in each checkout and lists the manifest's
+check records whose measured value or pass flag differ, each as its name,
+the parent's value and the change's value.  The exit status is 1 when the
+event ids (each event's consumed and produced fronts) differ anywhere, 2
+when a repetition fails or a run writes no manifest, and 0 otherwise.  It
+reads ``perfbench/`` and changes nothing there: a repetition's scratch files
+go to a temporary directory in its checkout, and the records and the runs'
+outputs to a system temporary directory, both removed at the end.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -86,6 +91,25 @@ def describe(result):
                    if result["other"] else "")
 
 
+def compare_checks(parent, change):
+    """The check records (manifest dicts) whose measured value or pass flag
+    differ, as (name, parent value, change value) in the parent's order; a
+    value is (measured, passed), or None where that side has no such record."""
+    a, b = ({r["name"]: (r["measured"], r["passed"]) for r in side}
+            for side in (parent, change))
+    return [(name, a.get(name), b.get(name)) for name in {**a, **b}
+            if a.get(name) != b.get(name)]
+
+
+def describe_checks(diffs):
+    """One line for the check records that differ."""
+    def value(v):
+        return "absent" if v is None else repr(v[0]) + ("" if v[1] else " (failed)")
+    if not diffs:
+        return "identical"
+    return "differ: " + ", ".join(f"{name} {value(p)} -> {value(c)}" for name, p, c in diffs)
+
+
 def record(checkout, workload, seed, out):
     """One recorded repetition in the checkout; its observation, or None."""
     proc = subprocess.run([sys.executable, "-c", _REP, workload, str(seed), str(out)],
@@ -95,6 +119,23 @@ def record(checkout, workload, seed, out):
               + " | ".join(proc.stderr.strip().splitlines()[-3:]), file=sys.stderr)
         return None
     return json.loads(Path(out).read_text())
+
+
+def run_checks(checkout, out):
+    """The check records of ``fronttrack run benchmark.ini`` in the checkout,
+    with its outputs in out; None when the run writes no manifest."""
+    src = str(Path(checkout).resolve() / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-m", "fronttrack", "run", "benchmark.ini",
+                           "--out", str(out)], cwd=checkout, env=env,
+                          capture_output=True, text=True)
+    manifest = Path(out) / "manifest.json"
+    if proc.returncode not in (0, 1) or not manifest.exists():  # 1: a check failed
+        print(f"{checkout}: fronttrack run benchmark.ini failed: "
+              + " | ".join(proc.stderr.strip().splitlines()[-3:]), file=sys.stderr)
+        return None
+    return json.loads(manifest.read_text())["checks"]["checks"]
 
 
 def workload_inputs(checkout):
@@ -126,6 +167,12 @@ def main(argv=None):
                 if not result["same_ids"]:
                     status = max(status, 1)
                 print(f"{workload} seed {seed}: {describe(result)}")
+        checks = [run_checks(checkout, Path(tmp) / f"{side}_run")
+                  for side, checkout in (("parent", args.parent), ("change", args.change))]
+        if None in checks:
+            status = 2
+        else:
+            print(f"benchmark.ini checks: {describe_checks(compare_checks(*checks))}")
     return status
 
 
