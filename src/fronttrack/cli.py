@@ -127,25 +127,15 @@ def load_config(path):
             return default
         return need(section, option, cast)
 
-    flux_family = need("flux", "family")
-    flux_params = {k: v for k, v in parser.items("flux") if k != "family"}
-    for key in list(flux_params):
-        if key != "expr":
-            try:
-                flux_params[key] = float(flux_params[key])
-            except ValueError:
-                raise ConfigError("flux", key, f"expected a number, got {flux_params[key]!r}")
+    def params(section, name):
+        """The section's ``name`` key as text, and its other keys: expr as
+        text, values and breaks as lists of numbers, any other as a number."""
+        casts = {"expr": str, "values": _parse_floats, "breaks": _parse_floats}
+        return need(section, name), {k: need(section, k, casts.get(k, float))
+                                     for k in parser.options(section) if k != name}
 
-    u0_name = need("initial", "profile")
-    u0_params = {k: v for k, v in parser.items("initial") if k != "profile"}
-    for key in list(u0_params):
-        if key in ("values", "breaks"):
-            u0_params[key] = need("initial", key, _parse_floats)
-        elif key != "expr":
-            try:
-                u0_params[key] = float(u0_params[key])
-            except ValueError:
-                raise ConfigError("initial", key, f"expected a number, got {u0_params[key]!r}")
+    flux_family, flux_params = params("flux", "family")
+    u0_name, u0_params = params("initial", "profile")
 
     window = opt("run", "window", None, _parse_floats)
     if window is None or len(window) != 2:

@@ -95,7 +95,8 @@ def point_speed(tracker, st, front, y):
     u_r = trace[1] = solve_point(point, y, front.right, trace[1])
     den = u_l - u_r
     if abs(den) < 1e-9 * max(1.0, abs(u_l), abs(u_r)):  # the array quotient's floor
-        tracker._quotient(st, front.num, np.array([[u_l], [u_r]]), np.array([y]))
+        from .tracker import _rh_quotient  # not at the top: tracker imports this module
+        _rh_quotient(front.num, np.array([[u_l], [u_r]]), np.array([y]), st)
     return front.num / den
 
 

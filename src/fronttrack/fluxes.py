@@ -244,18 +244,17 @@ def make_builtin_flux(family, **params):
 def audit_assumptions(flux, box, grid=64):
     """Certify the structural assumptions on a box; failures are reported, not raised.
 
-    box is ((x_lo, x_hi), (u_lo, u_hi)); grid is the sample count per axis
-    (scalar or (nx, nu), at least 16 each).
+    box is ((x_lo, x_hi), (u_lo, u_hi)); grid is the sample count per axis,
+    at least 16.
     """
     (x_lo, x_hi), (u_lo, u_hi) = box
     if not (x_hi > x_lo and u_hi > u_lo):
         raise ValueError(f"degenerate audit box {box}")
-    nx, nu = (grid, grid) if np.isscalar(grid) else grid
-    if nx < 16 or nu < 16:
-        raise ValueError(f"audit grid too coarse: {(nx, nu)} (need >= 16 per axis)")
+    if grid < 16:
+        raise ValueError(f"audit grid too coarse: {grid} (need >= 16 per axis)")
 
-    xs = np.linspace(x_lo, x_hi, nx)
-    us = np.linspace(u_lo, u_hi, nu)
+    xs = np.linspace(x_lo, x_hi, grid)
+    us = np.linspace(u_lo, u_hi, grid)
     X, U = np.meshgrid(xs, us, indexing="ij")
     dsl = flux.family == "custom_expr"
     tol = TOL_AUDIT_DSL if dsl else TOL_AUDIT_BUILTIN
@@ -312,7 +311,7 @@ def audit_assumptions(flux, box, grid=64):
         passed=not violations,
         violations=violations,
         certified_alpha=certified,
-        sample_counts=(nx, nu),
+        sample_counts=(grid, grid),
         fuu_max=fuu_max,
     )
 

@@ -131,9 +131,11 @@ def inversion_gap_bound(g1, g2, alpha):
 
     Same-sign levels (or one zero): sqrt(2 |g1 - g2| / alpha).  Strictly
     opposite signs: sqrt(2/alpha) (sqrt|g1| + sqrt|g2|), via the zero profile.
+    Elementwise on arrays of levels, with the bits of one call per pair; a
+    pair of numbers gives a numpy float.
     """
     if alpha <= 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    if g1 * g2 < 0.0:
-        return np.sqrt(2.0 / alpha) * (np.sqrt(abs(g1)) + np.sqrt(abs(g2)))
-    return np.sqrt(2.0 * abs(g1 - g2) / alpha)
+    g1, g2 = np.asarray(g1, dtype=float), np.asarray(g2, dtype=float)
+    opposite = np.sqrt(2.0 / alpha) * (np.sqrt(np.abs(g1)) + np.sqrt(np.abs(g2)))
+    return np.where(g1 * g2 < 0.0, opposite, np.sqrt(2.0 * np.abs(g1 - g2) / alpha))[()]

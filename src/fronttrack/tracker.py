@@ -43,14 +43,16 @@ class FrontFieldError(ValueError):
 class TrackerError(RuntimeError):
     """A failure inside ``Tracker.advance``.
 
-    Carries the time, the front positions and the state dump for forensics.
+    Carries the time, the front positions and the state dump for forensics;
+    a DegenerateStatesError of ``rh_speed``, outside a solve, has None for each.
     """
 
-    def __init__(self, message, st):
-        self.time = st.t
-        self.positions = st.y.copy()
-        self.dump = st.dump()
-        super().__init__(f"{message}\n{self.dump}")
+    def __init__(self, message, st=None):
+        self.time = self.positions = self.dump = None
+        if st is not None:
+            self.time, self.positions, self.dump = st.t, st.y.copy(), st.dump()
+            message = f"{message}\n{self.dump}"
+        super().__init__(message)
 
 
 class AdmissibilityError(TrackerError):
@@ -68,7 +70,7 @@ class LoopLimitError(TrackerError):
     """``advance`` exceeded its iteration budget (suspect a grazing cycle)."""
 
 
-class DegenerateStatesError(RuntimeError):
+class DegenerateStatesError(TrackerError):
     """Adjacent states too close for a meaningful Rankine-Hugoniot quotient
     (equal levels, or same-sign levels that should have merged)."""
 
@@ -201,16 +203,17 @@ def rh_speed(flux, y, g_l, g_r, guess_l=0.0, guess_r=0.0):
     return _rh_quotient(c.g_abs[0] - c.g_abs[1], u, y), u[0], u[1]
 
 
-def _rh_quotient(num, u, y):
+def _rh_quotient(num, u, y, st=None):
     """num / (u_l - u_r) for the stacked traces u = (u_l, u_r) at y; raises
-    DegenerateStatesError where the profile gap underflows."""
+    DegenerateStatesError where the profile gap underflows, with the state
+    st of the solve, if any."""
     u_l, u_r = u
     den = u_l - u_r
     bad = np.abs(den) < 1e-9 * np.maximum(1.0, np.maximum(np.abs(u_l), np.abs(u_r)))
     if bad.any():
         where = np.broadcast_to(y, den.shape)[bad]
         raise DegenerateStatesError(f"degenerate front states at y={where!r}; "
-                                    "adjacent levels should have merged")
+                                    "adjacent levels should have merged", st)
     return num / den
 
 
@@ -395,14 +398,7 @@ class Tracker:
             st.levels = level_constants(self.flux, np.array((g[:-1], g[1:])))
             st.num = st.levels.g_abs[0] - st.levels.g_abs[1]
         st.trace = solve_level(self.flux, y, st.levels, guess=st.trace)
-        return self._quotient(st, st.num, st.trace, y)
-
-    @staticmethod
-    def _quotient(st, num, u, y):
-        try:
-            return _rh_quotient(num, u, y)
-        except DegenerateStatesError as e:
-            raise DegenerateStatesError(f"t={st.t!r}: {e}\n{st.dump()}") from None
+        return _rh_quotient(st.num, st.trace, y, st)
 
     def _rk4(self, st, y, k1, h):
         """One RK4 step of length h from y, whose speeds k1 the caller holds."""

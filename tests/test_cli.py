@@ -351,6 +351,7 @@ def test_verbose_prints_phase_times_and_changes_no_artifact(tmp_path, capsys):
     ("t_end = 0.4", "t_end = inf", "[run] t_end"),
     ("window = -3, 3", "window = -inf, 3", "[run] window"),
     ("profile = bump", "profile = piecewise\nvalues = 1, x", "[initial] values"),
+    ("amp = 0.5", "amp = half", "[flux] amp: bad value 'half'"),
     ("amp = 0.6", "amp = inf", "[initial] profile"),
     ("amp = 0.5", "amp = nan", "[flux] family"),  # nan <= 0 is False
     ("profile = bump\namp = 0.6\nwidth = 1.0", "profile = piecewise\nvalues = 1, inf\nbreaks = 0",

@@ -1,6 +1,7 @@
 """The comparison of tools/same_outputs.py, on synthetic observations."""
 
 import importlib.util
+import json
 import os
 
 _PATH = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "same_outputs.py")
@@ -99,3 +100,39 @@ def test_a_check_record_on_one_side_only_is_listed():
     diffs = same_outputs.compare_checks(_checks(), more)
     assert diffs == [("fv_crossval", None, (None, False))]
     assert same_outputs.describe_checks(diffs) == "differ: fv_crossval absent -> None (failed)"
+
+
+def _run_dir(path, profile=b"x,u,g\n0.0,0.5,0.125\n", checks_passed=True):
+    # the artifacts of one run: two profiles, the event log and the manifest
+    path.mkdir()
+    (path / "profile_000.csv").write_bytes(b"x,u,g\n0.0,0.25,0.03125\n")
+    (path / "profile_001.csv").write_bytes(profile)
+    (path / "events.csv").write_bytes(b"t,x,consumed_ids,produced_id,tv_before,tv_after\n")
+    manifest = {"event_count": 0, "checks": {"passed": checks_passed, "checks": []},
+                "wall_time_s": 0.5}
+    (path / "manifest.json").write_text(json.dumps(manifest))
+    return path
+
+
+def test_equal_artifacts_are_identical_whatever_the_wall_time(tmp_path):
+    parent, change = _run_dir(tmp_path / "a"), _run_dir(tmp_path / "b")
+    manifest = json.loads((change / "manifest.json").read_text())
+    (change / "manifest.json").write_text(json.dumps({**manifest, "wall_time_s": 9.0}))
+    assert same_outputs.compare_artifacts(parent, change) == []
+    assert same_outputs.describe_artifacts([]) == "identical"
+
+
+def test_differing_files_and_manifest_keys_are_named(tmp_path):
+    parent = _run_dir(tmp_path / "a")
+    change = _run_dir(tmp_path / "b", profile=b"x,u,g\n0.0,0.5,0.12500000000000003\n",
+                      checks_passed=False)
+    (change / "events.csv").unlink()
+    (change / "profile_002.csv").write_bytes(b"x,u,g\n")
+    manifest = json.loads((change / "manifest.json").read_text())
+    (change / "manifest.json").write_text(json.dumps({**manifest, "error": None}))
+    diffs = same_outputs.compare_artifacts(parent, change)
+    assert diffs == ["events.csv", "profile_001.csv", "profile_002.csv",
+                     "manifest.json:checks", "manifest.json:error"]
+    assert same_outputs.describe_artifacts(diffs) == (
+        "differ: events.csv, profile_001.csv, profile_002.csv, "
+        "manifest.json:checks, manifest.json:error")

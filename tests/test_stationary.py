@@ -97,6 +97,18 @@ def test_gap_bound_formulas():
         inversion_gap_bound(0.1, 0.2, 0.0)
 
 
+def test_gap_bound_on_arrays_has_the_bits_of_its_scalar_calls():
+    # both sign cases, a zero on either side, equal levels and two zeros
+    g1 = np.array([0.5, 0.3, 0.5, -0.7, 0.0, -0.2, 0.25, 0.0, -1.3, 0.9])
+    g2 = np.array([0.0, 0.3, -0.5, 0.4, -0.6, 0.0, 0.125, 0.0, -0.1, 0.45])
+    bounds = inversion_gap_bound(g1, g2, 1.5)
+    assert bounds.shape == g1.shape
+    for a, b, bound in zip(g1.tolist(), g2.tolist(), bounds.tolist()):
+        scalar = inversion_gap_bound(a, b, 1.5)
+        assert np.ndim(scalar) == 0 and float(scalar).hex() == bound.hex()
+    assert inversion_gap_bound(g1[:, None], g2[None, :3], 1.5).shape == (10, 3)
+
+
 def test_gap_bound_equality_for_burgers():
     # f_u(x,0) = 0 kills the linear Taylor term: Burgers attains the bound
     xs = np.linspace(-3, 3, 101)

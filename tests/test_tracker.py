@@ -1542,11 +1542,20 @@ def _loop_limit(monkeypatch):
     return Tracker(BURGERS, 0.1, (-2, 2)), initial_fronts([0.0], [5, 0], 0.1), 1.0
 
 
+def _degenerate(monkeypatch):
+    # the field of test_degenerate_states_error_carries_time_and_state
+    f0 = FrontField(time=0.25, delta=1e-24, positions=np.array([0.3]),
+                    z=np.array([1, 0], dtype=np.int64),
+                    ids=np.array([0], dtype=np.int64), next_id=1)
+    return Tracker(BURGERS, 1e-24, (-2, 2)), f0, 1.0
+
+
 @pytest.mark.parametrize("error, setup", [
     (OrderingLostError, _ordering_lost),
     (WindowExitError, _window_exit),
     (LoopLimitError, _loop_limit),
-], ids=["ordering_lost", "window_exit", "loop_limit"])
+    (DegenerateStatesError, _degenerate),
+], ids=["ordering_lost", "window_exit", "loop_limit", "degenerate"])
 def test_advance_failures_carry_time_positions_and_dump(monkeypatch, error, setup):
     tr, f0, t_end = setup(monkeypatch)
     with pytest.raises(error) as info:

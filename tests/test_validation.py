@@ -11,6 +11,7 @@ import pytest
 from fronttrack import validation
 from fronttrack.fluxes import make_builtin_flux
 from fronttrack.riemann import ApproxFlux
+from fronttrack.stationary import g_of, inversion_gap_bound, solve_level
 from fronttrack.profiles import make_initial, smooth_bump_prime
 from fronttrack.tracker import (Tracker, TrackedSolution, initial_fronts, quantize_initial,
                                 sample_u)
@@ -776,6 +777,76 @@ def test_a_checks_stream_is_keyed_by_its_name(monkeypatch):
     assert _draws(_run_rng(20260810, "entropy")) == entropy
     assert _draws(_run_rng(20260810, "lipschitz_l1")) != entropy
     assert _draws(_run_rng(20260811, "entropy")) != entropy
+
+
+def _benchmark_context(seed):
+    """A RunContext of benchmark.ini's solve: snapshots at 0, 0.5 and 1."""
+    sol = _benchmark_solve()[0]
+    fields = {t: sol.field_at(t) for t in (0.0, 0.5, 1.0)}
+    cfg = SimpleNamespace(window=(-3.0, 3.0), delta=0.005, t_end=1.0, seed=seed)
+    return validation.RunContext(config=cfg, flux=MODULATED, field0=fields[0.0], fields=fields,
+                                 log=[], solution=sol, speed_bound=1.7, u_sup=0.87, u0_l1=1.0)
+
+
+# the per-snapshot and per-pair loops that the stacked inversions replaced
+def _looped_delta_grid(ctx):
+    xs = np.linspace(*ctx.config.window, 257)
+    worst = 0.0
+    for f_ in ctx.fields.values():
+        g = g_of(ctx.flux, xs, sample_u(ctx.flux, f_, xs))
+        z = np.round(g / f_.delta)
+        worst = max(worst, float(np.max(np.abs(g - z * f_.delta))))
+    return worst
+
+
+def _looped_tv_u(ctx):
+    xs = np.linspace(*ctx.config.window, 1025)
+    worst = 0.0
+    for f_ in ctx.fields.values():
+        worst = max(worst, float(np.sum(np.abs(np.diff(sample_u(ctx.flux, f_, xs))))))
+    return worst
+
+
+def _looped_inversion_bounds(ctx):
+    rng = ctx.rng("inversion_bounds")
+    lo, hi = ctx.config.window
+    xs = np.linspace(lo, hi, 257)
+    g_scale = max(ctx.config.delta, g_of(ctx.flux, 0.5 * (lo + hi), ctx.u_sup))
+    worst = -np.inf
+    for _ in range(50):
+        g1 = float(rng.uniform(-g_scale, g_scale))
+        g2 = float(rng.uniform(-g_scale, g_scale))
+        u1, u2 = solve_level(ctx.flux, xs, np.array([[g1], [g2]]))
+        gap = float(np.max(np.abs(u1 - u2)))
+        worst = max(worst, gap - (inversion_gap_bound(g1, g2, ctx.flux.alpha) + 1e-11))
+    return worst
+
+
+@pytest.mark.parametrize("seed", [20260810, 7])
+def test_stacked_run_checks_match_their_loops_in_fewer_inversions(monkeypatch, seed):
+    import fronttrack.tracker as tracker_module
+    ctx = _benchmark_context(seed)
+    expected = {"closure.delta_grid": _looped_delta_grid(ctx),
+                "inversion_bounds": _looped_inversion_bounds(ctx)}
+    tv_u = _looped_tv_u(ctx)
+    calls = []
+    for module in (validation, tracker_module):  # sample_u inverts in tracker
+        monkeypatch.setattr(module, "solve_level",
+                            lambda *a, real=module.solve_level, **kw:
+                            calls.append(1) or real(*a, **kw))
+    # the loops make 3 and 50 calls; the 100 levels of the 50 pairs go
+    # SAMPLE_BLOCK_ROWS = 16 to a call
+    for check, n_calls in ((validation._check_tvd, 1), (validation._check_inversion_bounds, 7)):
+        report = ValidationReport()
+        check(ctx, report)
+        assert len(calls) == n_calls
+        calls.clear()
+        record = report.checks[-1]
+        assert record.measured.hex() == expected[record.name].hex()
+        assert record.passed
+    assert validation._tv_u_estimate(ctx).hex() == tv_u.hex()
+    assert len(calls) == 1  # the loop makes 3
+    assert 0.0 < tv_u < 2.0 and expected["inversion_bounds"] < 0.0
 
 
 def test_validation_report_aggregates():

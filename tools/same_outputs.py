@@ -13,12 +13,16 @@ event-position and final-position deviations and the other values that
 differ.  perfbench records only the names of failed checks, so it also runs
 ``fronttrack run benchmark.ini`` in each checkout and lists the manifest's
 check records whose measured value or pass flag differ, each as its name,
-the parent's value and the change's value.  The exit status is 1 when the
-event ids (each event's consumed and produced fronts) differ anywhere, 2
-when a repetition fails or a run writes no manifest, and 0 otherwise.  It
-reads ``perfbench/`` and changes nothing there: a repetition's scratch files
-go to a temporary directory in its checkout, and the records and the runs'
-outputs to a system temporary directory, both removed at the end.
+the parent's value and the change's value.  It compares that run's
+artifacts too, ``events.csv`` and each ``profile_*.csv`` byte for byte and
+``manifest.json`` without ``wall_time_s`` by top-level key, and prints
+"identical" or the files and manifest keys that differ.  The exit status
+is 1 when the event ids (each event's consumed and produced fronts) differ
+anywhere, 2 when a repetition fails or a run writes no manifest, and 0
+otherwise.  It reads ``perfbench/`` and changes nothing there: a
+repetition's scratch files go to a temporary directory in its checkout, and
+the records and the runs' outputs to a system temporary directory, both
+removed at the end.
 """
 
 from __future__ import annotations
@@ -110,6 +114,27 @@ def describe_checks(diffs):
     return "differ: " + ", ".join(f"{name} {value(p)} -> {value(c)}" for name, p, c in diffs)
 
 
+def compare_artifacts(parent_dir, change_dir):
+    """The artifacts of two runs' output directories that differ: each of
+    ``events.csv`` and ``profile_*.csv`` whose bytes differ or that one side
+    lacks, then ``manifest.json:<key>`` for each top-level manifest key,
+    ``wall_time_s`` aside, whose value differs or that one side lacks."""
+    def contents(path):
+        return path.read_bytes() if path.exists() else None
+
+    dirs = Path(parent_dir), Path(change_dir)
+    names = sorted({"events.csv"} | {p.name for d in dirs for p in d.glob("profile_*.csv")})
+    files = [name for name in names if contents(dirs[0] / name) != contents(dirs[1] / name)]
+    a, b = (json.loads((d / "manifest.json").read_text()) for d in dirs)
+    return files + [f"manifest.json:{k}" for k in sorted(a.keys() | b.keys())
+                    if k != "wall_time_s" and (k in a, a.get(k)) != (k in b, b.get(k))]
+
+
+def describe_artifacts(diffs):
+    """One line for the artifacts that differ."""
+    return "differ: " + ", ".join(diffs) if diffs else "identical"
+
+
 def record(checkout, workload, seed, out):
     """One recorded repetition in the checkout; its observation, or None."""
     proc = subprocess.run([sys.executable, "-c", _REP, workload, str(seed), str(out)],
@@ -121,9 +146,9 @@ def record(checkout, workload, seed, out):
     return json.loads(Path(out).read_text())
 
 
-def run_checks(checkout, out):
-    """The check records of ``fronttrack run benchmark.ini`` in the checkout,
-    with its outputs in out; None when the run writes no manifest."""
+def run_benchmark(checkout, out):
+    """The manifest of ``fronttrack run benchmark.ini`` in the checkout, with
+    its outputs in out; None when the run writes no manifest."""
     src = str(Path(checkout).resolve() / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
@@ -135,7 +160,7 @@ def run_checks(checkout, out):
         print(f"{checkout}: fronttrack run benchmark.ini failed: "
               + " | ".join(proc.stderr.strip().splitlines()[-3:]), file=sys.stderr)
         return None
-    return json.loads(manifest.read_text())["checks"]["checks"]
+    return json.loads(manifest.read_text())
 
 
 def workload_inputs(checkout):
@@ -167,12 +192,15 @@ def main(argv=None):
                 if not result["same_ids"]:
                     status = max(status, 1)
                 print(f"{workload} seed {seed}: {describe(result)}")
-        checks = [run_checks(checkout, Path(tmp) / f"{side}_run")
-                  for side, checkout in (("parent", args.parent), ("change", args.change))]
-        if None in checks:
+        outs = [Path(tmp) / f"{side}_run" for side in ("parent", "change")]
+        manifests = [run_benchmark(checkout, out)
+                     for checkout, out in zip((args.parent, args.change), outs)]
+        if None in manifests:
             status = 2
         else:
+            checks = [m["checks"]["checks"] for m in manifests]
             print(f"benchmark.ini checks: {describe_checks(compare_checks(*checks))}")
+            print(f"benchmark.ini artifacts: {describe_artifacts(compare_artifacts(*outs))}")
     return status
 
 
