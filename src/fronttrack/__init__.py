@@ -23,9 +23,9 @@ from .stationary import (g_of, solve_level, profile_slope, inversion_gap_bound,
                          InversionError, TOL_INV)
 from .tracker import (FrontField, Event, Tracker, TrackedSolution,
                       quantize_initial, initial_fronts, rh_speed, sample_u, sample_g,
-                      tv_g, l1_g_distance, empty_field, TrackerError,
-                      AdmissibilityError, OrderingLostError, LoopLimitError,
-                      DegenerateStatesError, WindowExitError, TOL_POS, TOL_EVENT)
+                      tv_g, l1_g_distance, empty_field, TrackerError, AdmissibilityError,
+                      OrderingLostError, LoopLimitError, DegenerateStatesError,
+                      ProfileInversionError, WindowExitError, TOL_POS, TOL_EVENT)
 from .profiles import make_initial, smooth_bump, smooth_bump_prime
 
 # name -> the submodule it is read from, imported on first access

@@ -82,8 +82,8 @@ class Front(NamedTuple):
 
 
 def few_fronts(st, cols):
-    """The fronts ``cols`` (a list) of the tracker state st."""
-    c = np.stack([a[:, cols] for a in st.levels], axis=-1).tolist()
+    """The fronts ``cols`` (a list) of the tracker state st, by one index of each array."""
+    c = st.lc[:, :, cols].transpose(1, 2, 0).tolist()
     return [Front(*f) for f in zip(st.y[cols].tolist(), c[0], c[1], st.num[cols].tolist(),
                                    st.trace[:, cols].T.tolist())]
 

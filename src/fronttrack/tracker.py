@@ -12,7 +12,8 @@ one front.  The search runs on the fronts of the pairs near contact alone,
 through ``Flux.point`` on Python floats with the bits of their array columns
 (``fronttrack.contact``), and one RK4 step of all fronts to the located
 length follows; a pair that step brings into contact range joins the
-searched pairs, and the search runs again.
+searched pairs, and the search runs again.  An event splices the speeds, warm
+starts, level constants and integer TV across itself, and inverts its produced front alone.
 ``TrackedSolution`` keeps a run's solve as dense output: its snapshots
 inside the solve are cubic Hermite interpolants of the RK4 steps.
 """
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import contact
 from .contact import TOL_EVENT, TOL_POS
-from .stationary import g_of, level_constants, solve_level
+from .stationary import InversionError, LevelConstants, g_of, level_constants, solve_level
 
 # default integrator step before event capping
 H_ODE_DEFAULT = 0.01
@@ -73,6 +74,14 @@ class LoopLimitError(TrackerError):
 class DegenerateStatesError(TrackerError):
     """Adjacent states too close for a meaningful Rankine-Hugoniot quotient
     (equal levels, or same-sign levels that should have merged)."""
+
+
+class ProfileInversionError(InversionError, TrackerError):
+    """An ``InversionError`` inside a solve: its x and level, with the solve's state."""
+
+    def __init__(self, err, st):
+        self.x, self.level = err.x, err.level
+        TrackerError.__init__(self, str(err), st)
 
 
 class WindowExitError(TrackerError):
@@ -330,7 +339,7 @@ def initial_fronts(breaks, levels, delta, time=0.0):
 class _State:
     """Mutable working copy of a FrontField during one advance call."""
 
-    __slots__ = ("t", "y", "z", "ids", "next_id", "trace", "levels", "num")
+    __slots__ = ("t", "y", "z", "ids", "next_id", "trace", "lc", "levels", "num", "tv")
 
     def __init__(self, f):
         self.t = f.time
@@ -340,26 +349,32 @@ class _State:
         self.next_id = f.next_id
         # warm starts, each front's (left, right) traces; zeros start from the bracket
         self.trace = np.zeros((2, len(self.y)))
-        self.levels = self.num = None  # level constants, |g_l| - |g_r|; built on first use
+        self.lc = self.levels = self.num = None  # level constants; built on first use
+        self.tv = _tv_z(self.z)
+
+    def set_levels(self, lc):
+        """Hold the (5, 2, n) level constants lc, their rows and |g_l| - |g_r|."""
+        self.lc, self.levels, self.num = lc, LevelConstants(*lc), lc[1, 0] - lc[1, 1]
 
     def remove_range(self, a, b, produced=None):
         """Delete fronts a..b (inclusive), then insert the front ``produced =
         (rho, fid)`` between the outer levels if there is one; without it the
-        (equal) outer levels become one piece.  The survivors keep the
-        warm-start traces of the speed evaluation that found the contact; the
-        produced front takes the cluster's outer ones (left of a, right of b),
-        which belong to its own left and right states there.  The level
-        constants are cleared, and the next speed evaluation rebuilds them."""
+        (equal) outer levels become one piece.  The survivors keep their
+        warm-start traces and level constants; the produced front takes the
+        cluster's outer ones (left of a, right of b), which belong to its own
+        left and right states.  Level constants are elementwise in the levels,
+        so the spliced ones are those the new levels would build."""
         keep = a if produced is None else a + 1  # a produced front takes column a
-        right = self.trace[1, b]
-        self.y, self.ids, self.trace = (  # the fronts are the last axis
-            np.concatenate((arr[..., :keep], arr[..., b + 1:]), axis=-1)
-            for arr in (self.y, self.ids, self.trace))
+        old = [self.y, self.ids, self.trace] + ([] if self.lc is None else [self.lc])
+        new = [np.concatenate((arr[..., :keep], arr[..., b + 1:]), axis=-1) for arr in old]
         if produced is not None:
-            self.y[a], self.ids[a] = produced
-            self.trace[1, a] = right  # the right row from right of b
+            new[0][a], new[1][a] = produced
+            for arr, was in zip(new[2:], old[2:]):
+                arr[..., 1, a] = was[..., 1, b]  # the right row from right of b
+        self.y, self.ids, self.trace, *lc = new  # the fronts are the last axis
+        if lc:
+            self.set_levels(*lc)
         self.z = np.concatenate((self.z[:a + 1], self.z[b + (2 if produced is None else 1):]))
-        self.levels = self.num = None
 
     def to_field(self, delta, quantization=None):
         return FrontField(
@@ -395,8 +410,7 @@ class Tracker:
         """Rankine-Hugoniot speeds of all fronts at positions y (warm-started)."""
         if st.levels is None:
             g = self.delta * st.z.astype(float)
-            st.levels = level_constants(self.flux, np.array((g[:-1], g[1:])))
-            st.num = st.levels.g_abs[0] - st.levels.g_abs[1]
+            st.set_levels(np.array(level_constants(self.flux, np.array((g[:-1], g[1:])))))
         st.trace = solve_level(self.flux, y, st.levels, guess=st.trace)
         return _rh_quotient(st.num, st.trace, y, st)
 
@@ -406,12 +420,13 @@ class Tracker:
 
     # -- events ---------------------------------------------------------------
 
-    def _resolve_leftmost_cluster(self, st, touching, v_app, graze_v, log):
+    def _resolve_leftmost_cluster(self, st, v, touching, v_app, graze_v, log):
         """Merge the leftmost run of in-contact pairs into a single front.
 
-        The loop then evaluates every speed afresh.  The survivors have not
-        moved and their traces have converged there, so Newton leaves them
-        as they are and their speeds keep their bits.
+        Returns the speeds v at the new state.  The survivors keep theirs: they
+        have not moved and their traces have converged there, so a new evaluation
+        would return the same bits.  The produced front's is ``contact.point_speed``
+        on its column alone, which has the bits of that column in ``_speeds``.
         """
         first = int(np.flatnonzero(touching)[0])
         last = first
@@ -423,22 +438,24 @@ class Tracker:
         rho = 0.5 * (float(st.y[a]) + float(st.y[b]))
         consumed = tuple(int(i) for i in st.ids[a:b + 1])
         grazing = bool(np.all(np.abs(v_app[first:last + 1]) <= graze_v))
-        tv_before = _tv_z(st.z)
 
         dz = z_r - z_l
+        tv_before, tv_after = st.tv, st.tv - int(np.sum(np.abs(np.diff(st.z[a:b + 2])))) + abs(dz)
         if dz > 1:
             raise AdmissibilityError(
                 f"interaction at (t={st.t}, x={rho}) would create upward jump "
                 f"of {dz} levels (z_l={z_l}, z_r={z_r})", st)
         if dz == 0:
             st.remove_range(a, b)
-            produced = None
+            produced, mid = None, []
         else:
             fid = st.next_id
             st.next_id += 1
             st.remove_range(a, b, produced=(rho, fid))
-            produced = fid
-        tv_after = _tv_z(st.z)
+            produced, (front,) = fid, contact.few_fronts(st, [a])
+            mid = [contact.point_speed(self, st, front, rho)]
+            st.trace[:, a] = front.trace
+        st.tv = tv_after
         if tv_after > tv_before:
             raise AdmissibilityError(
                 f"TV increased {tv_before} -> {tv_after} at (t={st.t}, x={rho})",
@@ -448,6 +465,7 @@ class Tracker:
             tv_before=self.delta * tv_before, tv_after=self.delta * tv_after,
             grazing=grazing,
         ))
+        return np.concatenate((v[:a], mid, v[b + 1:]))
 
     # -- main loop ------------------------------------------------------------
 
@@ -477,51 +495,53 @@ class Tracker:
         st = _State(field_)
         v = None  # the speeds at st.y, once they are known
 
-        for _ in range(_MAX_LOOP):
-            if st.t >= t_target:
-                break
-            if len(st.y) == 0:
+        try:
+            for _ in range(_MAX_LOOP):
+                if st.t >= t_target:
+                    break
+                if len(st.y) == 0:
+                    if record is not None:
+                        # no fronts, so the positions and the speeds are both empty
+                        record.append((st.t, st.y, st.y, st.z, st.ids, st.next_id))
+                    st.t = t_target
+                    break
+
+                if v is None:
+                    v = self._speeds(st, st.y)
                 if record is not None:
-                    # no fronts, so the positions and the speeds are both empty
-                    record.append((st.t, st.y, st.y, st.z, st.ids, st.next_id))
-                st.t = t_target
-                break
+                    record.append((st.t, st.y, v, st.z, st.ids, st.next_id))
+                graze_v = 1e-12 * (1.0 + float(np.max(np.abs(v))))
+                gaps = np.diff(st.y)
+                v_app = v[:-1] - v[1:]  # positive when the pair approaches
 
-            if v is None:
-                v = self._speeds(st, st.y)
-            if record is not None:
-                record.append((st.t, st.y, v, st.z, st.ids, st.next_id))
-            graze_v = 1e-12 * (1.0 + float(np.max(np.abs(v))))
-            gaps = np.diff(st.y)
-            v_app = v[:-1] - v[1:]  # positive when the pair approaches
+                # resolve contacts at the current time (approaching or grazing only;
+                # freshly split fan siblings separate and are excluded naturally)
+                touching = (gaps <= TOL_POS) & (v_app >= -graze_v)
+                if touching.any():
+                    v = self._resolve_leftmost_cluster(st, v, touching, v_app, graze_v, log)
+                    continue
 
-            # resolve contacts at the current time (approaching or grazing only;
-            # freshly split fan siblings separate and are excluded naturally)
-            touching = (gaps <= TOL_POS) & (v_app >= -graze_v)
-            if touching.any():
-                self._resolve_leftmost_cluster(st, touching, v_app, graze_v, log)
+                # step: aim at the earliest predicted pairwise contact
+                h = min(self.h_ode, t_target - st.t)
+                approaching = v_app > 0.0
+                if approaching.any():
+                    h = min(h, float(np.min(gaps[approaching] / v_app[approaching])))
+                s, st.y = self._step(st, v, gaps, v_app, h)
+                st.t += s
                 v = None
-                continue
+                self._check_window(st)
+            else:
+                raise LoopLimitError(
+                    f"advance exceeded {_MAX_LOOP} iterations (front count "
+                    f"{len(st.y)}); suspect a pathological grazing cycle", st)
 
-            # step: aim at the earliest predicted pairwise contact
-            h = min(self.h_ode, t_target - st.t)
-            approaching = v_app > 0.0
-            if approaching.any():
-                h = min(h, float(np.min(gaps[approaching] / v_app[approaching])))
-            s, st.y = self._step(st, v, gaps, v_app, h)
-            st.t += s
-            v = None
-            self._check_window(st)
-        else:
-            raise LoopLimitError(
-                f"advance exceeded {_MAX_LOOP} iterations (front count "
-                f"{len(st.y)}); suspect a pathological grazing cycle", st)
-
-        if record is not None:
-            # the speeds at the end of the last step; st is discarded, so the
-            # warm starts this spends touch nothing of the solve
-            v = self._speeds(st, st.y) if len(st.y) else st.y
-            record.append((st.t, st.y, v, st.z, st.ids, st.next_id))
+            if record is not None:
+                # the speeds at the end of the last step; st is discarded, so the
+                # warm starts this spends touch nothing of the solve
+                v = self._speeds(st, st.y) if len(st.y) else st.y
+                record.append((st.t, st.y, v, st.z, st.ids, st.next_id))
+        except InversionError as err:
+            raise ProfileInversionError(err, st) from err
         out = st.to_field(self.delta, quantization=field_.quantization)
         out = replace(out, time=t_target)
         # a (near-)no-op advance may leave just-born fan siblings co-located

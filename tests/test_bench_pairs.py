@@ -81,3 +81,41 @@ def test_parse_run_reads_the_last_line_and_the_header_figures():
            "env: {}\n  run_s  0.35 s\n" + json.dumps(final) + "\n")
     assert bench_pairs.parse_run(out) == {"run_s": 0.35, "peak_rss_mb": 33.7, "check_s": 0.103,
                                           "correct": True, "attempted": 12, "failed": 0}
+
+
+def test_the_worse_flag_is_the_paired_rule_won_by_the_parent():
+    parent = [10.0, 11.0, 12.0, 13.0, 14.0, 10.0, 11.0, 12.0, 13.0, 14.0]
+    cases = [
+        ([p + 5.0 for p in parent], "lower", True),           # 10 of 10, gap 5 > IQR 2
+        ([p + 5.0 for p in parent[:9]] + [1.0], "lower", True),  # 9 of 10 by a wide gap
+        ([p + 5.0 for p in parent[:8]] + [1.0, 1.0], "lower", False),  # 8 of 10
+        ([p + 0.5 for p in parent], "lower", False),          # 10 of 10 inside the IQR
+        ([p - 5.0 for p in parent], "lower", False),          # the change better
+        ([p - 5.0 for p in parent], "higher", True),          # lower is worse here
+        (parent, "lower", False),                             # all ties
+    ]
+    for change, better, worse in cases:
+        s = bench_pairs.summarize(_pairs(parent, change, "x"), "x", better)
+        assert bench_pairs.verdict(s, "parent") is worse
+        summaries = {"x": s, "y": dict(s)}
+        # only end-to-end metrics carry the flag
+        assert bench_pairs.flag_worse(summaries, ["x", "run_s"]) == (["x"] if worse else [])
+        assert summaries["x"]["worse"] is worse and "worse" not in summaries["y"]
+
+
+def test_the_last_line_lists_the_metrics_flagged_worse(tmp_path, monkeypatch, capsys):
+    spec = {"end_to_end": [{"name": n, "better": "lower"} for n in ("run_s", "solve_s")],
+            "per_layer": [{"name": "stationary.solve_level_calls", "better": "lower"}]}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    figures = {"parent": {"run_s": 1.0, "solve_s": 2.0, "stationary.solve_level_calls": 5},
+               "change": {"run_s": 1.5, "solve_s": 1.0, "stationary.solve_level_calls": 9}}
+    monkeypatch.setattr(bench_pairs, "perfbench_run", lambda checkout, *args: {
+        **figures["parent" if checkout == "parent" else "change"], "correct": True})
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main(["--parent", "parent", "--change", str(tmp_path), "--workload",
+                             "w", "--claim", "solve_s", "--pairs", "10", "--out", str(out)]) == 0
+    last = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert last["worse"] == ["run_s"] and last["claim_met"] is True
+    summary = json.loads(out.read_text())["runs"]["w seed default"]["summary"]
+    assert summary["run_s"]["worse"] is True and summary["solve_s"]["worse"] is False
+    assert "worse" not in summary["stationary.solve_level_calls"]

@@ -17,12 +17,12 @@ from test_cli import BENCHMARK_INI, GOOD_CONFIG
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
-# set(fronttrack.__all__) before the check modules became lazy, and the
-# contact-location submodule
+# set(fronttrack.__all__) before the check modules became lazy, the
+# contact-location submodule, and the typed inversion failure of a solve
 PUBLIC = {
     "AdmissibilityError", "ApproxFlux", "AssumptionReport", "CheckResult",
     "DegenerateStatesError", "Event", "FVGrid", "Flux", "FrontField", "InvalidFluxParams",
-    "InversionError", "LoopLimitError", "OrderingLostError", "QuadSpec",
+    "InversionError", "LoopLimitError", "OrderingLostError", "ProfileInversionError", "QuadSpec",
     "SingleFrontSolution", "SpeedEnvelope", "TOL_EVENT", "TOL_INV", "TOL_POS",
     "TestFunction", "TrackedSolution", "Tracker", "TrackerError", "ValidationReport",
     "WindowExitError", "approx_kruzkov_residual", "audit_assumptions", "certify",

@@ -14,8 +14,9 @@ from fronttrack.tracker import (Tracker, TrackedSolution, FrontField, FrontField
                                 rh_speed, sample_u, sample_g, tv_g, l1_g_distance,
                                 common_pieces,
                                 TrackerError, OrderingLostError, LoopLimitError,
-                                WindowExitError, DegenerateStatesError, TOL_POS,
-                                TOL_EVENT, _State)
+                                WindowExitError, DegenerateStatesError,
+                                ProfileInversionError, TOL_POS,
+                                TOL_EVENT, _State, _tv_z)
 from fronttrack.validation import SingleFrontSolution
 
 BURGERS = make_builtin_flux("homogeneous_burgers")
@@ -493,8 +494,7 @@ def _state_with_levels(tr, field_, trace=None):
     them) and the given warm starts."""
     st = _State(field_)
     g = tr.delta * st.z.astype(float)
-    st.levels = level_constants(tr.flux, np.array((g[:-1], g[1:])))
-    st.num = st.levels.g_abs[0] - st.levels.g_abs[1]
+    st.set_levels(np.array(level_constants(tr.flux, np.array((g[:-1], g[1:])))))
     if trace is not None:
         st.trace = trace.copy()
     return st
@@ -707,8 +707,10 @@ def test_the_few_front_path_fails_as_the_array_path_does(case):
 
 def test_the_sweep_solve_makes_few_full_state_inversions(monkeypatch):
     # timing-free guard: a located event costs the loop's evaluation and one RK4
-    # step of all fronts (556 calls for 64 events); with every contact found
-    # on a rerun, which first steps all fronts to h, the solve costs 812
+    # step of all fronts, and the event itself inverts only its produced front
+    # (556 calls for 64 events);
+    # with every contact found on a rerun, which first steps all fronts to h,
+    # the solve costs 748
     import fronttrack.tracker as tracker_module
     calls = []
 
@@ -720,7 +722,7 @@ def test_the_sweep_solve_makes_few_full_state_inversions(monkeypatch):
     f0, tr, times = _bump_solve(0.005, 1200)
     log, _ = _events_and_positions(tr, f0, times)
     assert len(log) == 64
-    assert len(calls) <= 650
+    assert len(calls) <= 560
 
 
 def _kinked(s):
@@ -862,7 +864,7 @@ def test_remove_range_keeps_the_warm_starts():
     assert list(st.ids) == [0, 99, 4]
     assert np.array_equal(st.trace[0], [ul[0], ul[1], ul[4]])
     assert np.array_equal(st.trace[1], [ur[0], ur[3], ur[4]])
-    _assert_levels_rebuilt(st)
+    _assert_levels_spliced(st)
     st = _State(f0)
     st.trace = np.array((ul, ur))
     st.remove_range(1, 2)  # annihilation: no produced front
@@ -872,18 +874,17 @@ def test_remove_range_keeps_the_warm_starts():
     st = _State(f0)
     Tracker(BURGERS, 0.1, (-3, 3))._speeds(st, st.y)
     st.remove_range(2, 3)  # levels 2, 1, 2: the outer levels meet
-    _assert_levels_rebuilt(st)
+    _assert_levels_spliced(st)
 
 
-def _assert_levels_rebuilt(st):
-    # remove_range clears the level constants, and the next speed evaluation
-    # rebuilds those of the new levels, bit for bit
-    assert st.levels is None and st.num is None
-    Tracker(BURGERS, 0.1, (-3, 3))._speeds(st, st.y)
-    g = 0.1 * st.z.astype(float)
-    want = level_constants(BURGERS, np.array((g[:-1], g[1:])))
-    assert all(np.array_equal(got, ref) for got, ref in zip(st.levels, want))
-    assert np.array_equal(st.num, want.g_abs[0] - want.g_abs[1])
+def _assert_levels_spliced(st):
+    # remove_range splices the level constants: they are those the new levels
+    # build, bit for bit, and st.levels are the rows of the one array
+    want = level_constants(BURGERS, np.array((0.1 * st.z[:-1], 0.1 * st.z[1:])))
+    assert st.lc.shape == (5, 2, len(st.y))
+    assert all(got.tobytes() == ref.tobytes() for got, ref in zip(st.levels, want))
+    assert all(np.shares_memory(row, st.lc) for row in st.levels)
+    assert st.num.tobytes() == (want.g_abs[0] - want.g_abs[1]).tobytes()
 
 
 def delete_and_insert(st, a, b, produced=None):
@@ -919,58 +920,174 @@ def test_speed_evaluation_after_a_merge_starts_warm():
         return MODULATED.f(x, u)
 
     tr = Tracker(replace(MODULATED, f=f, at=None, point=None), 0.5, (-6, 6), h_ode=0.01)
-    resolve, speeds, after = tr._resolve_leftmost_cluster, tr._speeds, []
+    resolve, after = tr._resolve_leftmost_cluster, []
 
-    def marked_resolve(*args):
-        resolve(*args)
-        after.append(None)
-
-    def counted_speeds(st, y):
+    def counted_resolve(st, *args):
         n = len(calls)
-        v = speeds(st, y)
-        if after and after[-1] is None:  # the loop's evaluation after the event
-            after[-1] = len(calls) - n
+        v = resolve(st, *args)
+        after.append(len(calls) - n)  # the event's one inversion, of its produced front
         return v
 
-    tr._resolve_leftmost_cluster, tr._speeds = marked_resolve, counted_speeds
+    tr._resolve_leftmost_cluster = counted_resolve
     f0 = initial_fronts([-1.0, 0.0, 0.5], [4, 1, 0, -1], 0.5)
     _, events = tr.advance(f0, 2.0)
     assert len(events) == 2
-    # the survivors' traces have converged, and the produced front starts
-    # from the kept outer traces: one Newton step, one residual check
-    assert after == [2, 2]
+    # the survivors keep their speeds, and the produced front starts from the
+    # kept outer traces: each trace takes one Newton step and one residual check
+    assert after == [4, 4]
 
 
-def test_each_event_costs_one_speed_evaluation_that_keeps_the_survivors_bits():
-    # benchmark.ini's data: an event makes no speed evaluation of its own; the
-    # loop's one evaluation at the new state follows it, and the survivors'
-    # speeds and traces there are their bits before the event
+def test_each_event_costs_one_speed_evaluation_that_keeps_the_survivors_bits(monkeypatch):
+    # benchmark.ini's data: an event makes no full-state speed evaluation; it
+    # inverts its produced front alone and returns the speeds at the new state,
+    # where the survivors' speeds and traces are their bits before the event,
+    # and the loop steps from them
     f0, tr, _ = _bump_solve(0.005, 1200)
     speeds, resolve, calls = tr._speeds, tr._resolve_leftmost_cluster, []
+    point_speed, points = contact.point_speed, []
 
     def logged_speeds(st, y):
-        v = speeds(st, y)
-        calls.append(("v" if y is st.y else "k", st.ids.copy(), v.copy(), st.trace.copy()))
-        return v
+        calls.append(("v" if y is st.y else "k",))
+        return speeds(st, y)
 
-    def logged_resolve(st, *args):
-        n = len(calls)
-        resolve(st, *args)
-        assert len(calls) == n  # no evaluation of its own
-        calls.append(("event",))
+    def logged_resolve(st, v, *args):
+        n, ids, trace, before = len(calls), st.ids.copy(), st.trace.copy(), len(points)
+        w = resolve(st, v, *args)
+        assert len(calls) == n  # no full-state evaluation of its own
+        # one front's speed where the event produced one, none where it annihilated
+        assert len(points) - before == (args[-1][-1].produced is not None)
+        calls.append(("event", ids, v.copy(), trace, st.ids.copy(), w, st.trace.copy()))
+        return w
 
     tr._speeds, tr._resolve_leftmost_cluster = logged_speeds, logged_resolve
+    monkeypatch.setattr(contact, "point_speed", lambda *a: points.append(1) or point_speed(*a))
     _, log = tr.advance(f0, 1.0)
     events = [i for i, c in enumerate(calls) if c[0] == "event"]
     assert len(events) == len(log) > 50
     for i in events:
-        (kind, ids, v, trace), after = calls[i - 1], calls[i + 1]
-        assert kind == after[0] == "v"
-        survivors = np.isin(after[1], ids)
-        assert survivors.sum() >= len(after[1]) - 1
-        kept = np.isin(ids, after[1])
-        assert after[2][survivors].tobytes() == v[kept].tobytes()
-        assert after[3][:, survivors].tobytes() == trace[:, kept].tobytes()
+        _, ids, v, trace, new_ids, w, new_trace = calls[i]
+        assert calls[i + 1][0] in ("event", "k")  # the next step's RK4 stage, not a "v"
+        survivors = np.isin(new_ids, ids)
+        assert survivors.sum() >= len(new_ids) - 1
+        kept = np.isin(ids, new_ids)
+        assert w[survivors].tobytes() == v[kept].tobytes()
+        assert new_trace[:, survivors].tobytes() == trace[:, kept].tobytes()
+
+
+def _fresh_copy(tr, st, trace):
+    """A copy of the state st with the warm starts ``trace`` and its level
+    constants rebuilt by ``_speeds``: the full evaluation the splice replaces."""
+    fresh = _State(st.to_field(tr.delta))
+    fresh.trace = trace.copy()
+    return fresh, tr._speeds(fresh, fresh.y)
+
+
+def _spliced_events(tr, f0, t_end, monkeypatch):
+    """Solve, checking at every event that the spliced speeds, traces, level
+    constants and numerators have the bits of a fresh evaluation at the new
+    state from the traces the splice left.  Returns the produced ids."""
+    remove_range, resolve = _State.remove_range, tr._resolve_leftmost_cluster
+    produced, spliced = [], []
+
+    def kept_range(st, *args, **kwargs):
+        remove_range(st, *args, **kwargs)
+        spliced.append(st.trace.copy())
+
+    def checked_resolve(st, *args):
+        v = resolve(st, *args)
+        fresh, want = _fresh_copy(tr, st, spliced.pop())
+        assert v.tobytes() == want.tobytes()
+        assert st.trace.tobytes() == fresh.trace.tobytes()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(st.levels, fresh.levels))
+        assert st.num.tobytes() == fresh.num.tobytes()
+        produced.append(args[-1][-1].produced)
+        return v
+
+    monkeypatch.setattr(_State, "remove_range", kept_range)
+    tr._resolve_leftmost_cluster = checked_resolve
+    tr.advance(f0, t_end)
+    return produced
+
+
+@pytest.mark.parametrize("name", ["homogeneous", "modulated", "dsl_fan"])
+def test_every_event_splices_the_bits_of_a_full_evaluation(name, monkeypatch, request):
+    flux = POINT_FLUXES[name] if name in POINT_FLUXES else request.getfixturevalue("dsl_fan_flux")
+    u0 = make_initial("bump", amp=0.8, center=0.0, width=1.0)
+    produced = []
+    for delta, cells in ((0.005, 1200), (0.001, 6000)):  # benchmark.ini's data
+        f0 = quantize_initial(flux, u0, delta, (-3, 3), cells)
+        produced += _spliced_events(Tracker(flux, delta, (-6, 6)), f0, 1.0, monkeypatch)
+    assert None not in produced and len(produced) > 300
+    # levels 2, 1, 0, 1, 0: the co-located middle pair annihilates between two
+    # survivors, which then merge
+    f0 = FrontField(time=0.0, delta=0.1, positions=np.array([-1.0, 0.0, 0.0, 1.0]),
+                    z=np.array([2, 1, 0, 1, 0]), ids=np.arange(4), next_id=4)
+    assert _spliced_events(Tracker(flux, 0.1, (-6, 6)), f0, 8.0, monkeypatch) == [None, 4]
+
+
+@pytest.mark.parametrize("case", ["degenerate", "alpha_too_large"])
+def test_the_splice_fails_as_the_full_evaluation_does(case):
+    # two co-located fronts, levels 2, 0, 1, whose merged front 2 -> 1 fails
+    # to invert (alpha too large) or is degenerate (U = 2e-12 against 1.4e-12)
+    if case == "degenerate":
+        flux, delta, error = BURGERS, 1e-24, DegenerateStatesError
+    else:
+        flux, delta, error = replace(MODULATED, alpha=50.0), 0.5, InversionError
+    f0 = FrontField(time=0.25, delta=delta, positions=np.array([0.3, 0.3]),
+                    z=np.array([2, 0, 1]), ids=np.arange(2), next_id=2)
+    tr = Tracker(flux, delta, (-2, 2))
+    st = _state_with_levels(tr, f0)
+    with pytest.raises(error) as spliced:
+        tr._resolve_leftmost_cluster(st, np.zeros(2), np.array([True]), np.zeros(1), 1e-12, [])
+    with pytest.raises(error) as full:
+        _fresh_copy(tr, st, st.trace)
+    assert type(spliced.value) is type(full.value) is error
+    assert str(spliced.value) == str(full.value)
+    if case == "alpha_too_large":
+        assert (spliced.value.x, spliced.value.level) == (full.value.x, full.value.level) == \
+            (0.3, 1.0)
+
+
+def test_event_tv_is_the_tv_of_the_levels_after_it(monkeypatch):
+    # the randomized runs' fields, to t = 3 so that four of the five interact
+    resolve, levels = Tracker._resolve_leftmost_cluster, []
+
+    def kept_levels(self, st, *args):
+        v = resolve(self, st, *args)
+        levels[-1].append(st.z.copy())
+        return v
+
+    monkeypatch.setattr(Tracker, "_resolve_leftmost_cluster", kept_levels)
+    events = 0
+    for seed in (1, 2, 3, 4, 5):
+        levels.append([])
+        f0, _, log = _random_run(seed, t_end=3.0)
+        assert len(levels[-1]) == len(log)
+        events += len(log)
+        for e, z, z_before in zip(log, levels[-1], [f0.z] + levels[-1]):
+            assert e.tv_before == f0.delta * _tv_z(z_before)
+            assert e.tv_after == f0.delta * _tv_z(z)
+    assert events >= 20
+
+
+def test_no_inversion_between_an_event_and_the_next_steps_first_stage(monkeypatch):
+    import fronttrack.tracker as tracker_module
+    resolve, rk4, solve, calls = (Tracker._resolve_leftmost_cluster, Tracker._rk4,
+                                  tracker_module.solve_level, [])
+    monkeypatch.setattr(Tracker, "_resolve_leftmost_cluster",
+                        lambda *a: calls.append("event") or resolve(*a))
+    monkeypatch.setattr(Tracker, "_rk4", lambda *a: calls.append("rk4") or rk4(*a))
+    monkeypatch.setattr(tracker_module, "solve_level",
+                        lambda *a, **k: calls.append("solve") or solve(*a, **k))
+    f0, tr, times = _bump_solve(0.005, 1200)
+    log, _ = _events_and_positions(tr, f0, times)
+    events = [i for i, c in enumerate(calls) if c == "event"]
+    assert len(events) == len(log) == 64
+    for i in events:
+        nxt = calls.index("rk4", i)
+        assert "solve" not in calls[i:nxt]
+        # the step's first RK4 stage is its first full-state inversion
+        assert calls[nxt + 1] == "solve"
 
 
 @pytest.mark.parametrize("positions, z, message", [
@@ -1500,7 +1617,8 @@ def test_impossible_interaction_aborts_with_forensics():
     tr = Tracker(BURGERS, 0.1, (-2, 2))
     st = _State(corrupt)
     with pytest.raises(AdmissibilityError) as info:
-        tr._resolve_leftmost_cluster(st, np.array([True]), np.array([0.0]), 1e-12, [])
+        tr._resolve_leftmost_cluster(st, np.zeros(2), np.array([True]), np.array([0.0]),
+                                     1e-12, [])
     assert "positions" in str(info.value)  # the dump travels with the error
 
 
@@ -1550,12 +1668,21 @@ def _degenerate(monkeypatch):
     return Tracker(BURGERS, 1e-24, (-2, 2)), f0, 1.0
 
 
+def _inversion(monkeypatch):
+    # the alpha_too_large field of test_the_few_front_path_fails_as_the_array_path_does
+    f0 = FrontField(time=0.25, delta=0.5, positions=np.array([0.3]),
+                    z=np.array([1, 0], dtype=np.int64),
+                    ids=np.array([0], dtype=np.int64), next_id=1)
+    return Tracker(replace(MODULATED, alpha=50.0), 0.5, (-2, 2)), f0, 1.0
+
+
 @pytest.mark.parametrize("error, setup", [
     (OrderingLostError, _ordering_lost),
     (WindowExitError, _window_exit),
     (LoopLimitError, _loop_limit),
     (DegenerateStatesError, _degenerate),
-], ids=["ordering_lost", "window_exit", "loop_limit", "degenerate"])
+    (ProfileInversionError, _inversion),
+], ids=["ordering_lost", "window_exit", "loop_limit", "degenerate", "inversion"])
 def test_advance_failures_carry_time_positions_and_dump(monkeypatch, error, setup):
     tr, f0, t_end = setup(monkeypatch)
     with pytest.raises(error) as info:
@@ -1566,6 +1693,17 @@ def test_advance_failures_carry_time_positions_and_dump(monkeypatch, error, setu
     assert f"t={err.time!r}" in err.dump
     assert f"positions={err.positions!r}" in err.dump
     assert err.dump in str(err)
+
+
+def test_an_inversion_failure_in_a_solve_keeps_its_x_level_and_message(monkeypatch):
+    tr, f0, t_end = _inversion(monkeypatch)
+    with pytest.raises(InversionError) as info:
+        tr.advance(f0, t_end)
+    err = info.value
+    assert isinstance(err, TrackerError)
+    assert (err.x, err.level) == (0.3, 0.5)
+    assert str(err).splitlines()[0] == str(InversionError(0.3, 0.5))
+    assert type(err.__cause__) is InversionError
 
 
 def test_profile_min_abs_diagnostic():

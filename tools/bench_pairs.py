@@ -16,8 +16,12 @@ pair, each side's median and quartiles of every metric, the change's win
 count, and for the claimed metric, if any, the verdict of the paired rule: the
 change is better in at least nine tenths of the pairs (ties count for neither),
 and the medians differ, in the change's favour, by more than the parent's
-interquartile range.  An existing output file keeps its other runs and gains
-this one under the key ``"<workload> seed <seed>"``.
+interquartile range.  Each end-to-end metric's summary also carries a
+``worse`` flag, the same rule with the sides swapped: the parent is better in
+at least nine tenths of the pairs, and the medians differ in the parent's
+favour by more than the parent's interquartile range.  The last line printed
+lists the metrics so flagged.  An existing output file keeps its other runs
+and gains this one under the key ``"<workload> seed <seed>"``.
 """
 
 from __future__ import annotations
@@ -65,14 +69,26 @@ def summarize(pairs, name, better):
             "pairs": len(both)}
 
 
-def verdict(summary):
-    """The paired rule on one metric's summary: wins in at least nine tenths
-    of the pairs, and a median gap in the change's favour wider than the
-    parent's interquartile range."""
+def verdict(summary, side="change"):
+    """The paired rule on one metric's summary: ``side`` (the change, or with
+    "parent" the rule mirrored) is better in at least nine tenths of the
+    pairs, and the medians differ in its favour by more than the parent's
+    interquartile range."""
     sign = 1.0 if summary["better"] == "lower" else -1.0
     gap = sign * (summary["parent"]["median"] - summary["change"]["median"])
-    return (10 * summary["wins"] >= WINS_OF_TEN * summary["pairs"]
-            and gap > summary["parent"]["iqr"])
+    wins = summary["wins"]
+    if side == "parent":
+        gap, wins = -gap, summary["pairs"] - summary["wins"] - summary["ties"]
+    return 10 * wins >= WINS_OF_TEN * summary["pairs"] and gap > summary["parent"]["iqr"]
+
+
+def flag_worse(summaries, end_to_end):
+    """Set each end-to-end metric's ``worse`` flag (the paired rule won by the
+    parent); returns the names flagged."""
+    for name in end_to_end:
+        if name in summaries:
+            summaries[name]["worse"] = verdict(summaries[name], "parent")
+    return [name for name in end_to_end if summaries.get(name, {}).get("worse")]
 
 
 def run_pairs(n, run):
@@ -114,9 +130,11 @@ def perfbench_run(checkout, workload, seed, seconds):
 
 
 def directions(checkout):
-    """metric name -> "lower" or "higher", from the checkout's BENCHMARK.json."""
+    """(metric name -> "lower" or "higher", the end-to-end metrics' names), from
+    the checkout's BENCHMARK.json."""
     spec = json.loads((Path(checkout) / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    return ({m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]},
+            [m["name"] for m in spec["end_to_end"]])
 
 
 def main(argv=None):
@@ -135,9 +153,10 @@ def main(argv=None):
     checkouts = {"parent": args.parent, "change": args.change}
     pairs = run_pairs(args.pairs, lambda side: perfbench_run(
         checkouts[side], args.workload, args.seed, args.seconds))
-    better = directions(args.change)
+    better, end_to_end = directions(args.change)
     summaries = {name: s for name in sorted(better)
                  if (s := summarize(pairs, name, better[name])) is not None}
+    worse = flag_worse(summaries, end_to_end)
     claim = summaries.get(args.claim)
     run = {"workload": args.workload, "seed": args.seed, "seconds": args.seconds,
            "claim": args.claim,
@@ -154,7 +173,7 @@ def main(argv=None):
         f"{args.workload} seed {'default' if args.seed is None else args.seed}"] = run
     out.write_text(json.dumps(doc, indent=1) + "\n")
     print(json.dumps({"claim": args.claim, "claim_met": run["claim_met"],
-                      **({"summary": claim} if claim else {})}))
+                      **({"summary": claim} if claim else {}), "worse": worse}))
     return 0
 
 
