@@ -2,12 +2,14 @@
 contact range.
 
 ``first_contact`` is the search on the step length.  ``locate`` runs the aimed
-step and that search on the fronts of the given pairs alone, on Python floats
-through ``Flux.point``: ``stationary.solve_point`` is one element of
-``solve_level``'s Newton, a front's speed is its column's operations in
-``Tracker._speeds``, and ``rk4`` is the one RK4 step of both, so its traces
-and positions are bit for bit those of that column.  ``Tracker._step``
-follows it with one RK4 step of all fronts to the located length.
+step and that search on the fronts of the given pairs alone, on Python floats:
+a front's speed binds the flux at its position once, ``Flux.point(y)``, which
+returns f and f_u without f_x, and inverts both traces through that binding
+with ``stationary.solve_point``, one element of ``solve_level``'s Newton.  The
+speed is its column's operations in ``Tracker._speeds``, and ``rk4`` is the
+one RK4 step of both, so its traces and positions are bit for bit those of
+that column.  ``Tracker._step`` follows it with one RK4 step of all fronts to
+the located length.
 """
 
 from __future__ import annotations
@@ -83,18 +85,20 @@ class Front(NamedTuple):
 
 def few_fronts(st, cols):
     """The fronts ``cols`` (a list) of the tracker state st, by one index of each array."""
+    cols = np.array(cols)  # converted once, not once per array
     c = st.lc[:, :, cols].transpose(1, 2, 0).tolist()
     return [Front(*f) for f in zip(st.y[cols].tolist(), c[0], c[1], st.num[cols].tolist(),
                                    st.trace[:, cols].T.tolist())]
 
 
 def point_speed(tracker, st, front, y):
-    """The front's speed at y: its column of ``tracker._speeds``."""
-    point, trace = tracker.flux.point, front.trace
-    u_l = trace[0] = solve_point(point, y, front.left, trace[0])
-    u_r = trace[1] = solve_point(point, y, front.right, trace[1])
+    """The front's speed at y: its column of ``tracker._speeds``, with both
+    traces inverted through one binding of the flux at y."""
+    bound, trace = tracker.flux.point(y), front.trace
+    u_l = trace[0] = solve_point(bound, y, front.left, trace[0])
+    u_r = trace[1] = solve_point(bound, y, front.right, trace[1])
     den = u_l - u_r
-    if abs(den) < 1e-9 * max(1.0, abs(u_l), abs(u_r)):  # the array quotient's floor
+    if not abs(den) >= 1e-9 * max(1.0, abs(u_l), abs(u_r)):  # the array quotient's floor
         from .tracker import _rh_quotient  # not at the top: tracker imports this module
         _rh_quotient(front.num, np.array([[u_l], [u_r]]), np.array([y]), st)
     return front.num / den

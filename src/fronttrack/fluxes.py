@@ -44,6 +44,15 @@ class DomainError(ArithmeticError):
         super().__init__(f"cannot evaluate `{text}`: {reason}")
 
 
+def _derived_point(f, fu, fx):
+    """``Flux.point`` from f, fu and fx, with no work shared."""
+    def point(x, u=None):
+        if u is None:  # x reaches the binding as a default: closure cells cost every call
+            return lambda u, x=x: (float(f(x, u)), float(fu(x, u)))
+        return float(f(x, u)), float(fu(x, u)), float(fx(x, u))
+    return point
+
+
 @dataclass(frozen=True)
 class Flux:
     """Evaluable heterogeneous flux with partial derivatives.
@@ -54,14 +63,18 @@ class Flux:
 
     ``at`` maps positions x to the pair (f(x, .), f_u(x, .)) of functions of
     u alone, with the work that depends only on x done once; the bound
-    functions must agree with ``f`` and ``fu`` bit for bit.  ``point`` maps
-    Python floats (x, u) to the Python floats (f, f_u, f_x) at that point,
-    bit for bit those of ``f``, ``fu`` and ``fx``.  Either one not given is
-    derived from ``f``, ``fu`` and ``fx``, with no work shared.  The tracker
-    locates contacts on the few fronts near them through ``point`` and moves
-    the rest through ``at``, so a located event's positions rest on that
-    agreement.  A copy that replaces ``f``, ``fu`` or ``fx`` must therefore
-    pass ``at=None`` and ``point=None`` as well.
+    functions must agree with ``f`` and ``fu`` bit for bit.  ``point`` works
+    on Python floats, bit for bit as ``f``, ``fu`` and ``fx``: ``point(x, u)``
+    returns (f, f_u, f_x) at that point, the characteristic system's one
+    call, and ``point(x)`` binds the flux at x, returning a function of u
+    alone that returns (f, f_u), with the work that depends only on x done
+    once and no f_x.  Either one not given is derived from ``f``, ``fu`` and
+    ``fx``, with no work shared.  The tracker locates contacts on the few
+    fronts near them through the binding and moves the rest through ``at``,
+    so a located event's positions rest on that agreement.  A copy that
+    replaces ``f``, ``fu`` or ``fx`` must therefore pass ``at=None`` and
+    ``point=None`` as well, and the binding, which rides on ``point``, is
+    derived with it.
     """
 
     f: Callable
@@ -78,8 +91,7 @@ class Flux:
         f, fu, fx = self.f, self.fu, self.fx
         object.__setattr__(self, "at", self.at or (lambda x: (lambda u: f(x, u),
                                                               lambda u: fu(x, u))))
-        object.__setattr__(self, "point", self.point or (lambda x, u: (
-            float(f(x, u)), float(fu(x, u)), float(fx(x, u)))))
+        object.__setattr__(self, "point", self.point or _derived_point(f, fu, fx))
 
     def require_alpha(self):
         if self.alpha is None or not 0.0 < self.alpha < np.inf:  # also nan
@@ -146,7 +158,8 @@ class SpeedEnvelope:
 def _scaled_burgers(family, params, a_min, coefficient):
     """f = a(x) u^2/2 with a >= a_min > 0; ``coefficient(sin, cos)`` returns a
     and a' written with the given sin and cos, instantiated with numpy's for
-    arrays and with math's for ``point``, so both run the same operations."""
+    arrays and with math's for ``point``, so both run the same operations;
+    ``point(x)`` computes a(x) once and a'(x) not at all."""
     a, da = coefficient(np.sin, np.cos)
     a_float, da_float = coefficient(math.sin, math.cos)
 
@@ -155,8 +168,10 @@ def _scaled_burgers(family, params, a_min, coefficient):
         half = 0.5 * ax  # 0.5 * a(x) * u * u multiplies left to right
         return (lambda u: half * u * u), (lambda u: ax * u)
 
-    def point(x, u):
+    def point(x, u=None):
         ax = a_float(x)
+        if u is None:  # a(x) reaches the binding as defaults: closure cells cost every call
+            return lambda u, half=0.5 * ax, ax=ax: (half * u * u, ax * u)
         return 0.5 * ax * u * u, ax * u, 0.5 * da_float(x) * u * u
 
     return Flux(

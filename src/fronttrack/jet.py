@@ -69,16 +69,21 @@ def _fail(tree, label, error):
     return DomainError(pretty(tree), reason if label == "f" else f"{label}: {reason}")
 
 
+def _try(lines, handler):
+    """``lines`` under one floating-point guard: numpy raises on overflow,
+    division by zero or an invalid operation, Python floats raise on division
+    by zero, and ``handler`` runs on the error ``e``."""
+    return ("try:\n    with _errstate(divide='raise', over='raise', invalid='raise'):\n"
+            + "".join(f"        {line}\n" for line in lines or ["pass"])
+            + f"except _ERRORS as e:\n    {handler}\n")
+
+
 def _guarded(header, lines, label, tail):
-    """A function that runs ``lines`` under one floating-point guard: numpy
-    raises on overflow, division by zero or an invalid operation, Python
-    floats raise on division by zero, and ``tail`` follows.  ``label`` is the
-    source of the function's label in a DomainError."""
-    return (f"{header}\n    try:\n"
-            f"        with _errstate(divide='raise', over='raise', invalid='raise'):\n"
-            + "".join(f"            {line}\n" for line in lines or ["pass"])
-            + f"    except _ERRORS as e:\n        raise _fail(_tree, {label}, e) from None\n"
-            + tail)
+    """A function that runs ``lines`` under one floating-point guard, then
+    ``tail``.  ``label`` is the source of the function's label in a
+    DomainError."""
+    handler = f"raise _fail(_tree, {label}, e) from None"
+    return f"{header}\n" + textwrap.indent(_try(lines, handler), "    ") + tail
 
 
 class Jet:
@@ -257,21 +262,41 @@ class Jet:
         """point(x, u) -> (f, f_u, f_x) on Python floats.  f, f_u and f_x in
         turn compute the temporaries not computed before them and check their
         value, so a failure raises what the first of ``f``, ``fu`` and ``fx``
-        to fail raises."""
-        lines, done = [], set()
+        to fail raises.
+
+        point(x) is the binding at x: it computes the temporaries of f and
+        f_u free of u once, under one guard, and returns ``bound(u) -> (f,
+        f_u)``, which computes the rest in point's order under one guard per
+        call.  So bound raises what point raises where f or f_u fails.  Where
+        a temporary free of u fails, the binding is point's pair, since point
+        then fails at the first function that needs it.  x and the
+        temporaries reach bound as default arguments, not as closure cells,
+        which point(x, u) would create on every call."""
+        lines, prologue, bound, done = [], [], [], set()
         for name in ("f", "fu", "fx"):
             out, label = self.outputs[name], _LABELS[name]
             temps = [t for t in self._needed(out) if t not in done]
             done.update(temps)
-            lines += [f"label = {label!r}", *map(self._line, temps),
-                      f"{name} = _float({_source(out)})",
+            result = [f"{name} = _float({_source(out)})",
                       f"if not _finite({name}): raise _fail(_tree, label, 'non-finite result')"]
-        return _guarded("def point(x, u):", lines, "label", "    return f, fu, fx\n")
+            lines += [f"label = {label!r}", *map(self._line, temps), *result]
+            if name != "fx":
+                prologue += [t for t in temps if not self.has_u[t]]
+                bound += [f"label = {label!r}",
+                          *(self._line(t) for t in temps if self.has_u[t]), *result]
+        params = "".join(f", {a}={a}" for a in ["x", *map(_source, prologue)])
+        fallback = "return lambda u, x=x: point(x, u)[:2]"  # it raises
+        binding = (_try([self._line(t) for t in prologue], fallback)
+                   + _guarded(f"def bound(u{params}):", bound, "label", "    return f, fu\n")
+                   + "return bound\n")
+        return _guarded("def point(x, u=None):\n    if u is None:\n"
+                        + textwrap.indent(binding, "        ").rstrip("\n"),
+                        lines, "label", "    return f, fu, fx\n")
 
     def source(self, name):
         """The source of the function ``name``: f, fu, fx or fuu of (x, u),
-        point, or at, which computes the temporaries free of u once and
-        returns f and f_u as functions of u bound to them."""
+        point with its binding, or at, which computes the temporaries free of
+        u once and returns f and f_u as functions of u bound to them."""
         if name == "point":
             return self._point()
         if name != "at":

@@ -78,7 +78,7 @@ def solve_level(flux, x, g, guess=0.0):
         sw = s * w
         phi = f(sw) - g_abs
         active = np.abs(phi) > tol
-        if not active.any():
+        if not np.count_nonzero(active):  # a third of ndarray.any's cost
             break
         dphi = s * fu(sw)  # |f_u| on the branch, > 0 away from u=0
         step = np.where(active, phi / np.where(dphi > 0.0, dphi, 1.0), 0.0)
@@ -92,14 +92,16 @@ def solve_level(flux, x, g, guess=0.0):
     return u if u.shape == shape else np.broadcast_to(u, shape).copy()
 
 
-def solve_point(point, x, c, guess):
-    """solve_level at one point on Python floats, through a flux's ``point``.
+def solve_point(bound, x, c, guess):
+    """solve_level at one point x on Python floats, through the flux bound
+    at x, ``bound = flux.point(x)``, which returns f and f_u alone.
 
     ``c`` is one level's (s, g_abs, u_hi, start, tol) from ``level_constants``
     as floats.  The operations are those of one element of solve_level's
     Newton, in the same order, so from the same guess the result has the
     same bits; max(0.0, w) returns 0.0 for w = -0.0, as np.maximum(w, 0.0)
-    does, where max(w, 0.0) would return -0.0.
+    does, where max(w, 0.0) would return -0.0.  One binding serves every
+    level inverted at x.
     """
     s, g_abs, u_hi, start, tol = c
     w = min(abs(guess), u_hi)
@@ -107,7 +109,7 @@ def solve_point(point, x, c, guess):
         w = start
     for _ in range(_MAX_NEWTON):
         sw = s * w
-        f, fu, _ = point(x, sw)
+        f, fu = bound(sw)
         phi = f - g_abs
         if not abs(phi) > tol:
             return sw

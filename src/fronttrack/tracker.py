@@ -9,7 +9,8 @@ Rankine-Hugoniot ODE; interactions are located by stepping onto predicted
 contact times and, when a step overshoots, by a safeguarded Illinois
 false-position search on the step length, and always resolve into at most
 one front.  The search runs on the fronts of the pairs near contact alone,
-through ``Flux.point`` on Python floats with the bits of their array columns
+through the flux bound at each front's position (``Flux.point(y)``, f and f_u
+on Python floats) with the bits of their array columns
 (``fronttrack.contact``), and one RK4 step of all fronts to the located
 length follows; a pair that step brings into contact range joins the
 searched pairs, and the search runs again.  An event splices the speeds, warm
@@ -214,15 +215,19 @@ def rh_speed(flux, y, g_l, g_r, guess_l=0.0, guess_r=0.0):
 
 def _rh_quotient(num, u, y, st=None):
     """num / (u_l - u_r) for the stacked traces u = (u_l, u_r) at y; raises
-    DegenerateStatesError where the profile gap underflows, with the state
-    st of the solve, if any."""
+    DegenerateStatesError where the profile gap is below its floor, 1e-9 times
+    the larger of 1 and its traces' magnitudes, or is not a number, with the
+    state st of the solve, if any.  Where the least gap clears the largest
+    trace's floor every gap clears its own, so the columns are checked one by
+    one only when it does not."""
     u_l, u_r = u
     den = u_l - u_r
-    bad = np.abs(den) < 1e-9 * np.maximum(1.0, np.maximum(np.abs(u_l), np.abs(u_r)))
-    if bad.any():
-        where = np.broadcast_to(y, den.shape)[bad]
-        raise DegenerateStatesError(f"degenerate front states at y={where!r}; "
-                                    "adjacent levels should have merged", st)
+    if not np.abs(den).min(initial=np.inf) >= 1e-9 * max(1.0, np.abs(u).max(initial=0.0)):
+        bad = ~(np.abs(den) >= 1e-9 * np.maximum(1.0, np.maximum(np.abs(u_l), np.abs(u_r))))
+        if bad.any():
+            where = np.broadcast_to(y, den.shape)[bad]
+            raise DegenerateStatesError(f"degenerate front states at y={where!r}; "
+                                        "adjacent levels should have merged", st)
     return num / den
 
 
@@ -428,19 +433,20 @@ class Tracker:
         would return the same bits.  The produced front's is ``contact.point_speed``
         on its column alone, which has the bits of that column in ``_speeds``.
         """
-        first = int(np.flatnonzero(touching)[0])
+        first = int(touching.argmax())
         last = first
         while last + 1 < len(touching) and touching[last + 1]:
             last += 1
         a, b = first, last + 1  # fronts a..b collide
-        z_l = int(st.z[a])
-        z_r = int(st.z[b + 1])
+        z = st.z[a:b + 2].tolist()  # the cluster's levels, as Python ints
+        z_l, z_r = z[0], z[-1]
         rho = 0.5 * (float(st.y[a]) + float(st.y[b]))
-        consumed = tuple(int(i) for i in st.ids[a:b + 1])
-        grazing = bool(np.all(np.abs(v_app[first:last + 1]) <= graze_v))
+        consumed = tuple(st.ids[a:b + 1].tolist())
+        grazing = all(abs(q) <= graze_v for q in v_app[first:last + 1].tolist())
 
         dz = z_r - z_l
-        tv_before, tv_after = st.tv, st.tv - int(np.sum(np.abs(np.diff(st.z[a:b + 2])))) + abs(dz)
+        tv_before = st.tv
+        tv_after = tv_before - sum(abs(q - p) for p, q in zip(z, z[1:])) + abs(dz)
         if dz > 1:
             raise AdmissibilityError(
                 f"interaction at (t={st.t}, x={rho}) would create upward jump "
@@ -510,21 +516,21 @@ class Tracker:
                     v = self._speeds(st, st.y)
                 if record is not None:
                     record.append((st.t, st.y, v, st.z, st.ids, st.next_id))
-                graze_v = 1e-12 * (1.0 + float(np.max(np.abs(v))))
-                gaps = np.diff(st.y)
+                graze_v = 1e-12 * (1.0 + float(max(v.max(), -v.min())))  # max |v|
+                gaps = st.y[1:] - st.y[:-1]
                 v_app = v[:-1] - v[1:]  # positive when the pair approaches
 
                 # resolve contacts at the current time (approaching or grazing only;
                 # freshly split fan siblings separate and are excluded naturally)
                 touching = (gaps <= TOL_POS) & (v_app >= -graze_v)
-                if touching.any():
+                if np.count_nonzero(touching):
                     v = self._resolve_leftmost_cluster(st, v, touching, v_app, graze_v, log)
                     continue
 
                 # step: aim at the earliest predicted pairwise contact
                 h = min(self.h_ode, t_target - st.t)
                 approaching = v_app > 0.0
-                if approaching.any():
+                if np.count_nonzero(approaching):
                     h = min(h, float(np.min(gaps[approaching] / v_app[approaching])))
                 s, st.y = self._step(st, v, gaps, v_app, h)
                 st.t += s
@@ -562,7 +568,7 @@ class Tracker:
             if located is not None:
                 cols, y_c, trace_c = located
                 y[cols], st.trace[:, cols] = y_c, trace_c
-            gaps_s = np.diff(y)
+            gaps_s = y[1:] - y[:-1]
             closing = np.flatnonzero(contact.in_contact_range(gaps, gaps_s)).tolist()
             missed = [q for q in closing if q not in pairs]
             if not missed:

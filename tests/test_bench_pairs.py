@@ -119,3 +119,43 @@ def test_the_last_line_lists_the_metrics_flagged_worse(tmp_path, monkeypatch, ca
     summary = json.loads(out.read_text())["runs"]["w seed default"]["summary"]
     assert summary["run_s"]["worse"] is True and summary["solve_s"]["worse"] is False
     assert "worse" not in summary["stationary.solve_level_calls"]
+
+
+def test_the_worse_flag_needs_a_gap_beyond_the_metrics_bound(tmp_path, monkeypatch, capsys):
+    # a layout-sized +0.01 MiB on a 32.3 MiB peak wins every pair and clears the
+    # parent's IQR, but not a tenth of its median; +30% run_s clears a quarter
+    spec = {"end_to_end": [{"name": "run_s", "better": "lower", "bound": 0.25},
+                           {"name": "peak_rss_mb", "better": "lower", "bound": 0.1},
+                           {"name": "solve_s", "better": "lower"}],
+            "per_layer": []}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    parent = [{"run_s": 0.40 + 0.001 * (i % 3), "peak_rss_mb": 32.30 + 0.001 * (i % 2),
+               "solve_s": 0.30 + 0.001 * (i % 3)} for i in range(10)]
+    calls = {"parent": 0, "change": 0}
+
+    def run(checkout, *args):
+        side = "parent" if checkout == "parent" else "change"
+        p = parent[calls[side]]
+        calls[side] += 1
+        if side == "parent":
+            return {**p, "correct": True}
+        return {"run_s": 1.3 * p["run_s"], "peak_rss_mb": p["peak_rss_mb"] + 0.01,
+                "solve_s": p["solve_s"] + 0.01, "correct": True}
+
+    monkeypatch.setattr(bench_pairs, "perfbench_run", run)
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main(["--parent", "parent", "--change", str(tmp_path), "--workload",
+                             "w", "--pairs", "10", "--out", str(out)]) == 0
+    last = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    summary = json.loads(out.read_text())["runs"]["w seed default"]["summary"]
+    rss = summary["peak_rss_mb"]
+    # without its bound the rss shift meets the mirrored rule
+    assert rss["wins"] == 0 and rss["pairs"] == 10
+    assert rss["change"]["median"] - rss["parent"]["median"] > rss["parent"]["iqr"]
+    assert bench_pairs.verdict({k: v for k, v in rss.items() if k != "bound"}, "parent")
+    assert (rss["bound"], rss["worse"]) == (0.1, False)
+    assert (summary["run_s"]["bound"], summary["run_s"]["worse"]) == (0.25, True)
+    # a metric with no bound keeps the plain rule: +0.01 s clears an IQR of 0.0015 s
+    assert "bound" not in summary["solve_s"] and summary["solve_s"]["worse"] is True
+    assert last["worse"] == ["run_s", "solve_s"]
+

@@ -109,12 +109,16 @@ def test_point_equals_f_fu_and_fx_on_floats(build):
     flux = build()
     for x in np.linspace(-10.0, 10.0, 81).tolist():
         f, fu = flux.at(x)
+        bound = flux.point(x)  # the binding at x: f and f_u of u alone
         for u in np.linspace(-2.5, 2.5, 41).tolist():
             got = flux.point(x, u)
             assert all(type(v) is float for v in got)
             want = (flux.f(x, u), flux.fu(x, u), flux.fx(x, u))
             assert np.array(got).tobytes() == np.array(want).tobytes()
             assert np.array((f(u), fu(u))).tobytes() == np.array(want[:2]).tobytes()
+            pair = bound(u)
+            assert len(pair) == 2 and all(type(v) is float for v in pair)
+            assert np.array(pair).tobytes() == np.array(want[:2]).tobytes()
 
 
 @pytest.mark.parametrize("expr, x, u, label", [
@@ -142,6 +146,63 @@ def test_a_dsl_point_raises_the_domain_error_of_f_fu_or_fx(expr, x, u, label):
     assert str(info.value) == errors[0]
     assert str(info.value).startswith("cannot evaluate `")
     assert (label == "f") != (f"{label}: " in str(info.value))
+    # the binding needs f and f_u alone: where one of them fails it raises the
+    # same error, whether the failing temporary reads u or not; where only f_x
+    # fails it returns their values
+    if label == "f_x":
+        assert flux.point(x)(u) == (flux.f(x, u), flux.fu(x, u))
+    else:
+        with pytest.raises(DomainError) as info:
+            flux.point(x)(u)
+        assert str(info.value) == errors[0]
+
+
+@pytest.mark.parametrize("expr, x", [
+    ("u^2/2 + 1/x", 0.0),        # Python floats divide by zero
+    ("u^2*(1/sin(x))", 0.0),      # numpy scalars divide by zero
+    ("u^2*sqrt(x - 5)", 1.0),     # sqrt of a negative number
+], ids=["float_division", "numpy_division", "sqrt_negative"])
+def test_a_failing_temporary_free_of_u_keeps_the_label_of_f(expr, x):
+    # the binding computes the temporaries free of u once, at x; where one of
+    # them fails, every u raises the error of f, the first function to need it
+    flux = make_builtin_flux("custom_expr", expr=expr)
+    bound = flux.point(x)
+    for u in (-1.0, 0.5, 2.0):
+        with pytest.raises(DomainError) as info:
+            bound(u)
+        with pytest.raises(DomainError) as want:
+            flux.f(x, u)
+        assert str(info.value) == str(want.value) and ": f_" not in str(info.value)
+
+
+def _counted(fn, calls):
+    def counted(x, u):
+        calls.append(1)
+        return fn(x, u)
+    return counted
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_builtin_flux("modulated_burgers", base=1.0, amp=0.5),
+    lambda: make_builtin_flux("custom_expr", expr=DSL_FAN),
+], ids=["modulated", "dsl_fan"])
+def test_a_copy_without_point_binds_its_own_f_and_fu(build):
+    # no stale binding survives a copy: the float Newton of a copy with
+    # point=None runs through the copy's f and fu, with the original's bits
+    from fronttrack.stationary import level_constants, solve_point
+    flux = build()
+    if flux.alpha is None:
+        flux = replace(flux, alpha=0.5)  # (1 + 0.5 sin x) u^2/2 + u^4/12 >= u^2/4
+    calls = []
+    copy = replace(flux, f=_counted(flux.f, calls), fu=_counted(flux.fu, calls),
+                   at=None, point=None)
+    c = np.array(level_constants(flux, [0.3, -0.2])).T.tolist()
+    for x in (-1.3, 0.0, 0.7):
+        for level in c:
+            want = solve_point(flux.point(x), x, level, 0.0)
+            n = len(calls)
+            assert solve_point(copy.point(x), x, level, 0.0) == want
+            assert len(calls) > n
 
 
 def test_unknown_family_and_params_rejected():

@@ -73,3 +73,20 @@ def test_worker_scan_finds_the_workload_calls():
                          ids=[f"{m}.{n}" for m, n in WORKER_NAMES])
 def test_worker_name_exists(module, name):
     assert hasattr(importlib.import_module(module), name)
+
+
+def test_the_traced_flux_keeps_the_builtin_binding():
+    # the tracer replaces f and fu alone: point and its binding stay the
+    # builtin's, so the float Newton neither runs nor counts the wrapped f
+    from fronttrack.fluxes import make_builtin_flux
+    from fronttrack.stationary import level_constants, solve_point
+    flux = make_builtin_flux("modulated_burgers", base=1.0, amp=0.5)
+    tracer = tracing.Tracer()
+    traced = tracing._counted_flux(tracer, flux)
+    assert traced.point is flux.point and traced.f is not flux.f
+    level = [float(v[0]) for v in level_constants(flux, [0.3])]
+    assert solve_point(traced.point(0.7), 0.7, level, 0.0) == \
+        solve_point(flux.point(0.7), 0.7, level, 0.0)
+    assert tracer.f_points == tracer.fu_points == 0
+    traced.f(0.7, 0.5)
+    assert tracer.f_points == 1

@@ -1640,6 +1640,75 @@ def test_degenerate_states_error_carries_time_and_state():
     assert "t=0.25" in msg and "y=array([0.3])" in msg and "positions" in msg
 
 
+def test_a_stationary_shock_where_f_x_fails_is_solved_without_it():
+    # (1 + sqrt(x^4)) u^2/2 equals (1 + x^2) u^2/2, but its jet's f_x at x = 0
+    # is 0/0.  The shock there between g = 0.2 and -0.2 is stationary, and the
+    # float Newton that moves it needs f and f_u alone.
+    runs = []
+    for expr in ("(1 + sqrt(x^4))*u^2/2", "(1 + x^2)*u^2/2"):
+        flux = make_builtin_flux("custom_expr", expr=expr)
+        report = audit_assumptions(flux, ((-3.0, 3.0), (-1.0, 1.0)), grid=48)
+        assert report.passed and report.certified_alpha == pytest.approx(0.994, abs=5e-4)
+        f0 = initial_fronts([-1.0, 0.0], [0, 2, -2], 0.1)
+        runs.append(Tracker(certify(flux, report), 0.1, (-6, 6)).advance(f0, 3.0))
+    (f1, log), (ref, ref_log) = runs
+    assert [(e.consumed, e.produced) for e in log] == [((1, 2), 3)]
+    assert [(e.consumed, e.produced) for e in ref_log] == [((1, 2), 3)]
+    assert abs(log[0].time - ref_log[0].time) <= 1e-12
+    assert abs(log[0].position - ref_log[0].position) <= 1e-12
+    assert np.max(np.abs(f1.positions - ref.positions)) <= 1e-12
+
+
+def _parent_degenerate_mask(u):
+    """The elementwise degenerate-gap floor of the quotient, before its pre-check."""
+    u_l, u_r = u
+    return np.abs(u_l - u_r) < 1e-9 * np.maximum(1.0, np.maximum(np.abs(u_l), np.abs(u_r)))
+
+
+def _quotient_state(n=200):
+    st = _State(initial_fronts(np.linspace(-1.0, 1.0, n), [k % 2 for k in range(n + 1)], 0.1))
+    st.t = 0.75
+    rng = np.random.default_rng(31)
+    u_l = rng.uniform(0.2, 1.5, n) * rng.choice([-1.0, 1.0], n)
+    return st, np.array((u_l, u_l + rng.uniform(0.1, 0.5, n))), rng.uniform(-1.0, 1.0, n)
+
+
+@pytest.mark.parametrize("bad", [{137: "degenerate"}, {42: "nan"},
+                                 {3: "nan", 150: "degenerate", 151: "degenerate"}],
+                         ids=["degenerate", "nan", "both"])
+def test_the_quotient_names_only_the_bad_columns(bad):
+    from fronttrack.tracker import _rh_quotient
+    st, u, num = _quotient_state()
+    for k, kind in bad.items():
+        if kind == "nan":
+            u[0, k] = np.nan
+        else:
+            u[1, k] = u[0, k] * (1.0 + 1e-12)
+    if "nan" not in bad.values():
+        assert np.flatnonzero(_parent_degenerate_mask(u)).tolist() == sorted(bad)
+    with pytest.raises(DegenerateStatesError) as info:
+        _rh_quotient(num, u, st.y, st)
+    where = st.y[sorted(bad)]
+    assert str(info.value) == (f"degenerate front states at y={where!r}; adjacent levels "
+                               f"should have merged\n{st.dump()}")
+    assert info.value.time == 0.75 and info.value.dump == st.dump()
+    assert info.value.positions.tobytes() == st.y.tobytes()
+
+
+def test_the_quotient_past_its_pre_check_returns_the_plain_quotient():
+    # a trace of 1e6 lifts the pre-check's floor above a gap of 1e-5 whose own
+    # floor is 1e-9: the elementwise floor passes it, and the quotient is num / den
+    from fronttrack.tracker import _rh_quotient
+    st, u, num = _quotient_state()
+    u[:, 7] = (1e6, 1e6 - 1.0)
+    u[1, 60] = u[0, 60] + 1e-5
+    assert not _parent_degenerate_mask(u).any()
+    assert _rh_quotient(num, u, st.y, st).tobytes() == (num / (u[0] - u[1])).tobytes()
+    # no fronts: no gap to check, and no speed
+    speeds, u_l, u_r = rh_speed(BURGERS, np.array([]), np.array([]), np.array([]))
+    assert speeds.shape == u_l.shape == u_r.shape == (0,)
+
+
 def _ordering_lost(monkeypatch):
     # a valid fan pair whose every RK4 step of all fronts lands crossed: the
     # rerun searches the crossed pair, which separates on floats, and the

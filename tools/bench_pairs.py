@@ -19,9 +19,13 @@ and the medians differ, in the change's favour, by more than the parent's
 interquartile range.  Each end-to-end metric's summary also carries a
 ``worse`` flag, the same rule with the sides swapped: the parent is better in
 at least nine tenths of the pairs, and the medians differ in the parent's
-favour by more than the parent's interquartile range.  The last line printed
-lists the metrics so flagged.  An existing output file keeps its other runs
-and gains this one under the key ``"<workload> seed <seed>"``.
+favour by more than the parent's interquartile range and, for a metric with
+a ``bound`` in ``BENCHMARK.json``'s ``end_to_end``, also by more than that
+relative bound times the parent's median; the summary records the bound.  A
+shift that code layout alone can cause (a hundredth of a MiB of peak RSS) is
+then not flagged.  The last line printed lists the metrics so flagged.  An
+existing output file keeps its other runs and gains this one under the key
+``"<workload> seed <seed>"``.
 """
 
 from __future__ import annotations
@@ -73,13 +77,17 @@ def verdict(summary, side="change"):
     """The paired rule on one metric's summary: ``side`` (the change, or with
     "parent" the rule mirrored) is better in at least nine tenths of the
     pairs, and the medians differ in its favour by more than the parent's
-    interquartile range."""
+    interquartile range.  Mirrored, the gap must also exceed the summary's
+    ``bound``, if it has one, times the parent's median."""
     sign = 1.0 if summary["better"] == "lower" else -1.0
-    gap = sign * (summary["parent"]["median"] - summary["change"]["median"])
+    parent = summary["parent"]["median"]
+    gap = sign * (parent - summary["change"]["median"])
     wins = summary["wins"]
+    floor = summary["parent"]["iqr"]
     if side == "parent":
         gap, wins = -gap, summary["pairs"] - summary["wins"] - summary["ties"]
-    return 10 * wins >= WINS_OF_TEN * summary["pairs"] and gap > summary["parent"]["iqr"]
+        floor = max(floor, summary.get("bound", 0.0) * abs(parent))
+    return 10 * wins >= WINS_OF_TEN * summary["pairs"] and gap > floor
 
 
 def flag_worse(summaries, end_to_end):
@@ -130,11 +138,11 @@ def perfbench_run(checkout, workload, seed, seconds):
 
 
 def directions(checkout):
-    """(metric name -> "lower" or "higher", the end-to-end metrics' names), from
-    the checkout's BENCHMARK.json."""
+    """(metric name -> "lower" or "higher", end-to-end metric name -> its
+    relative bound or None), from the checkout's BENCHMARK.json."""
     spec = json.loads((Path(checkout) / "BENCHMARK.json").read_text())
     return ({m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]},
-            [m["name"] for m in spec["end_to_end"]])
+            {m["name"]: m.get("bound") for m in spec["end_to_end"]})
 
 
 def main(argv=None):
@@ -153,10 +161,13 @@ def main(argv=None):
     checkouts = {"parent": args.parent, "change": args.change}
     pairs = run_pairs(args.pairs, lambda side: perfbench_run(
         checkouts[side], args.workload, args.seed, args.seconds))
-    better, end_to_end = directions(args.change)
+    better, bounds = directions(args.change)
     summaries = {name: s for name in sorted(better)
                  if (s := summarize(pairs, name, better[name])) is not None}
-    worse = flag_worse(summaries, end_to_end)
+    for name, bound in bounds.items():
+        if bound is not None and name in summaries:
+            summaries[name]["bound"] = bound
+    worse = flag_worse(summaries, bounds)
     claim = summaries.get(args.claim)
     run = {"workload": args.workload, "seed": args.seed, "seconds": args.seconds,
            "claim": args.claim,
