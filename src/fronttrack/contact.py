@@ -27,6 +27,7 @@ from .stationary import solve_point
 TOL_POS = 1e-10
 # time resolution of the earliest-contact search (its final bracket width)
 TOL_EVENT = 1e-11
+GAP_FLOOR = 1e-9  # a front's |u_l - u_r| below this times max(1, |u_l|, |u_r|) is degenerate
 # a pair is a candidate for the few-front search when its linear contact time
 # gap / v_app is at most this many aimed steps: the aimed step h is the least
 # of those times, and an accelerating approach can bring a pair predicted a
@@ -98,7 +99,7 @@ def point_speed(tracker, st, front, y):
     u_l = trace[0] = solve_point(bound, y, front.left, trace[0])
     u_r = trace[1] = solve_point(bound, y, front.right, trace[1])
     den = u_l - u_r
-    if not abs(den) >= 1e-9 * max(1.0, abs(u_l), abs(u_r)):  # the array quotient's floor
+    if not abs(den) >= GAP_FLOOR * max(1.0, abs(u_l), abs(u_r)):
         from .tracker import _rh_quotient  # not at the top: tracker imports this module
         _rh_quotient(front.num, np.array([[u_l], [u_r]]), np.array([y]), st)
     return front.num / den

@@ -46,6 +46,12 @@ _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": ope
 _TEMPLATES = {"+": "{} + {}", "-": "{} - {}", "*": "{} * {}", "/": "{} / {}", "neg": "-{}",
               **{name: name + "({})" for name in FUNCTIONS}}
 _LABELS = {"f": "f", "fu": "f_u", "fx": "f_x", "fuu": "f_uu"}
+# how each kind of number takes an output's value, and tests it finite
+_KINDS = {"arrays": ("{}", "_isfinite({}).all()"), "floats": ("_float({})", "_finite({})")}
+# each binding's kind of number, and its bound functions: the name and outputs
+# of each, and the unhoisted call that returns those outputs at (x, u)
+_BINDINGS = {"at": ("arrays", [("bound_f", ("f",), "f(x, u)"), ("bound_fu", ("fu",), "fu(x, u)")]),
+             "point": ("floats", [("bound", ("f", "fu"), "point(x, u)[:2]")])}
 
 
 def _number(a):
@@ -74,16 +80,8 @@ def _try(lines, handler):
     division by zero or an invalid operation, Python floats raise on division
     by zero, and ``handler`` runs on the error ``e``."""
     return ("try:\n    with _errstate(divide='raise', over='raise', invalid='raise'):\n"
-            + "".join(f"        {line}\n" for line in lines or ["pass"])
+            + "".join(f"        {line}\n" for line in lines)
             + f"except _ERRORS as e:\n    {handler}\n")
-
-
-def _guarded(header, lines, label, tail):
-    """A function that runs ``lines`` under one floating-point guard, then
-    ``tail``.  ``label`` is the source of the function's label in a
-    DomainError."""
-    handler = f"raise _fail(_tree, {label}, e) from None"
-    return f"{header}\n" + textwrap.indent(_try(lines, handler), "    ") + tail
 
 
 class Jet:
@@ -108,7 +106,7 @@ class Jet:
         self.powers = {}  # temporary -> (base, k): base^k, differentiated as a power
         self._temps = {}  # (operation, operands, exponent) -> temporary
         self._d = {"u": [], "x": []}  # each temporary's derivative in each variable
-        self.functions = {}
+        self.namespace = dict(_NAMESPACE, _tree=tree)  # the compiled functions, too
         self.f = _fold(tree, self._node)
 
     def _node(self, node, args):
@@ -223,15 +221,13 @@ class Jet:
                 "fuu": self._derivative("u", fu)}
 
     def _needed(self, *outs):
-        """The temporaries that the operands outs read, in order."""
-        seen = set()
-        stack = [a for a in outs if isinstance(a, int)]
-        while stack:
-            t = stack.pop()
-            if t not in seen:
-                seen.add(t)
-                stack.extend(a for a in self.ops[t][1] if isinstance(a, int))
-        return sorted(seen)
+        """The temporaries that the operands outs read, in order: each
+        temporary is numbered after its operands."""
+        need = {a for a in outs if isinstance(a, int)}
+        for t in range(max(need, default=-1), -1, -1):
+            if t in need:
+                need.update(a for a in self.ops[t][1] if isinstance(a, int))
+        return sorted(need)
 
     def _line(self, t):
         op, args, k = self.ops[t]
@@ -240,85 +236,84 @@ class Jet:
                                  else f"_ipow({_source(args[0])}, {k})")
         return f"t{t} = " + _TEMPLATES[op].format(*map(_source, args))
 
-    def _function(self, name, params, out, temps):
-        """The guarded function that computes temps, then returns out.  Each
-        temporary is deleted after its last use, so an evaluation holds no
-        more arrays at once than a nested expression would."""
-        label = _LABELS[name]
-        body = set(temps)
-        last = {a: t for t in temps for a in self.ops[t][1] if a in body}
+    def _out(self, name):
+        """The operand of the output ``name``; f alone derives nothing."""
+        return self.f if name == "f" else self.outputs[name]
+
+    def _program(self, header, names, kind, hoisted=()):
+        """``header``, then straight-line code that computes the outputs
+        ``names`` in turn under one floating-point guard and returns them.
+        Each output computes the temporaries that neither ``hoisted`` nor an
+        output before it computed, and is checked as soon as it is computed,
+        so a failure raises the DomainError of the first output to fail.  On
+        Python floats each output is a float; on arrays each temporary is
+        deleted after its last use, so an evaluation holds no more arrays at
+        once than a nested expression would."""
+        value, finite = _KINDS[kind]
+        outs, done, sections = [self._out(n) for n in names], set(hoisted), []
+        for out in outs:
+            sections.append([t for t in self._needed(out) if t not in done])
+            done.update(sections[-1])
+        body = set() if kind == "floats" else done.difference(hoisted, outs)
+        last = {a: t for temps in sections for t in temps for a in self.ops[t][1] if a in body}
+        single = len(names) == 1  # its label and value need no variable
+        label, names_out = (repr(_LABELS[names[0]]), ["out"]) if single else ("label", names)
         lines = []
-        for t in temps:
-            lines.append(self._line(t))
-            dead = sorted({a for a in self.ops[t][1] if last.get(a) == t})
-            if dead:
-                lines.append("del " + ", ".join(map(_source, dead)))
-        return _guarded(f"def {name}({params}):", lines + [f"out = {_source(out)}"], repr(label),
-                        f"    if not _isfinite(out).all():\n"
-                        f"        raise _fail(_tree, {label!r}, 'non-finite result')\n"
-                        f"    return out\n")
+        for name, var, out, temps in zip(names, names_out, outs, sections):
+            lines += [] if single else [f"label = {_LABELS[name]!r}"]
+            for t in temps:
+                dead = sorted({a for a in self.ops[t][1] if last.get(a) == t})
+                lines.append(self._line(t))
+                lines += ["del " + ", ".join(map(_source, dead))] if dead else []
+            lines += [f"{var} = " + value.format(_source(out)), f"if not {finite.format(var)}: "
+                      f"raise _fail(_tree, {label}, 'non-finite result')"]
+        lines.append("return " + ", ".join(names_out))
+        handler = f"raise _fail(_tree, {label}, e) from None"
+        return f"{header}\n" + textwrap.indent(_try(lines, handler), "    ")
 
-    def _point(self):
-        """point(x, u) -> (f, f_u, f_x) on Python floats.  f, f_u and f_x in
-        turn compute the temporaries not computed before them and check their
-        value, so a failure raises what the first of ``f``, ``fu`` and ``fx``
-        to fail raises.
-
-        point(x) is the binding at x: it computes the temporaries of f and
-        f_u free of u once, under one guard, and returns ``bound(u) -> (f,
-        f_u)``, which computes the rest in point's order under one guard per
-        call.  So bound raises what point raises where f or f_u fails.  Where
-        a temporary free of u fails, the binding is point's pair, since point
-        then fails at the first function that needs it.  x and the
-        temporaries reach bound as default arguments, not as closure cells,
-        which point(x, u) would create on every call."""
-        lines, prologue, bound, done = [], [], [], set()
-        for name in ("f", "fu", "fx"):
-            out, label = self.outputs[name], _LABELS[name]
-            temps = [t for t in self._needed(out) if t not in done]
-            done.update(temps)
-            result = [f"{name} = _float({_source(out)})",
-                      f"if not _finite({name}): raise _fail(_tree, label, 'non-finite result')"]
-            lines += [f"label = {label!r}", *map(self._line, temps), *result]
-            if name != "fx":
-                prologue += [t for t in temps if not self.has_u[t]]
-                bound += [f"label = {label!r}",
-                          *(self._line(t) for t in temps if self.has_u[t]), *result]
-        params = "".join(f", {a}={a}" for a in ["x", *map(_source, prologue)])
-        fallback = "return lambda u, x=x: point(x, u)[:2]"  # it raises
-        binding = (_try([self._line(t) for t in prologue], fallback)
-                   + _guarded(f"def bound(u{params}):", bound, "label", "    return f, fu\n")
-                   + "return bound\n")
-        return _guarded("def point(x, u=None):\n    if u is None:\n"
-                        + textwrap.indent(binding, "        ").rstrip("\n"),
-                        lines, "label", "    return f, fu, fx\n")
+    def _binding(self, name):
+        """The body of the binding ``name`` at x.  It computes the temporaries
+        free of u that its bound functions need once, under one guard, and
+        returns the bound functions of u.  Each receives, as default
+        arguments rather than closure cells, which cost every call, the
+        hoisted temporaries it reads (and x, if it reads x), and computes the
+        rest of its outputs in their unhoisted order.  So a bound function
+        raises exactly what the unhoisted evaluation of its outputs raises at
+        (x, u): where a hoisted temporary fails, the binding returns those
+        unhoisted evaluations themselves."""
+        kind, bound = _BINDINGS[name]
+        needed = self._needed(*(self._out(n) for _, outs, _ in bound for n in outs))
+        hoisted = [t for t in needed if not self.has_u[t]]
+        fallback = "return " + ", ".join(f"lambda u, x=x: {call}" for _, _, call in bound)
+        code = _try(map(self._line, hoisted), fallback) if hoisted else ""
+        for fn, outs, _ in bound:
+            temps = [t for t in self._needed(*map(self._out, outs)) if self.has_u[t]]
+            reads = {*map(self._out, outs), *(a for t in temps for a in self.ops[t][1])}
+            params = "".join(f", {_source(a)}={_source(a)}" for a in ["x", *hoisted] if a in reads)
+            code += self._program(f"def {fn}(u{params}):", outs, kind, hoisted)
+        return code + f"return {', '.join(fn for fn, _, _ in bound)}\n"
 
     def source(self, name):
-        """The source of the function ``name``: f, fu, fx or fuu of (x, u),
-        point with its binding, or at, which computes the temporaries free of
-        u once and returns f and f_u as functions of u bound to them."""
+        """The source of the function ``name``: f, fu, fx or fuu of arrays
+        (x, u); at(x), which binds f and f_u on arrays at x; or point, which
+        maps Python floats (x, u) to (f, f_u, f_x) and binds (f, f_u) at x."""
+        if name == "at":
+            return "def at(x):\n" + textwrap.indent(self._binding("at"), "    ")
         if name == "point":
-            return self._point()
-        if name != "at":
-            out = self.f if name == "f" else self.outputs[name]
-            return self._function(name, "x, u", out, self._needed(out))
-        f, fu = self.f, self.outputs["fu"]
-        prologue = [self._line(t) for t in self._needed(f, fu) if not self.has_u[t]]
-        bound = "".join(self._function(n, "u", out, [t for t in self._needed(out)
-                                                     if self.has_u[t]])
-                        for n, out in (("f", f), ("fu", fu)))
-        return _guarded("def at(x):", prologue, repr("f and f_u"),
-                        textwrap.indent(bound, "    ") + "    return f, fu\n")
+            binding = textwrap.indent(self._binding("point"), "        ").rstrip("\n")
+            return self._program(f"def point(x, u=None):\n    if u is None:\n{binding}",
+                                 ("f", "fu", "fx"), "floats")
+        return self._program(f"def {name}(x, u):", (name,), "arrays")
 
     def compile(self, *names):
-        """The named functions, each compiled once; the names not compiled yet
+        """The named functions, each compiled once into the tree's one
+        namespace, where a binding's unhoisted calls find f, fu and point
+        (``expr.jet`` compiles at with f and fu); the names not compiled yet
         share one compile."""
-        todo = [n for n in names if n not in self.functions]
+        todo = [n for n in names if n not in self.namespace]
         if todo:
-            namespace = dict(_NAMESPACE, _tree=self.tree)
-            exec(compile("".join(map(self.source, todo)), "<expr>", "exec"), namespace)
-            self.functions.update((n, namespace[n]) for n in todo)
-        return [self.functions[n] for n in names]
+            exec(compile("".join(map(self.source, todo)), "<expr>", "exec"), self.namespace)
+        return [self.namespace[n] for n in names]
 
 
 # ndarray.all imports numpy's reductions through the caller's builtins

@@ -17,6 +17,17 @@ from .stationary import g_of, profile_slope, solve_level
 EPS_GRID = 1e-9
 
 
+def _pointwise(method):
+    """method(self, x, u, z, on_grid) on broadcast arrays and their cells; floats on scalars."""
+    def call(self, x, u):
+        scalar = np.ndim(x) == 0 and np.ndim(u) == 0
+        x, u = np.broadcast_arrays(np.atleast_1d(np.asarray(x, dtype=float)),
+                                   np.atleast_1d(np.asarray(u, dtype=float)))
+        out = method(self, x, u, *self._locate(x, u))
+        return float(out[0]) if scalar else out
+    return call
+
+
 @dataclass
 class ApproxFlux:
     """Piecewise-linear-in-u interpolation of f between stationary profiles.
@@ -47,11 +58,8 @@ class ApproxFlux:
         delta = self.delta
         return solve_level(self.base, x, np.array((delta * z, delta * (z + 1))))
 
-    def eval(self, x, u):
-        scalar = np.ndim(x) == 0 and np.ndim(u) == 0
-        x, u = np.broadcast_arrays(np.atleast_1d(np.asarray(x, dtype=float)),
-                                   np.atleast_1d(np.asarray(u, dtype=float)))
-        z, on_grid = self._locate(x, u)
+    @_pointwise
+    def eval(self, x, u, z, on_grid):
         delta = self.delta
         out = delta * np.abs(z).astype(float)
         off = ~on_grid
@@ -60,14 +68,11 @@ class ApproxFlux:
             u0, u1 = self._cell_states(xo, zo)
             s = np.where(zo >= 0, 1.0, -1.0)
             out[off] += s * delta * (uo - u0) / (u1 - u0)
-        return float(out[0]) if scalar else out
+        return out
 
-    def eval_dx(self, x, u):
+    @_pointwise
+    def eval_dx(self, x, u, z, on_grid):
         """Exact x-derivative of the interpolation formula via profile slopes."""
-        scalar = np.ndim(x) == 0 and np.ndim(u) == 0
-        x, u = np.broadcast_arrays(np.atleast_1d(np.asarray(x, dtype=float)),
-                                   np.atleast_1d(np.asarray(u, dtype=float)))
-        z, on_grid = self._locate(x, u)
         u0, u1 = self._cell_states(x, z)
         du0 = profile_slope(self.base, x, u0)
         du1 = profile_slope(self.base, x, u1)
@@ -77,5 +82,4 @@ class ApproxFlux:
         interior = s * delta * (-du0 * gap - (u - u0) * (du1 - du0)) / (gap * gap)
         # one-sided-consistent value on the grid: the (u - u0) term vanishes
         at_grid = -du0 * s * delta / gap
-        out = np.where(on_grid, at_grid, interior)
-        return float(out[0]) if scalar else out
+        return np.where(on_grid, at_grid, interior)

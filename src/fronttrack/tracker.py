@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from . import contact
-from .contact import TOL_EVENT, TOL_POS
+from .contact import GAP_FLOOR, TOL_EVENT, TOL_POS
 from .stationary import InversionError, LevelConstants, g_of, level_constants, solve_level
 
 # default integrator step before event capping
@@ -215,15 +215,15 @@ def rh_speed(flux, y, g_l, g_r, guess_l=0.0, guess_r=0.0):
 
 def _rh_quotient(num, u, y, st=None):
     """num / (u_l - u_r) for the stacked traces u = (u_l, u_r) at y; raises
-    DegenerateStatesError where the profile gap is below its floor, 1e-9 times
-    the larger of 1 and its traces' magnitudes, or is not a number, with the
-    state st of the solve, if any.  Where the least gap clears the largest
+    DegenerateStatesError where the profile gap is below its floor, GAP_FLOOR
+    times the larger of 1 and its traces' magnitudes, or is not a number, with
+    the state st of the solve, if any.  Where the least gap clears the largest
     trace's floor every gap clears its own, so the columns are checked one by
     one only when it does not."""
     u_l, u_r = u
     den = u_l - u_r
-    if not np.abs(den).min(initial=np.inf) >= 1e-9 * max(1.0, np.abs(u).max(initial=0.0)):
-        bad = ~(np.abs(den) >= 1e-9 * np.maximum(1.0, np.maximum(np.abs(u_l), np.abs(u_r))))
+    if not np.abs(den).min(initial=np.inf) >= GAP_FLOOR * max(1.0, np.abs(u).max(initial=0.0)):
+        bad = ~(np.abs(den) >= GAP_FLOOR * np.maximum(1.0, np.maximum(np.abs(u_l), np.abs(u_r))))
         if bad.any():
             where = np.broadcast_to(y, den.shape)[bad]
             raise DegenerateStatesError(f"degenerate front states at y={where!r}; "

@@ -46,6 +46,11 @@ TOL_SMOOTH_C = 1.0
 # time level between them, and fewer rows pay Newton's overhead more often
 SAMPLE_BLOCK_ROWS = 16
 
+# the single-front oracle's RK45 tolerances, and the midpoint-rule points on
+# each piece where l1_u_fields' two front fields differ
+ORACLE_RTOL, ORACLE_ATOL = 1e-12, 1e-13
+L1_PTS_PER_PIECE = 8
+
 
 class SupportError(ValueError):
     pass
@@ -304,7 +309,7 @@ def _characteristic_step(point, y, z, h, k1=None):
             z - sixth * (k1z + 2 * k2z + 2 * k3z + k4z))
 
 
-def characteristic_check(flux, x0, u0, T, steps, window=None):
+def characteristic_check(flux, x0, u0, T, steps):
     """RK4-integrate the characteristic system and report the flux drift.
 
     The pair (y, z) follows dy = f_u(y, z), dz = -f_x(y, z); f(y, z) is a
@@ -319,11 +324,8 @@ def characteristic_check(flux, x0, u0, T, steps, window=None):
     drift = 0.0
     k = point(y, z)
     f0 = k[0]
-    for step in range(int(steps)):
+    for _ in range(int(steps)):
         y, z = _characteristic_step(point, y, z, h, k)
-        if window is not None and not (window[0] <= y <= window[1]):
-            raise ValueError(f"characteristic left the window at y={y}, "
-                             f"t~{(step + 1) * h}")
         k = point(y, z)
         drift = max(drift, abs(k[0] - f0))
     return drift
@@ -371,7 +373,7 @@ class SingleFrontSolution:
     """Independent oracle for one front: scipy RK45 on the jump ODE with
     brentq-based profile inversion (shares no numerics with the tracker)."""
 
-    def __init__(self, flux, g_l, g_r, x0, t_max, rtol=1e-12, atol=1e-13):
+    def __init__(self, flux, g_l, g_r, x0, t_max):
         from scipy.integrate import solve_ivp
         from scipy.optimize import brentq
 
@@ -397,7 +399,7 @@ class SingleFrontSolution:
 
         self._sol = solve_ivp(rhs, (0.0, float(t_max)), [float(x0)],
                               method="RK45", dense_output=True,
-                              rtol=rtol, atol=atol, max_step=t_max / 50.0)
+                              rtol=ORACLE_RTOL, atol=ORACLE_ATOL, max_step=t_max / 50.0)
         if not self._sol.success:
             raise RuntimeError(f"oracle integration failed: {self._sol.message}")
 
@@ -430,10 +432,6 @@ class FVGrid:
     u: np.ndarray
     t: float
     cfl: float
-
-    def x_mids(self):
-        lo = self.window[0]
-        return lo + (np.arange(self.cells) + 0.5) * self.dx
 
     def sampler(self):
         """Piecewise-constant cell sampler (for L1 comparisons)."""
@@ -513,7 +511,7 @@ def l1_distance(sampler_a, sampler_b, window, resolution):
     return float(np.sum(np.abs(a - b)) * dx)
 
 
-def l1_u_fields(flux, field_a, field_b, lo, hi, pts_per_piece=8):
+def l1_u_fields(flux, field_a, field_b, lo, hi):
     """L1 distance in u between two front fields on [lo, hi].
 
     Pieces with identical integer levels contribute exactly zero; differing
@@ -523,9 +521,9 @@ def l1_u_fields(flux, field_a, field_b, lo, hi, pts_per_piece=8):
     cuts, ga, gb = common_pieces(field_a, field_b, lo, hi)
     differ = ga != gb
     width = np.diff(cuts)[differ, None]
-    xs = cuts[:-1][differ, None] + (np.arange(pts_per_piece) + 0.5) * width / pts_per_piece
+    xs = cuts[:-1][differ, None] + (np.arange(L1_PTS_PER_PIECE) + 0.5) * width / L1_PTS_PER_PIECE
     ua, ub = solve_level(flux, xs, np.array((ga[differ], gb[differ]))[:, :, None])
-    return float(np.sum(np.abs(ua - ub) * width / pts_per_piece))
+    return float(np.sum(np.abs(ua - ub) * width / L1_PTS_PER_PIECE))
 
 
 def domain_of_dependence_check(flux, u0, u0_perturbed, delta, window, cells, T, R,

@@ -1,3 +1,4 @@
+import ast
 import functools
 import operator
 import re
@@ -500,6 +501,64 @@ def test_each_tree_compiles_once(monkeypatch):
     flux = make_builtin_flux("custom_expr", expr=tree)
     assert flux.f(1.0, 2.0) == fx.evaluate(tree, 1.0, 2.0)
     assert len(compiled) == 3
+
+
+def _result(call):
+    """The bits of call(), or its DomainError message."""
+    try:
+        return bits(call())
+    except fx.DomainError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("text, bad_x", [
+    ("u^2/2 + 1/x", 0.0),                # Python floats divide by zero; f_u does not read 1/x
+    ("u^2/2 + u^2*(1/sin(x))", 0.0),     # numpy scalars divide by zero
+    ("u^2*sqrt(x - 5) + u^4", 1.0),      # sqrt of a negative number
+    ("exp(x)*u^2", 800.0),               # numpy's exp overflows
+], ids=["float_division", "numpy_division", "sqrt_negative", "exp_overflow"])
+@pytest.mark.parametrize("f_first", [False, True], ids=["fresh", "f_compiled_first"])
+def test_a_failing_temporary_free_of_u_fails_as_the_unhoisted_functions_do(text, bad_x, f_first):
+    # where a hoisted temporary fails at x, each bound function returns or
+    # raises what the unhoisted evaluation of its outputs does at (x, u)
+    tree = fx.parse(text)
+    if f_first:  # evaluate compiles f alone, before the flux compiles the rest
+        with pytest.raises(fx.DomainError):
+            fx.evaluate(tree, bad_x, 1.0)
+    flux = make_builtin_flux("custom_expr", expr=tree)
+    us = np.array([[-1.0, 0.5], [2.0, 1.5]])
+    for x, u in ((bad_x, 0.5), (np.array([bad_x, 1.0]), us[0]), (np.array([1.0, bad_x]), us)):
+        f, fu = flux.at(x)
+        assert _result(lambda: f(u)) == _result(lambda: flux.f(x, u))
+        assert _result(lambda: fu(u)) == _result(lambda: flux.fu(x, u))
+    bound = flux.point(bad_x)
+    for u in (-1.0, 0.5):
+        assert _result(lambda: bound(u)) == _result(lambda: flux.point(bad_x, u)[:2])
+
+
+def test_a_bound_function_takes_only_the_hoisted_temporaries_it_reads(monkeypatch):
+    sources = []
+    real_compile = compile
+    monkeypatch.setattr(jet, "compile", lambda *a: sources.append(a[0]) or real_compile(*a),
+                        raising=False)
+    for text in ("(1+0.5*sin(x))*u^2/2 + u^4/12", "x*u^2 + sin(x)*u^4 + cos(x)",
+                 "exp(0.3*x*u)*u^2/2 + tanh(x - u)*u/(2 + x^2) + sqrt(3 + cos(x*u))*(2 + u)^-2"):
+        make_builtin_flux("custom_expr", expr=text)
+    bound = [fn for source in sources for binding in ast.parse(source).body
+             if binding.name in ("at", "point") for fn in ast.walk(binding)
+             if isinstance(fn, ast.FunctionDef) and fn is not binding]
+    assert len(bound) == 3 * 3
+    for fn in bound:
+        names = [n for stmt in fn.body for n in ast.walk(stmt) if isinstance(n, ast.Name)]
+        stored = {n.id for n in names if isinstance(n.ctx, ast.Store)}
+        read = {n.id for n in names if isinstance(n.ctx, ast.Load)} - stored
+        params = [a.arg for a in fn.args.args[1:]]
+        assert [d.id for d in fn.args.defaults] == params
+        assert set(params) == {name for name in read if re.fullmatch(r"x|t\d+", name)}
+    # the dsl_fan flux's binding reads 1 + 0.5 sin(x) alone
+    bound = make_builtin_flux("custom_expr", expr="(1+0.5*sin(x))*u^2/2 + u^4/12").point(0.3)
+    assert bound.__code__.co_varnames[1:bound.__code__.co_argcount] == ("t2",)
+    assert bound.__defaults__ == (1.0 + 0.5 * np.sin(0.3),)
 
 
 # ---------------------------------------------------------------------------
