@@ -3,8 +3,8 @@ contact range.
 
 ``first_contact`` is the search on the step length.  ``locate`` runs the aimed
 step and that search on the fronts of the given pairs alone, on Python floats:
-a front's speed binds the flux at its position once, ``Flux.point(y)``, which
-returns f and f_u without f_x, and inverts both traces through that binding
+a front's speed binds the flux at its position once, ``Flux.at(y)``, the same
+binding ``solve_level`` makes on arrays, and inverts both traces through it
 with ``stationary.solve_point``, one element of ``solve_level``'s Newton.  The
 speed is its column's operations in ``Tracker._speeds``, and ``rk4`` is the
 one RK4 step of both, so its traces and positions are bit for bit those of
@@ -94,8 +94,8 @@ def few_fronts(st, cols):
 
 def point_speed(tracker, st, front, y):
     """The front's speed at y: its column of ``tracker._speeds``, with both
-    traces inverted through one binding of the flux at y."""
-    bound, trace = tracker.flux.point(y), front.trace
+    traces inverted through one binding of the flux at y, ``flux.at(y)``."""
+    bound, trace = tracker.flux.at(y), front.trace
     u_l = trace[0] = solve_point(bound, y, front.left, trace[0])
     u_r = trace[1] = solve_point(bound, y, front.right, trace[1])
     den = u_l - u_r

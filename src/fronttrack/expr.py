@@ -210,9 +210,9 @@ def free_vars(node):
 
 def jet(tree):
     """The tree's f, fu, fx and fuu, functions of (x, u) with evaluate's guard;
-    at, which maps x to the pair (f(x, .), f_u(x, .)); and point, which maps
-    Python floats (x, u) to the floats (f, f_u, f_x), and x alone to the
-    binding u -> (f, f_u): emitted as one program and compiled once.  f is
+    at, which maps x to the pair (f(x, .), f_u(x, .)), on Python floats for
+    a Python float x; and point, which maps Python floats (x, u) to the
+    floats (f, f_u, f_x): emitted as one program and compiled once.  f is
     the function that evaluate runs."""
     names = ("f", "fu", "fx", "fuu", "at", "point")
     return dict(zip(names, tree._jet.compile(*names)))

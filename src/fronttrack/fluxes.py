@@ -44,13 +44,13 @@ class DomainError(ArithmeticError):
         super().__init__(f"cannot evaluate `{text}`: {reason}")
 
 
-def _derived_point(f, fu, fx):
-    """``Flux.point`` from f, fu and fx, with no work shared."""
-    def point(x, u=None):
-        if u is None:  # x reaches the binding as a default: closure cells cost every call
-            return lambda u, x=x: (float(f(x, u)), float(fu(x, u)))
-        return float(f(x, u)), float(fu(x, u)), float(fx(x, u))
-    return point
+def _derived_at(f, fu):
+    """``Flux.at`` from f and fu, with no work shared."""
+    def at(x):
+        if isinstance(x, float):  # x reaches them as a default: closure cells cost every call
+            return (lambda u, x=x: float(f(x, u))), (lambda u, x=x: float(fu(x, u)))
+        return (lambda u: f(x, u)), (lambda u: fu(x, u))
+    return at
 
 
 @dataclass(frozen=True)
@@ -61,20 +61,18 @@ class Flux:
     the certified lower bound on f_uu; it is None for a DSL flux until an
     audit has certified one.
 
-    ``at`` maps positions x to the pair (f(x, .), f_u(x, .)) of functions of
-    u alone, with the work that depends only on x done once; the bound
-    functions must agree with ``f`` and ``fu`` bit for bit.  ``point`` works
-    on Python floats, bit for bit as ``f``, ``fu`` and ``fx``: ``point(x, u)``
-    returns (f, f_u, f_x) at that point, the characteristic system's one
-    call, and ``point(x)`` binds the flux at x, returning a function of u
-    alone that returns (f, f_u), with the work that depends only on x done
-    once and no f_x.  Either one not given is derived from ``f``, ``fu`` and
-    ``fx``, with no work shared.  The tracker locates contacts on the few
-    fronts near them through the binding and moves the rest through ``at``,
-    so a located event's positions rest on that agreement.  A copy that
-    replaces ``f``, ``fu`` or ``fx`` must therefore pass ``at=None`` and
-    ``point=None`` as well, and the binding, which rides on ``point``, is
-    derived with it.
+    ``at`` binds the flux at x: it returns the pair (f(x, .), f_u(x, .)) of
+    functions of u alone, with the work that depends only on x done once, on
+    Python floats when x is a Python float and on arrays otherwise, bit for
+    bit as ``f`` and ``fu``.  Both Newtons invert the profiles through it.
+    ``point(x, u)`` returns the Python floats (f, f_u, f_x) at one point, bit
+    for bit as ``f``, ``fu`` and ``fx``: the characteristic system's one
+    call.  Either one not given is derived from ``f``, ``fu`` and ``fx``,
+    with no work shared.  The tracker locates contacts on the few fronts near
+    them through ``at`` on floats and moves the rest through ``at`` on
+    arrays, so a located event's positions rest on that agreement.  A copy
+    that replaces ``f``, ``fu`` or ``fx`` must therefore pass ``at=None`` and
+    ``point=None`` as well.
     """
 
     f: Callable
@@ -89,9 +87,9 @@ class Flux:
 
     def __post_init__(self):
         f, fu, fx = self.f, self.fu, self.fx
-        object.__setattr__(self, "at", self.at or (lambda x: (lambda u: f(x, u),
-                                                              lambda u: fu(x, u))))
-        object.__setattr__(self, "point", self.point or _derived_point(f, fu, fx))
+        object.__setattr__(self, "at", self.at or _derived_at(f, fu))
+        object.__setattr__(self, "point", self.point or (lambda x, u: (
+            float(f(x, u)), float(fu(x, u)), float(fx(x, u)))))
 
     def require_alpha(self):
         if self.alpha is None or not 0.0 < self.alpha < np.inf:  # also nan
@@ -158,20 +156,19 @@ class SpeedEnvelope:
 def _scaled_burgers(family, params, a_min, coefficient):
     """f = a(x) u^2/2 with a >= a_min > 0; ``coefficient(sin, cos)`` returns a
     and a' written with the given sin and cos, instantiated with numpy's for
-    arrays and with math's for ``point``, so both run the same operations;
-    ``point(x)`` computes a(x) once and a'(x) not at all."""
+    arrays and with math's for Python floats, so both run the same
+    operations; ``at(x)`` computes a(x) once."""
     a, da = coefficient(np.sin, np.cos)
     a_float, da_float = coefficient(math.sin, math.cos)
 
     def at(x):
-        ax = a(x)
-        half = 0.5 * ax  # 0.5 * a(x) * u * u multiplies left to right
-        return (lambda u: half * u * u), (lambda u: ax * u)
+        ax = a_float(x) if isinstance(x, float) else a(x)
+        # 0.5 * a(x) * u * u multiplies left to right; a(x) reaches the bound
+        # functions as defaults: closure cells cost every call
+        return (lambda u, half=0.5 * ax: half * u * u), (lambda u, ax=ax: ax * u)
 
-    def point(x, u=None):
+    def point(x, u):
         ax = a_float(x)
-        if u is None:  # a(x) reaches the binding as defaults: closure cells cost every call
-            return lambda u, half=0.5 * ax, ax=ax: (half * u * u, ax * u)
         return 0.5 * ax * u * u, ax * u, 0.5 * da_float(x) * u * u
 
     return Flux(

@@ -48,10 +48,10 @@ _TEMPLATES = {"+": "{} + {}", "-": "{} - {}", "*": "{} * {}", "/": "{} / {}", "n
 _LABELS = {"f": "f", "fu": "f_u", "fx": "f_x", "fuu": "f_uu"}
 # how each kind of number takes an output's value, and tests it finite
 _KINDS = {"arrays": ("{}", "_isfinite({}).all()"), "floats": ("_float({})", "_finite({})")}
-# each binding's kind of number, and its bound functions: the name and outputs
-# of each, and the unhoisted call that returns those outputs at (x, u)
-_BINDINGS = {"at": ("arrays", [("bound_f", ("f",), "f(x, u)"), ("bound_fu", ("fu",), "fu(x, u)")]),
-             "point": ("floats", [("bound", ("f", "fu"), "point(x, u)[:2]")])}
+# each kind of number's bound functions: the name and output of each, and the
+# unhoisted call that returns that output at (x, u)
+_BINDINGS = {"arrays": [("bound_f", "f", "f(x, u)"), ("bound_fu", "fu", "fu(x, u)")],
+             "floats": [("bound_f", "f", "_float(f(x, u))"), ("bound_fu", "fu", "_float(fu(x, u))")]}
 
 
 def _number(a):
@@ -271,44 +271,44 @@ class Jet:
         handler = f"raise _fail(_tree, {label}, e) from None"
         return f"{header}\n" + textwrap.indent(_try(lines, handler), "    ")
 
-    def _binding(self, name):
-        """The body of the binding ``name`` at x.  It computes the temporaries
-        free of u that its bound functions need once, under one guard, and
-        returns the bound functions of u.  Each receives, as default
-        arguments rather than closure cells, which cost every call, the
-        hoisted temporaries it reads (and x, if it reads x), and computes the
-        rest of its outputs in their unhoisted order.  So a bound function
-        raises exactly what the unhoisted evaluation of its outputs raises at
+    def _binding(self, kind):
+        """The body of ``at(x)`` on the kind of number ``kind``.  It computes
+        the temporaries free of u that f and f_u need once, under one guard,
+        and returns the pair (f, f_u) of functions of u.  Each receives, as
+        default arguments rather than closure cells, which cost every call,
+        the hoisted temporaries it reads (and x, if it reads x), and computes
+        the rest of its output in its unhoisted order.  So a bound function
+        raises exactly what the unhoisted evaluation of its output raises at
         (x, u): where a hoisted temporary fails, the binding returns those
         unhoisted evaluations themselves."""
-        kind, bound = _BINDINGS[name]
-        needed = self._needed(*(self._out(n) for _, outs, _ in bound for n in outs))
-        hoisted = [t for t in needed if not self.has_u[t]]
+        bound = _BINDINGS[kind]
+        hoisted = [t for t in self._needed(self.f, self._out("fu")) if not self.has_u[t]]
         fallback = "return " + ", ".join(f"lambda u, x=x: {call}" for _, _, call in bound)
         code = _try(map(self._line, hoisted), fallback) if hoisted else ""
-        for fn, outs, _ in bound:
-            temps = [t for t in self._needed(*map(self._out, outs)) if self.has_u[t]]
-            reads = {*map(self._out, outs), *(a for t in temps for a in self.ops[t][1])}
+        for fn, name, _ in bound:
+            out = self._out(name)
+            temps = [t for t in self._needed(out) if self.has_u[t]]
+            reads = {out, *(a for t in temps for a in self.ops[t][1])}
             params = "".join(f", {_source(a)}={_source(a)}" for a in ["x", *hoisted] if a in reads)
-            code += self._program(f"def {fn}(u{params}):", outs, kind, hoisted)
-        return code + f"return {', '.join(fn for fn, _, _ in bound)}\n"
+            code += self._program(f"def {fn}(u{params}):", (name,), kind, hoisted)
+        return code + "return bound_f, bound_fu\n"
 
     def source(self, name):
         """The source of the function ``name``: f, fu, fx or fuu of arrays
-        (x, u); at(x), which binds f and f_u on arrays at x; or point, which
-        maps Python floats (x, u) to (f, f_u, f_x) and binds (f, f_u) at x."""
+        (x, u); at(x), which binds f and f_u at x, on Python floats when x
+        is a Python float and on arrays otherwise; or point, which maps
+        Python floats (x, u) to (f, f_u, f_x)."""
         if name == "at":
-            return "def at(x):\n" + textwrap.indent(self._binding("at"), "    ")
+            body = "if isinstance(x, _float):\n" + textwrap.indent(self._binding("floats"), "    ")
+            return "def at(x):\n" + textwrap.indent(body + self._binding("arrays"), "    ")
         if name == "point":
-            binding = textwrap.indent(self._binding("point"), "        ").rstrip("\n")
-            return self._program(f"def point(x, u=None):\n    if u is None:\n{binding}",
-                                 ("f", "fu", "fx"), "floats")
+            return self._program("def point(x, u):", ("f", "fu", "fx"), "floats")
         return self._program(f"def {name}(x, u):", (name,), "arrays")
 
     def compile(self, *names):
         """The named functions, each compiled once into the tree's one
-        namespace, where a binding's unhoisted calls find f, fu and point
-        (``expr.jet`` compiles at with f and fu); the names not compiled yet
+        namespace, where a binding's unhoisted calls find f and fu
+        (``expr.jet`` compiles at with them); the names not compiled yet
         share one compile."""
         todo = [n for n in names if n not in self.namespace]
         if todo:
@@ -319,6 +319,6 @@ class Jet:
 # ndarray.all imports numpy's reductions through the caller's builtins
 _NAMESPACE = {"__builtins__": {"__import__": __import__}, "inf": math.inf, "nan": math.nan,
               "_ipow": _ipow, "_errstate": np.errstate, "_isfinite": np.isfinite, "_fail": _fail,
-              "_float": float, "_finite": math.isfinite,
+              "_float": float, "_finite": math.isfinite, "isinstance": isinstance,
               "_ERRORS": (FloatingPointError, ZeroDivisionError, OverflowError),
               **{name: getattr(np, name) for name in FUNCTIONS}}

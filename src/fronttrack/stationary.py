@@ -64,8 +64,9 @@ def solve_level(flux, x, g, guess=0.0):
     monotone, so no bisection safeguard is needed beyond clipping into
     [0, bracket].  ``g`` is levels or their ``level_constants``; x keeps its
     shape, so levels stacked on shared x evaluate its part of f once per point,
-    and ``flux.at`` binds f at x once per call, so a flux whose ``at`` shares
-    that part evaluates it once per call, not per iteration.
+    and ``flux.at`` binds f and f_u at x once per call, so a flux whose ``at``
+    shares that part evaluates it once per call, not per iteration.  Each
+    iteration evaluates f, and f_u only when a point still steps.
     """
     s, g_abs, u_hi, start, tol = g if isinstance(g, LevelConstants) else \
         level_constants(flux, g)
@@ -94,26 +95,26 @@ def solve_level(flux, x, g, guess=0.0):
 
 def solve_point(bound, x, c, guess):
     """solve_level at one point x on Python floats, through the flux bound
-    at x, ``bound = flux.point(x)``, which returns f and f_u alone.
+    at x, ``bound = flux.at(x)``: the pair (f, f_u) of functions of u.
 
     ``c`` is one level's (s, g_abs, u_hi, start, tol) from ``level_constants``
     as floats.  The operations are those of one element of solve_level's
-    Newton, in the same order, so from the same guess the result has the
-    same bits; max(0.0, w) returns 0.0 for w = -0.0, as np.maximum(w, 0.0)
-    does, where max(w, 0.0) would return -0.0.  One binding serves every
-    level inverted at x.
+    Newton, in the same order, f_u only for a step taken, so from the same
+    guess the result has the same bits and it fails where solve_level does;
+    max(0.0, w) returns 0.0 for w = -0.0, as np.maximum(w, 0.0) does, where
+    max(w, 0.0) would return -0.0.  One binding serves every level at x.
     """
+    f, fu = bound
     s, g_abs, u_hi, start, tol = c
     w = min(abs(guess), u_hi)
     if not w > 0.0:
         w = start
     for _ in range(_MAX_NEWTON):
         sw = s * w
-        f, fu = bound(sw)
-        phi = f - g_abs
+        phi = f(sw) - g_abs
         if not abs(phi) > tol:
             return sw
-        dphi = s * fu
+        dphi = s * fu(sw)
         w = min(max(0.0, w - phi / (dphi if dphi > 0.0 else 1.0)), u_hi)
     raise InversionError(x, s * g_abs)
 

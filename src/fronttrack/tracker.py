@@ -9,8 +9,8 @@ Rankine-Hugoniot ODE; interactions are located by stepping onto predicted
 contact times and, when a step overshoots, by a safeguarded Illinois
 false-position search on the step length, and always resolve into at most
 one front.  The search runs on the fronts of the pairs near contact alone,
-through the flux bound at each front's position (``Flux.point(y)``, f and f_u
-on Python floats) with the bits of their array columns
+through the flux bound at each front's position (``Flux.at(y)`` on Python
+floats, the binding the array columns make on arrays) with their bits
 (``fronttrack.contact``), and one RK4 step of all fronts to the located
 length follows; a pair that step brings into contact range joins the
 searched pairs, and the search runs again.  An event splices the speeds, warm

@@ -531,9 +531,13 @@ def test_a_failing_temporary_free_of_u_fails_as_the_unhoisted_functions_do(text,
         f, fu = flux.at(x)
         assert _result(lambda: f(u)) == _result(lambda: flux.f(x, u))
         assert _result(lambda: fu(u)) == _result(lambda: flux.fu(x, u))
-    bound = flux.point(bad_x)
+    # on Python floats, the first of the pair to fail raises point's error at (x, u)
+    f, fu = flux.at(bad_x)
     for u in (-1.0, 0.5):
-        assert _result(lambda: bound(u)) == _result(lambda: flux.point(bad_x, u)[:2])
+        pair = [_result(lambda: f(u)), _result(lambda: fu(u))]
+        failed = [r for r in pair if isinstance(r, str)]
+        assert (failed[0] if failed else _result(lambda: (f(u), fu(u)))) == \
+            _result(lambda: flux.point(bad_x, u)[:2])
 
 
 def test_a_bound_function_takes_only_the_hoisted_temporaries_it_reads(monkeypatch):
@@ -544,10 +548,11 @@ def test_a_bound_function_takes_only_the_hoisted_temporaries_it_reads(monkeypatc
     for text in ("(1+0.5*sin(x))*u^2/2 + u^4/12", "x*u^2 + sin(x)*u^4 + cos(x)",
                  "exp(0.3*x*u)*u^2/2 + tanh(x - u)*u/(2 + x^2) + sqrt(3 + cos(x*u))*(2 + u)^-2"):
         make_builtin_flux("custom_expr", expr=text)
+    # at's bound f and f_u on Python floats and on arrays
     bound = [fn for source in sources for binding in ast.parse(source).body
-             if binding.name in ("at", "point") for fn in ast.walk(binding)
+             if binding.name == "at" for fn in ast.walk(binding)
              if isinstance(fn, ast.FunctionDef) and fn is not binding]
-    assert len(bound) == 3 * 3
+    assert len(bound) == 3 * 4
     for fn in bound:
         names = [n for stmt in fn.body for n in ast.walk(stmt) if isinstance(n, ast.Name)]
         stored = {n.id for n in names if isinstance(n.ctx, ast.Store)}
@@ -556,9 +561,10 @@ def test_a_bound_function_takes_only_the_hoisted_temporaries_it_reads(monkeypatc
         assert [d.id for d in fn.args.defaults] == params
         assert set(params) == {name for name in read if re.fullmatch(r"x|t\d+", name)}
     # the dsl_fan flux's binding reads 1 + 0.5 sin(x) alone
-    bound = make_builtin_flux("custom_expr", expr="(1+0.5*sin(x))*u^2/2 + u^4/12").point(0.3)
-    assert bound.__code__.co_varnames[1:bound.__code__.co_argcount] == ("t2",)
-    assert bound.__defaults__ == (1.0 + 0.5 * np.sin(0.3),)
+    flux = make_builtin_flux("custom_expr", expr="(1+0.5*sin(x))*u^2/2 + u^4/12")
+    for bound in (*flux.at(0.3), *flux.at(np.array([0.3]))):
+        assert bound.__code__.co_varnames[1:bound.__code__.co_argcount] == ("t2",)
+        assert bound.__defaults__ == (1.0 + 0.5 * np.sin(0.3),)
 
 
 # ---------------------------------------------------------------------------

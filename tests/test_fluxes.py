@@ -108,17 +108,43 @@ def _hand_built():
 def test_point_equals_f_fu_and_fx_on_floats(build):
     flux = build()
     for x in np.linspace(-10.0, 10.0, 81).tolist():
-        f, fu = flux.at(x)
-        bound = flux.point(x)  # the binding at x: f and f_u of u alone
+        f, fu = flux.at(x)  # the binding at x on Python floats: f and f_u of u alone
         for u in np.linspace(-2.5, 2.5, 41).tolist():
             got = flux.point(x, u)
             assert all(type(v) is float for v in got)
             want = (flux.f(x, u), flux.fu(x, u), flux.fx(x, u))
             assert np.array(got).tobytes() == np.array(want).tobytes()
-            assert np.array((f(u), fu(u))).tobytes() == np.array(want[:2]).tobytes()
-            pair = bound(u)
-            assert len(pair) == 2 and all(type(v) is float for v in pair)
+            pair = f(u), fu(u)
+            assert all(type(v) is float for v in pair)
             assert np.array(pair).tobytes() == np.array(want[:2]).tobytes()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_builtin_flux("homogeneous_burgers"),
+    lambda: make_builtin_flux("modulated_burgers", base=1.3, amp=-0.6, freq=2.7, phase=-0.9),
+    lambda: make_builtin_flux("custom_expr", expr=DSL_FAN),
+    lambda: replace(make_builtin_flux("modulated_burgers", base=1.0, amp=0.5),
+                    at=None, point=None),
+], ids=["homogeneous", "modulated", "dsl_fan", "copy_without_at"])
+def test_at_on_a_float_returns_floats_with_the_bits_of_at_on_an_array(build):
+    flux = build()
+    for x in np.linspace(-10.0, 10.0, 41).tolist():
+        pairs = flux.at(x), flux.at(np.array([x]))
+        for u in np.linspace(-2.5, 2.5, 21).tolist():
+            for on_float, on_array in zip(*pairs):
+                got = on_float(u)
+                assert type(got) is float
+                assert np.array([got]).tobytes() == on_array(np.array([u])).tobytes()
+
+
+def _result(call):
+    """The bits of call(), a Python float, or its DomainError message."""
+    try:
+        value = call()
+    except DomainError as e:
+        return str(e)
+    assert type(value) is float
+    return np.array(value).tobytes()
 
 
 @pytest.mark.parametrize("expr, x, u, label", [
@@ -146,15 +172,14 @@ def test_a_dsl_point_raises_the_domain_error_of_f_fu_or_fx(expr, x, u, label):
     assert str(info.value) == errors[0]
     assert str(info.value).startswith("cannot evaluate `")
     assert (label == "f") != (f"{label}: " in str(info.value))
-    # the binding needs f and f_u alone: where one of them fails it raises the
-    # same error, whether the failing temporary reads u or not; where only f_x
-    # fails it returns their values
-    if label == "f_x":
-        assert flux.point(x)(u) == (flux.f(x, u), flux.fu(x, u))
-    else:
-        with pytest.raises(DomainError) as info:
-            flux.point(x)(u)
-        assert str(info.value) == errors[0]
+    # the binding on floats: each of its functions returns or raises what f or
+    # f_u does, whether the failing temporary reads u or not, so the first of
+    # them to fail raises the point's error; where only f_x fails both return
+    f, fu = flux.at(x)
+    got = [_result(lambda: f(u)), _result(lambda: fu(u))]
+    assert got == [_result(lambda: float(flux.f(x, u))), _result(lambda: float(flux.fu(x, u)))]
+    failed = [r for r in got if isinstance(r, str)]
+    assert failed[:1] == ([] if label == "f_x" else errors[:1])
 
 
 @pytest.mark.parametrize("expr, x", [
@@ -164,15 +189,17 @@ def test_a_dsl_point_raises_the_domain_error_of_f_fu_or_fx(expr, x, u, label):
 ], ids=["float_division", "numpy_division", "sqrt_negative"])
 def test_a_failing_temporary_free_of_u_keeps_the_label_of_f(expr, x):
     # the binding computes the temporaries free of u once, at x; where one of
-    # them fails, every u raises the error of f, the first function to need it
+    # them fails, every u raises the error of f from the bound f, on Python
+    # floats and on arrays
     flux = make_builtin_flux("custom_expr", expr=expr)
-    bound = flux.point(x)
-    for u in (-1.0, 0.5, 2.0):
-        with pytest.raises(DomainError) as info:
-            bound(u)
-        with pytest.raises(DomainError) as want:
-            flux.f(x, u)
-        assert str(info.value) == str(want.value) and ": f_" not in str(info.value)
+    for at_x in (x, np.array([x])):
+        f, _ = flux.at(at_x)
+        for u in (-1.0, 0.5, 2.0):
+            with pytest.raises(DomainError) as info:
+                f(u)
+            with pytest.raises(DomainError) as want:
+                flux.f(at_x, u)
+            assert str(info.value) == str(want.value) and ": f_" not in str(info.value)
 
 
 def _counted(fn, calls):
@@ -188,7 +215,7 @@ def _counted(fn, calls):
 ], ids=["modulated", "dsl_fan"])
 def test_a_copy_without_point_binds_its_own_f_and_fu(build):
     # no stale binding survives a copy: the float Newton of a copy with
-    # point=None runs through the copy's f and fu, with the original's bits
+    # at=None runs through the copy's f and fu, with the original's bits
     from fronttrack.stationary import level_constants, solve_point
     flux = build()
     if flux.alpha is None:
@@ -199,10 +226,25 @@ def test_a_copy_without_point_binds_its_own_f_and_fu(build):
     c = np.array(level_constants(flux, [0.3, -0.2])).T.tolist()
     for x in (-1.3, 0.0, 0.7):
         for level in c:
-            want = solve_point(flux.point(x), x, level, 0.0)
+            want = solve_point(flux.at(x), x, level, 0.0)
             n = len(calls)
-            assert solve_point(copy.point(x), x, level, 0.0) == want
+            assert solve_point(copy.at(x), x, level, 0.0) == want
             assert len(calls) > n
+
+
+def test_the_two_newtons_agree_where_f_u_fails_at_the_root():
+    # f_u of u^2 sqrt(u^2 + x^2) is 0/0 at (0, 0); the level g = 0 is solved by
+    # u = 0 before a step, so neither Newton evaluates f_u there
+    from fronttrack.stationary import level_constants, solve_level, solve_point
+    flux = replace(make_builtin_flux("custom_expr", expr="u^2/2 + u^2*sqrt(u^2 + x^2)"),
+                   alpha=1.0)
+    with pytest.raises(DomainError, match="f_u: invalid value"):
+        flux.fu(0.0, 0.0)
+    c = [float(v[0]) for v in level_constants(flux, [0.0])]
+    on_array = solve_level(flux, np.array([0.0]), [0.0])
+    on_float = solve_point(flux.at(0.0), 0.0, c, 0.0)
+    assert type(on_float) is float
+    assert np.array([on_float]).tobytes() == on_array.tobytes() == np.array([0.0]).tobytes()
 
 
 def test_unknown_family_and_params_rejected():

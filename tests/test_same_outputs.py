@@ -136,3 +136,37 @@ def test_differing_files_and_manifest_keys_are_named(tmp_path):
     assert same_outputs.describe_artifacts(diffs) == (
         "differ: events.csv, profile_001.csv, profile_002.csv, "
         "manifest.json:checks, manifest.json:error")
+
+
+_UNITS = {"stationary.solve_level_calls": "count", "stationary.newton_iters_per_call": "iters/call",
+          "tracker.speed_evals": "count", "stationary.solve_level_self_s": "s",
+          "tracker.speed_evals_per_event": "evals/event"}
+
+
+def _layers():
+    # a traced repetition's layer metrics, as perfbench/tracing.py summarizes them
+    return {"stationary.solve_level_calls": 1500, "stationary.newton_iters_per_call": 2.25,
+            "tracker.speed_evals": 718, "stationary.solve_level_self_s": 0.031,
+            "tracker.speed_evals_per_event": 7.5}
+
+
+def test_counts_compare_only_the_counted_layer_metrics():
+    change = _layers()
+    change["stationary.solve_level_self_s"] = 0.029  # a time: not compared
+    change["tracker.speed_evals_per_event"] = 8.0    # neither a count nor iters/call
+    assert same_outputs.compare_counts(_layers(), change, _UNITS) == []
+    assert same_outputs.describe_counts([]) == "identical"
+
+
+def test_differing_counts_are_named_with_both_values():
+    change = _layers()
+    change["stationary.newton_iters_per_call"] = 2.5
+    change["tracker.speed_evals"] = 720
+    del change["stationary.solve_level_calls"]
+    diffs = same_outputs.compare_counts(_layers(), change, _UNITS)
+    assert diffs == [("stationary.newton_iters_per_call", 2.25, 2.5),
+                     ("stationary.solve_level_calls", 1500, None),
+                     ("tracker.speed_evals", 718, 720)]
+    assert same_outputs.describe_counts(diffs) == (
+        "differ: stationary.newton_iters_per_call 2.25 -> 2.5, "
+        "stationary.solve_level_calls 1500 -> None, tracker.speed_evals 718 -> 720")

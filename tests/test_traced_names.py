@@ -76,17 +76,17 @@ def test_worker_name_exists(module, name):
 
 
 def test_the_traced_flux_keeps_the_builtin_binding():
-    # the tracer replaces f and fu alone: point and its binding stay the
-    # builtin's, so the float Newton neither runs nor counts the wrapped f
+    # the tracer replaces f and fu alone: at and point stay the builtin's, so
+    # the float Newton neither runs nor counts the wrapped f
     from fronttrack.fluxes import make_builtin_flux
     from fronttrack.stationary import level_constants, solve_point
     flux = make_builtin_flux("modulated_burgers", base=1.0, amp=0.5)
     tracer = tracing.Tracer()
     traced = tracing._counted_flux(tracer, flux)
-    assert traced.point is flux.point and traced.f is not flux.f
+    assert traced.at is flux.at and traced.point is flux.point and traced.f is not flux.f
     level = [float(v[0]) for v in level_constants(flux, [0.3])]
-    assert solve_point(traced.point(0.7), 0.7, level, 0.0) == \
-        solve_point(flux.point(0.7), 0.7, level, 0.0)
+    assert solve_point(traced.at(0.7), 0.7, level, 0.0) == \
+        solve_point(flux.at(0.7), 0.7, level, 0.0)
     assert tracer.f_points == tracer.fu_points == 0
     traced.f(0.7, 0.5)
     assert tracer.f_points == 1

@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -1293,6 +1294,38 @@ def test_scaled_benchmark_run_makes_the_same_events(lam, unscaled_benchmark_run)
                               - [e.position for e in log])),
                 np.max(np.abs(g1.positions / lam - f1.positions)))
     print(f"\nlam = {lam:g}: {len(log)} events, largest |x/lam - x| = {moved:.2e}")
+
+
+def _scale_case(i):
+    """Case i of the cross-scale property test: a flux in x/lam, and data with
+    1 to 5 jumps of |u| in [0.3, 0.9] on a window of +-3 lam, at a random
+    scale lam = 10^U(-5, 5) and delta."""
+    rng = random.Random(f"scale {i}")
+    lam = 10.0 ** rng.uniform(-5.0, 5.0)
+    delta = rng.uniform(0.002, 0.05)
+    if i % 3 == 0:
+        flux = BURGERS
+    elif i % 3 == 1:
+        flux = make_builtin_flux("modulated_burgers", base=1.0, amp=0.5, freq=1.0 / lam)
+    else:  # the dsl_fan flux, whose audit the absolute FD step rejects at small lam
+        flux = replace(make_builtin_flux(
+            "custom_expr", expr=f"(1+0.5*sin(x/{lam!r}))*u^2/2 + u^4/12"), alpha=0.5)
+    n = rng.randint(1, 5)
+    breaks = sorted(rng.uniform(-2.5, 2.5) * lam for _ in range(n))
+    values = np.array([rng.choice((-1.0, 1.0)) * rng.uniform(0.3, 0.9) for _ in range(n + 1)])
+    u0 = lambda x: values[np.searchsorted(breaks, np.asarray(x), side="right")]
+    f0 = quantize_initial(flux, u0, delta, (-3 * lam, 3 * lam), round(6.0 / delta))
+    tr = Tracker(flux, delta, (-8 * lam, 8 * lam), h_ode=0.01 * lam)
+    return (f0, *tr.advance(f0, lam))
+
+
+def test_the_invariants_hold_at_every_scale():
+    interacting = 0
+    for i in range(40):
+        f0, f1, log = _scale_case(i)
+        _assert_invariants(f0, f1, log)
+        interacting += bool(log)
+    assert interacting >= 15, f"only {interacting} of 40 cases make events"
 
 
 def test_benchmark_run_is_bit_identical_without_the_bound_flux(unscaled_benchmark_run):

@@ -16,7 +16,12 @@ check records whose measured value or pass flag differ, each as its name,
 the parent's value and the change's value.  It compares that run's
 artifacts too, ``events.csv`` and each ``profile_*.csv`` byte for byte and
 ``manifest.json`` without ``wall_time_s`` by top-level key, and prints
-"identical" or the files and manifest keys that differ.  The exit status
+"identical" or the files and manifest keys that differ.  Last, it runs one
+traced repetition per workload at the default seed in each checkout
+(``Session.rep("trace")``, the repetition of ``--trace 1``) and compares
+every layer metric whose unit in ``BENCHMARK.json`` is ``count`` or
+``iters/call``, printing "identical" or each name that differs with the
+parent's and the change's values.  The exit status
 is 1 when the event ids (each event's consumed and produced fronts) differ
 anywhere, 2 when a repetition fails or a run writes no manifest, and 0
 otherwise.  It reads ``perfbench/`` and changes nothing there: a
@@ -36,20 +41,27 @@ import sys
 import tempfile
 from pathlib import Path
 
-# one recorded repetition in the checkout that is the working directory
+# one repetition in the checkout that is the working directory: "run" records
+# its observation in the file out, "trace" writes its layer metrics there
 _REP = """
-import shutil, sys, tempfile
+import json, shutil, sys, tempfile
 from pathlib import Path
 sys.path.insert(0, "perfbench")
 from run import ROOT, SCRATCH_PREFIX, Session
-workload, seed, record = sys.argv[1], int(sys.argv[2]), sys.argv[3]
+workload, seed, out, mode = sys.argv[1], int(sys.argv[2]), sys.argv[3], sys.argv[4]
 tmp = Path(tempfile.mkdtemp(prefix=SCRATCH_PREFIX, dir=ROOT))
 try:
-    ok = Session(workload, seed, False, None, tmp).rep("run", record=record) is not None
+    session = Session(workload, seed, False, None, tmp)
+    result = session.rep("run", record=out) if mode == "run" else session.rep("trace")
 finally:
     shutil.rmtree(tmp, ignore_errors=True)
-sys.exit(0 if ok else 1)
+if result is not None and mode == "trace":
+    Path(out).write_text(json.dumps(result["layers"]))
+sys.exit(0 if result is not None else 1)
 """
+# the units of the layer metrics that count, and so must not move in a change
+# that leaves the outputs identical
+COUNT_UNITS = ("count", "iters/call")
 
 
 def compare(parent, change):
@@ -135,12 +147,29 @@ def describe_artifacts(diffs):
     return "differ: " + ", ".join(diffs) if diffs else "identical"
 
 
-def record(checkout, workload, seed, out):
-    """One recorded repetition in the checkout; its observation, or None."""
-    proc = subprocess.run([sys.executable, "-c", _REP, workload, str(seed), str(out)],
+def compare_counts(parent, change, units):
+    """The layer metrics (dicts name -> value) whose unit in ``units`` (name
+    -> unit) is one of COUNT_UNITS and whose values differ, as (name, parent
+    value, change value) in name order; None where that side lacks it."""
+    return [(name, parent.get(name), change.get(name))
+            for name in sorted(parent.keys() | change.keys())
+            if units.get(name) in COUNT_UNITS and parent.get(name) != change.get(name)]
+
+
+def describe_counts(diffs):
+    """One line for the counted layer metrics that differ."""
+    if not diffs:
+        return "identical"
+    return "differ: " + ", ".join(f"{name} {p!r} -> {c!r}" for name, p, c in diffs)
+
+
+def record(checkout, workload, seed, out, mode="run"):
+    """One repetition in the checkout: with mode "run" its recorded
+    observation, with mode "trace" its layer metrics; None when it fails."""
+    proc = subprocess.run([sys.executable, "-c", _REP, workload, str(seed), str(out), mode],
                           cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
-        print(f"{checkout}: {workload} seed {seed} failed: "
+        print(f"{checkout}: {workload} seed {seed} {mode} failed: "
               + " | ".join(proc.stderr.strip().splitlines()[-3:]), file=sys.stderr)
         return None
     return json.loads(Path(out).read_text())
@@ -164,12 +193,15 @@ def run_benchmark(checkout, out):
 
 
 def workload_inputs(checkout):
-    """The workload names and default seed of the checkout's perfbench."""
+    """The workload names and default seed of the checkout's perfbench, and
+    the unit of each of its layer metrics."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_inputs", Path(checkout) / "perfbench" / "inputs.py")
     inputs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(inputs)
-    return inputs.WORKLOADS, inputs.DEFAULT_SEED
+    spec = json.loads((Path(checkout) / "BENCHMARK.json").read_text())
+    units = {m["name"]: m["unit"] for m in spec["per_layer"]}
+    return inputs.WORKLOADS, inputs.DEFAULT_SEED, units
 
 
 def main(argv=None):
@@ -178,7 +210,7 @@ def main(argv=None):
     parser.add_argument("--change", required=True, help="checkout of the change")
     args = parser.parse_args(argv)
 
-    workloads, default_seed = workload_inputs(args.change)
+    workloads, default_seed, units = workload_inputs(args.change)
     status = 0
     with tempfile.TemporaryDirectory() as tmp:
         for workload in workloads:
@@ -201,6 +233,15 @@ def main(argv=None):
             checks = [m["checks"]["checks"] for m in manifests]
             print(f"benchmark.ini checks: {describe_checks(compare_checks(*checks))}")
             print(f"benchmark.ini artifacts: {describe_artifacts(compare_artifacts(*outs))}")
+        for workload in workloads:
+            layers = [record(checkout, workload, default_seed, Path(tmp) / f"{side}_layers.json",
+                             "trace")
+                      for side, checkout in (("parent", args.parent), ("change", args.change))]
+            if None in layers:
+                status = 2
+                continue
+            print(f"{workload} --trace 1 counts: "
+                  f"{describe_counts(compare_counts(*layers, units))}")
     return status
 
 
