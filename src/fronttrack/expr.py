@@ -213,7 +213,9 @@ def jet(tree):
     at, which maps x to the pair (f(x, .), f_u(x, .)), on Python floats for
     a Python float x; and point, which maps Python floats (x, u) to the
     floats (f, f_u, f_x): emitted as one program and compiled once.  f is
-    the function that evaluate runs."""
+    the function that evaluate runs.  On Python floats a function enters no
+    floating-point guard: at any sign of trouble it returns or raises what
+    the guarded f, fu and fx do at (x, u), with the same bits otherwise."""
     names = ("f", "fu", "fx", "fuu", "at", "point")
     return dict(zip(names, tree._jet.compile(*names)))
 
@@ -225,7 +227,9 @@ def evaluate(node, x, u):
     evaluation, under one floating-point guard: numpy raises on overflow,
     division by zero or an invalid operation, Python floats raise on division
     by zero, and the single finiteness check of the result catches what plain
-    Python floats let through (an overflowing product is inf).
+    Python floats let through (an overflowing product is inf).  This guarded
+    evaluation is also what the guard-free float functions of ``jet`` fall
+    back on.
     """
     return node._f(x, u)
 

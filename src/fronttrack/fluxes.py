@@ -68,9 +68,12 @@ class Flux:
     ``point(x, u)`` returns the Python floats (f, f_u, f_x) at one point, bit
     for bit as ``f``, ``fu`` and ``fx``: the characteristic system's one
     call.  Either one not given is derived from ``f``, ``fu`` and ``fx``,
-    with no work shared.  The tracker locates contacts on the few fronts near
-    them through ``at`` on floats and moves the rest through ``at`` on
-    arrays, so a located event's positions rest on that agreement.  A copy
+    with no work shared.  A DSL flux's ``at`` on Python floats and its
+    ``point`` enter no floating-point guard: where they meet trouble, they
+    return or raise what the guarded ``f``, ``fu`` and ``fx`` do.  The
+    tracker locates contacts on the few fronts near them through ``at`` on
+    floats and moves the rest through ``at`` on arrays, so a located event's
+    positions rest on that agreement.  A copy
     that replaces ``f``, ``fu`` or ``fx`` must therefore pass ``at=None`` and
     ``point=None`` as well.
     """

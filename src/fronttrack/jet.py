@@ -24,7 +24,9 @@ def _ipow(base, k):
     ``pow`` on a base <= 0.  k = 0 is ``base ** 0``, which keeps the shape
     and 0^0 = 1; a negative k is the reciprocal of the positive power, which
     may overflow to inf (as Python floats do) when the reciprocal is about 0.
-    The jet writes a power k >= 2 as these products; it calls this for k < 0.
+    The jet writes a power k >= 2 as these products; it calls this for k < 0
+    on arrays, and on Python floats takes the reciprocal of the positive
+    power itself, with no errstate to enter.
     """
     if k < 0:
         with np.errstate(over="ignore"):
@@ -46,12 +48,15 @@ _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": ope
 _TEMPLATES = {"+": "{} + {}", "-": "{} - {}", "*": "{} * {}", "/": "{} / {}", "neg": "-{}",
               **{name: name + "({})" for name in FUNCTIONS}}
 _LABELS = {"f": "f", "fu": "f_u", "fx": "f_x", "fuu": "f_uu"}
-# how each kind of number takes an output's value, and tests it finite
-_KINDS = {"arrays": ("{}", "_isfinite({}).all()"), "floats": ("_float({})", "_finite({})")}
-# each kind of number's bound functions: the name and output of each, and the
-# unhoisted call that returns that output at (x, u)
-_BINDINGS = {"arrays": [("bound_f", "f", "f(x, u)"), ("bound_fu", "fu", "fu(x, u)")],
-             "floats": [("bound_f", "f", "_float(f(x, u))"), ("bound_fu", "fu", "_float(fu(x, u))")]}
+_EXP_MAX = 709.78  # numpy's exp overflows past log(largest float) = 709.7827...
+# the test, as a predicate and as source, that an operand of an operation
+# passes on Python floats: a function's argument lies where numpy computes it
+# with no warning, and a divisor, the argument of tanh or exp and the base of
+# a power k <= 0 are finite, as these operations may turn inf or nan finite
+_FINITE = (math.isfinite, "_finite({})")
+_TESTS = {"sin": _FINITE, "cos": _FINITE, "tanh": _FINITE, "/": _FINITE, "^": _FINITE,
+          "exp": (lambda a: -math.inf < a < _EXP_MAX, f"-inf < {{}} < {_EXP_MAX!r}"),
+          "sqrt": (lambda a: a >= 0.0, "{} >= 0.0")}
 
 
 def _number(a):
@@ -75,12 +80,22 @@ def _fail(tree, label, error):
     return DomainError(pretty(tree), reason if label == "f" else f"{label}: {reason}")
 
 
-def _try(lines, handler):
-    """``lines`` under one floating-point guard: numpy raises on overflow,
-    division by zero or an invalid operation, Python floats raise on division
-    by zero, and ``handler`` runs on the error ``e``."""
-    return ("try:\n    with _errstate(divide='raise', over='raise', invalid='raise'):\n"
-            + "".join(f"        {line}\n" for line in lines)
+def _test(a, test):
+    """The source of the test (predicate, template) on the operand a, or
+    None where a is a number that passes it."""
+    passes, template = test
+    number = _number(a)
+    return None if number is not None and passes(number) else template.format(_source(a))
+
+
+def _try(lines, handler, guard=True):
+    """``lines`` in a try whose ``handler`` runs on the error ``e``: Python
+    floats raise on division by zero, and under the floating-point guard
+    numpy raises on overflow, division by zero or an invalid operation."""
+    if guard:
+        lines = ["with _errstate(divide='raise', over='raise', invalid='raise'):",
+                 *("    " + line for line in lines)]
+    return ("try:\n" + "".join(f"    {line}\n" for line in lines)
             + f"except _ERRORS as e:\n    {handler}\n")
 
 
@@ -240,75 +255,122 @@ class Jet:
         """The operand of the output ``name``; f alone derives nothing."""
         return self.f if name == "f" else self.outputs[name]
 
-    def _program(self, header, names, kind, hoisted=()):
-        """``header``, then straight-line code that computes the outputs
-        ``names`` in turn under one floating-point guard and returns them.
-        Each output computes the temporaries that neither ``hoisted`` nor an
-        output before it computed, and is checked as soon as it is computed,
-        so a failure raises the DomainError of the first output to fail.  On
-        Python floats each output is a float; on arrays each temporary is
-        deleted after its last use, so an evaluation holds no more arrays at
-        once than a nested expression would."""
-        value, finite = _KINDS[kind]
-        outs, done, sections = [self._out(n) for n in names], set(hoisted), []
-        for out in outs:
-            sections.append([t for t in self._needed(out) if t not in done])
-            done.update(sections[-1])
-        body = set() if kind == "floats" else done.difference(hoisted, outs)
-        last = {a: t for temps in sections for t in temps for a in self.ops[t][1] if a in body}
-        single = len(names) == 1  # its label and value need no variable
-        label, names_out = (repr(_LABELS[names[0]]), ["out"]) if single else ("label", names)
+    def _program(self, header, name, hoisted=()):
+        """``header``, then straight-line code on arrays that computes the
+        output ``name`` from the temporaries that ``hoisted`` did not, under
+        one floating-point guard, and returns it; a failure raises the
+        output's DomainError.  Each temporary is deleted after its last use,
+        so an evaluation holds no more arrays at once than a nested
+        expression would."""
+        out, label = self._out(name), repr(_LABELS[name])
+        temps = [t for t in self._needed(out) if t not in hoisted]
+        body = set(temps) - {out}
+        last = {a: t for t in temps for a in self.ops[t][1] if a in body}
         lines = []
-        for name, var, out, temps in zip(names, names_out, outs, sections):
-            lines += [] if single else [f"label = {_LABELS[name]!r}"]
-            for t in temps:
-                dead = sorted({a for a in self.ops[t][1] if last.get(a) == t})
-                lines.append(self._line(t))
-                lines += ["del " + ", ".join(map(_source, dead))] if dead else []
-            lines += [f"{var} = " + value.format(_source(out)), f"if not {finite.format(var)}: "
-                      f"raise _fail(_tree, {label}, 'non-finite result')"]
-        lines.append("return " + ", ".join(names_out))
+        for t in temps:
+            dead = sorted({a for a in self.ops[t][1] if last.get(a) == t})
+            lines.append(self._line(t))
+            lines += ["del " + ", ".join(map(_source, dead))] if dead else []
+        lines += [f"out = {_source(out)}", "if not _isfinite(out).all(): "
+                  f"raise _fail(_tree, {label}, 'non-finite result')", "return out"]
         handler = f"raise _fail(_tree, {label}, e) from None"
         return f"{header}\n" + textwrap.indent(_try(lines, handler), "    ")
 
-    def _binding(self, kind):
-        """The body of ``at(x)`` on the kind of number ``kind``.  It computes
-        the temporaries free of u that f and f_u need once, under one guard,
-        and returns the pair (f, f_u) of functions of u.  Each receives, as
-        default arguments rather than closure cells, which cost every call,
-        the hoisted temporaries it reads (and x, if it reads x), and computes
-        the rest of its output in its unhoisted order.  So a bound function
-        raises exactly what the unhoisted evaluation of its output raises at
-        (x, u): where a hoisted temporary fails, the binding returns those
+    def _float_lines(self, temps, fallback, tested):
+        """The temporaries ``temps`` on Python floats, each after the test in
+        ``_TESTS`` of its operand, which runs ``fallback`` where it fails; a
+        test in ``tested``, which gains those emitted, has passed already.
+        A function is numpy's, its value a float; a power k < 0 is the
+        reciprocal of ``_ipow``'s positive power, as ``_ipow`` takes it on
+        arrays."""
+        lines = []
+        for t in temps:
+            op, args, k = self.ops[t]
+            test = _test(args[op == "/"], _TESTS[op]) if op in _TESTS else None
+            if test and test not in tested:
+                tested.add(test)
+                lines.append(f"if not {test}: {fallback}")
+            if op in FUNCTIONS:
+                lines.append(f"t{t} = _float({op}({_source(args[0])}))")
+            elif op == "^" and k < 0:
+                lines.append(f"t{t} = 1.0 / _ipow({_source(args[0])}, {-k})")
+            else:
+                lines.append(self._line(t))
+        return lines
+
+    def _floats(self, header, names, fallback, hoisted=(), tested=()):
+        """``header``, then straight-line code on Python floats, with no
+        floating-point guard, that computes the outputs ``names`` from the
+        temporaries that ``hoisted`` did not and returns them; the tests
+        ``tested`` have passed.  At any sign of trouble, a division by zero
+        or an overflow that Python raises, a failed operand test or a
+        non-finite output, it runs ``fallback``: the guarded unhoisted
+        evaluation, which defines the result and the error.  Elsewhere
+        Python floats and numpy's float64 run the same IEEE operations, so
+        the result has the bits of that evaluation."""
+        outs = [self._out(n) for n in names]
+        temps = [t for t in self._needed(*outs) if t not in hoisted]
+        lines = self._float_lines(temps, fallback, set(tested))
+        tests = [s for s in (_test(a, _FINITE) for a in dict.fromkeys(outs)) if s]
+        result = "return " + ", ".join(map(_source, outs))
+        lines += [f"if {' and '.join(tests)}:", "    " + result] if tests else [result]
+        code = _try(lines, fallback, guard=False) + fallback + "\n"
+        return f"{header}\n" + textwrap.indent(code, "    ")
+
+    def _binding(self, floats):
+        """The body of ``at(x)``, on Python floats or on arrays.  It computes
+        the temporaries free of u that f and f_u need once and returns the
+        pair (f, f_u) of functions of u.  Each receives, as default arguments
+        rather than closure cells, which cost every call, the hoisted
+        temporaries it reads (and x, if it reads x, as a fallback on Python
+        floats does), and computes the rest of its output in its unhoisted
+        order.  So a bound function returns or raises exactly what the
+        unhoisted evaluation of its output does at (x, u): on arrays it runs
+        under the guard, on Python floats that evaluation is its fallback,
+        and where a hoisted temporary fails the binding returns those
         unhoisted evaluations themselves."""
-        bound = _BINDINGS[kind]
         hoisted = [t for t in self._needed(self.f, self._out("fu")) if not self.has_u[t]]
-        fallback = "return " + ", ".join(f"lambda u, x=x: {call}" for _, _, call in bound)
-        code = _try(map(self._line, hoisted), fallback) if hoisted else ""
-        for fn, name, _ in bound:
+        calls = {name: (f"_float({name}(x, u))" if floats else f"{name}(x, u)")
+                 for name in ("f", "fu")}
+        fallback = "return " + ", ".join(f"lambda u, x=x: {call}" for call in calls.values())
+        tested = set()
+        if floats:
+            lines = self._float_lines(hoisted, fallback, tested)
+            code = "x = _float(x)\n" + (_try(lines, fallback, guard=False) if hoisted else "")
+        else:
+            code = _try(map(self._line, hoisted), fallback) if hoisted else ""
+        for name, call in calls.items():
             out = self._out(name)
             temps = [t for t in self._needed(out) if self.has_u[t]]
             reads = {out, *(a for t in temps for a in self.ops[t][1])}
+            if floats:
+                reads.add("x")
             params = "".join(f", {_source(a)}={_source(a)}" for a in ["x", *hoisted] if a in reads)
-            code += self._program(f"def {fn}(u{params}):", (name,), kind, hoisted)
+            header = f"def bound_{name}(u{params}):"
+            code += (self._floats(header + "\n    u = _float(u)", (name,), "return " + call,
+                                  hoisted, tested) if floats
+                     else self._program(header, name, hoisted))
         return code + "return bound_f, bound_fu\n"
 
     def source(self, name):
         """The source of the function ``name``: f, fu, fx or fuu of arrays
         (x, u); at(x), which binds f and f_u at x, on Python floats when x
         is a Python float and on arrays otherwise; or point, which maps
-        Python floats (x, u) to (f, f_u, f_x)."""
+        Python floats (x, u) to (f, f_u, f_x) and falls back on f, fu and
+        fx in that order."""
         if name == "at":
-            body = "if isinstance(x, _float):\n" + textwrap.indent(self._binding("floats"), "    ")
-            return "def at(x):\n" + textwrap.indent(body + self._binding("arrays"), "    ")
+            body = "if isinstance(x, _float):\n" + textwrap.indent(self._binding(True), "    ")
+            return "def at(x):\n" + textwrap.indent(body + self._binding(False), "    ")
         if name == "point":
-            return self._program("def point(x, u):", ("f", "fu", "fx"), "floats")
-        return self._program(f"def {name}(x, u):", (name,), "arrays")
+            fallback = "return " + ", ".join(f"_float({n}(x, u))" for n in ("f", "fu", "fx"))
+            return self._floats("def point(x, u):\n    x, u = _float(x), _float(u)",
+                                ("f", "fu", "fx"), fallback)
+        return self._program(f"def {name}(x, u):", name)
 
     def compile(self, *names):
         """The named functions, each compiled once into the tree's one
-        namespace, where a binding's unhoisted calls find f and fu
-        (``expr.jet`` compiles at with them); the names not compiled yet
+        namespace, where the fallbacks of at and point find f, fu and fx
+        (``expr.jet`` compiles them together); the names not compiled yet
         share one compile."""
         todo = [n for n in names if n not in self.namespace]
         if todo:

@@ -30,6 +30,7 @@ import numpy as np
 
 from . import contact
 from .contact import GAP_FLOOR, TOL_EVENT, TOL_POS
+from .fluxes import DomainError
 from .stationary import InversionError, LevelConstants, g_of, level_constants, solve_level
 
 # default integrator step before event capping
@@ -82,6 +83,13 @@ class ProfileInversionError(InversionError, TrackerError):
 
     def __init__(self, err, st):
         self.x, self.level = err.x, err.level
+        TrackerError.__init__(self, str(err), st)
+
+
+class FluxDomainError(DomainError, TrackerError):
+    """A flux's ``DomainError`` inside a solve: its message, with the solve's state."""
+
+    def __init__(self, err, st):
         TrackerError.__init__(self, str(err), st)
 
 
@@ -548,6 +556,8 @@ class Tracker:
                 record.append((st.t, st.y, v, st.z, st.ids, st.next_id))
         except InversionError as err:
             raise ProfileInversionError(err, st) from err
+        except DomainError as err:
+            raise FluxDomainError(err, st) from err
         out = st.to_field(self.delta, quantization=field_.quantization)
         out = replace(out, time=t_target)
         # a (near-)no-op advance may leave just-born fan siblings co-located

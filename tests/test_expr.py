@@ -560,11 +560,75 @@ def test_a_bound_function_takes_only_the_hoisted_temporaries_it_reads(monkeypatc
         params = [a.arg for a in fn.args.args[1:]]
         assert [d.id for d in fn.args.defaults] == params
         assert set(params) == {name for name in read if re.fullmatch(r"x|t\d+", name)}
-    # the dsl_fan flux's binding reads 1 + 0.5 sin(x) alone
+    # the dsl_fan flux's binding reads 1 + 0.5 sin(x) alone, and on Python
+    # floats x too, for the unhoisted evaluation it falls back on
     flux = make_builtin_flux("custom_expr", expr="(1+0.5*sin(x))*u^2/2 + u^4/12")
-    for bound in (*flux.at(0.3), *flux.at(np.array([0.3]))):
-        assert bound.__code__.co_varnames[1:bound.__code__.co_argcount] == ("t2",)
-        assert bound.__defaults__ == (1.0 + 0.5 * np.sin(0.3),)
+    for x, reads in ((0.3, ("x",)), (np.array([0.3]), ())):
+        for bound in flux.at(x):
+            assert bound.__code__.co_varnames[1:bound.__code__.co_argcount] == (*reads, "t2")
+            assert bound.__defaults__ == (*([x] if reads else []), 1.0 + 0.5 * np.sin(0.3))
+
+
+def _floats_or_message(call):
+    """The bits of the Python floats call() returns, or its DomainError message."""
+    try:
+        values = call()
+    except fx.DomainError as e:
+        return str(e)
+    assert all(type(v) is float for v in values)
+    return bits(values)
+
+
+def assert_float_bindings_match(flux, xs, us):
+    """On Python floats, at(x)'s f and f_u and point(x, u) return the bits,
+    or raise the DomainError message, of the unhoisted f, fu and fx (the
+    first of them to fail, for point) at the Python floats equal to (x, u)."""
+    def unhoisted(*fns):
+        return _floats_or_message(lambda: [float(fn(float(x), float(u))) for fn in fns])
+
+    for x in xs:
+        f, fu = flux.at(x)
+        for u in us:
+            assert _floats_or_message(lambda: [f(u)]) == unhoisted(flux.f)
+            assert _floats_or_message(lambda: [fu(u)]) == unhoisted(flux.fu)
+            assert _floats_or_message(lambda: flux.point(x, u)) == \
+                unhoisted(flux.f, flux.fu, flux.fx)
+
+
+@given(all_op_trees())
+@settings(max_examples=300, deadline=None)
+def test_float_bindings_have_the_bits_of_the_unhoisted_functions(tree):
+    assert_float_bindings_match(make_builtin_flux("custom_expr", expr=tree),
+                                WALK_X.tolist(), WALK_U.tolist())
+
+
+@pytest.mark.parametrize("operand, masked", [("u", True), ("sqrt(u^2)", False)],
+                         ids=["python_floats", "numpy_scalars"])
+@pytest.mark.parametrize("text", [
+    "tanh(1e300*u*1e300)", "exp(-(1e300*u*1e300))", "1/(1e300*u*1e300)",
+    "(1e300*u*1e300)^-2", "(1e300*u*1e300)^0"])
+def test_an_overflow_masked_into_a_finite_output_is_the_unhoisted_one(text, operand, masked):
+    # the product overflows to inf and the operation after it turns inf
+    # finite; Python floats overflow silently, so the unhoisted f returns
+    # that finite value at u = 2, while on the numpy scalar sqrt(u^2) = 2
+    # its guard raises
+    flux = make_builtin_flux("custom_expr", expr=text.replace("u", operand))
+    assert isinstance(_floats_or_message(lambda: [float(flux.f(0.3, 2.0))]), list) == masked
+    # numpy's float64, a float subclass, is taken as the Python float it equals
+    assert_float_bindings_match(flux, [0.3, np.float64(0.3)], [2.0, np.float64(2.0)])
+
+
+def test_the_float_path_enters_no_floating_point_guard(monkeypatch):
+    entered = []
+    errstate = jet._NAMESPACE["_errstate"]
+    monkeypatch.setitem(jet._NAMESPACE, "_errstate",
+                        lambda **kw: entered.append(kw) or errstate(**kw))
+    flux = make_builtin_flux("custom_expr", expr="(1+0.5*sin(x))*u^2/2 + u^4/12")
+    f, fu = flux.at(0.3)
+    assert (f(0.7), fu(0.7)) == flux.point(0.3, 0.7)[:2]
+    assert entered == []
+    flux.at(np.array([0.3]))
+    assert entered
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from scipy.optimize import brentq
 
 from fronttrack import contact
 from fronttrack.contact import first_contact
-from fronttrack.fluxes import audit_assumptions, certify, make_builtin_flux
+from fronttrack.fluxes import DomainError, audit_assumptions, certify, make_builtin_flux
 from fronttrack.profiles import make_initial
 from fronttrack.stationary import InversionError, g_of, level_constants, solve_level
 from fronttrack.tracker import (Tracker, TrackedSolution, FrontField, FrontFieldError,
@@ -16,7 +16,7 @@ from fronttrack.tracker import (Tracker, TrackedSolution, FrontField, FrontField
                                 common_pieces,
                                 TrackerError, OrderingLostError, LoopLimitError,
                                 WindowExitError, DegenerateStatesError,
-                                ProfileInversionError, TOL_POS,
+                                ProfileInversionError, FluxDomainError, TOL_POS,
                                 TOL_EVENT, _State, _tv_z)
 from fronttrack.validation import SingleFrontSolution
 
@@ -1778,13 +1778,21 @@ def _inversion(monkeypatch):
     return Tracker(replace(MODULATED, alpha=50.0), 0.5, (-2, 2)), f0, 1.0
 
 
+def _flux_domain(monkeypatch):
+    # sqrt(x) has no value at the left front's x = -0.5
+    flux = replace(make_builtin_flux("custom_expr", expr="(1+sqrt(x))*u^2/2"), alpha=1.0)
+    return Tracker(flux, 0.01, (-2, 2)), initial_fronts([-0.5, 0.5], [0, 20, 0], 0.01), 0.5
+
+
 @pytest.mark.parametrize("error, setup", [
     (OrderingLostError, _ordering_lost),
     (WindowExitError, _window_exit),
     (LoopLimitError, _loop_limit),
     (DegenerateStatesError, _degenerate),
     (ProfileInversionError, _inversion),
-], ids=["ordering_lost", "window_exit", "loop_limit", "degenerate", "inversion"])
+    (FluxDomainError, _flux_domain),
+], ids=["ordering_lost", "window_exit", "loop_limit", "degenerate", "inversion",
+        "flux_domain"])
 def test_advance_failures_carry_time_positions_and_dump(monkeypatch, error, setup):
     tr, f0, t_end = setup(monkeypatch)
     with pytest.raises(error) as info:
@@ -1806,6 +1814,17 @@ def test_an_inversion_failure_in_a_solve_keeps_its_x_level_and_message(monkeypat
     assert (err.x, err.level) == (0.3, 0.5)
     assert str(err).splitlines()[0] == str(InversionError(0.3, 0.5))
     assert type(err.__cause__) is InversionError
+
+
+def test_a_flux_domain_error_in_a_solve_keeps_its_message(monkeypatch):
+    tr, f0, t_end = _flux_domain(monkeypatch)
+    with pytest.raises(DomainError) as info:
+        tr.advance(f0, t_end)
+    err = info.value
+    assert isinstance(err, TrackerError)
+    assert type(err.__cause__) is DomainError
+    assert str(err).splitlines()[0] == str(err.__cause__)
+    assert "sqrt" in str(err.__cause__)
 
 
 def test_profile_min_abs_diagnostic():
