@@ -3,7 +3,8 @@
 Experiments are described by INI-style config files (flux family or DSL
 expression, initial profile, delta, window, horizon, checks).  A run writes
 profile CSVs, an event-log CSV and a JSON manifest; the exit status is
-nonzero iff any requested check fails or a solver invariant is breached.
+nonzero iff any requested check fails (1), the config is invalid or the audit
+rejects the flux (2), or the solve raises a ``TrackerError`` (3).
 Each randomized check draws from a stream of Python's ``random`` keyed by the
 config seed and its name, so results are reproducible byte for byte.
 """
@@ -27,8 +28,8 @@ from .fluxes import (DomainError, make_builtin_flux, audit_assumptions, certify,
                      default_envelope)
 from .profiles import make_initial
 from .stationary import g_of
-from .tracker import (H_ODE_DEFAULT, Tracker, TrackedSolution, quantize_initial,
-                      sample_initial, sample_u, sample_g, tv_g)
+from .tracker import (H_ODE_DEFAULT, Tracker, TrackedSolution, TrackerError,
+                      quantize_initial, sample_initial, sample_u, sample_g, tv_g)
 # perfbench/tracing.py wraps the entries of this very dict in place
 from .validation import CHECKS as _CHECK_IMPL, RunContext, ValidationReport
 
@@ -219,6 +220,9 @@ def _from_config(section, option, build, *args, **kwargs):
 def run(cfg, out_dir, verbose=False):
     """Execute one configured experiment; returns (manifest dict, exit status).
 
+    A solve that raises a TrackerError ends the run with status 3: its
+    manifest.json holds the error record and failure.txt the solve's state.
+
     Raises ConfigError if the flux, the initial profile or the tracker cannot
     be built from the config, or if the flux does not evaluate on the working window.
     """
@@ -294,9 +298,12 @@ def run(cfg, out_dir, verbose=False):
     if not times or times[-1] < cfg.t_end:
         times = times + [cfg.t_end]
     clock = _time.perf_counter()
-    for t in times:
-        fields[t], piece_log = solution.advance(t)
-        log.extend(piece_log)
+    try:
+        for t in times:
+            fields[t], piece_log = solution.advance(t)
+            log.extend(piece_log)
+    except TrackerError as e:
+        return _solve_failed(manifest, e, out_dir, started)
     say(f"solve: {len(log)} events, {_time.perf_counter() - clock:.3f} s")
 
     clock = _time.perf_counter()
@@ -330,6 +337,23 @@ def run(cfg, out_dir, verbose=False):
     status = 0 if report.passed else 1
     say(f"done: {'ok' if status == 0 else 'CHECK FAILURES'}")
     return manifest, status
+
+
+def _solve_failed(manifest, err, out_dir, started):
+    """The manifest and status 3 of a solve that raised err, a TrackerError
+    (which carries the solve's state): manifest.json records the error, and
+    failure.txt holds the state's dump."""
+    manifest["error"] = {
+        "type": type(err).__name__,
+        "message": str(err).removesuffix(f"\n{err.dump}"),
+        "time": err.time,
+        "front_count": len(err.positions),
+    }
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, "failure.txt"), "w", newline="\n") as fh:
+        fh.write(f"{err.dump}\n")
+    _write_manifest(manifest, out_dir, started)
+    return manifest, 3
 
 
 def _finite_or_null(obj):

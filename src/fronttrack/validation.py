@@ -8,9 +8,10 @@ are pure functions over immutable inputs and report measured-vs-bound pairs.
 reads a ``RunContext`` and adds its measured-vs-bound rows to a report.
 
 The package imports this module on the first read of one of its names, and
-it loads numpy and nothing heavier: scipy is imported inside
-``SingleFrontSolution``, the one oracle that uses it, and any other function
-that needs scipy must likewise import it in its own body.
+it loads numpy and nothing heavier. scipy is a test-only dependency (the
+``test`` extra): it is imported inside ``SingleFrontSolution``, the one oracle
+that uses it and the one name that needs the extra, and nothing else may
+import it, so every run and check works with numpy alone.
 """
 
 from __future__ import annotations
@@ -371,7 +372,10 @@ def characteristic_fan(flux, x_origin, g_l, g_r, T, n_chars=64, steps=2000):
 
 class SingleFrontSolution:
     """Independent oracle for one front: scipy RK45 on the jump ODE with
-    brentq-based profile inversion (shares no numerics with the tracker)."""
+    brentq-based profile inversion (shares no numerics with the tracker).
+
+    The tests' oracle, and the one name that needs scipy, which the ``test``
+    extra installs; building one without scipy raises ImportError."""
 
     def __init__(self, flux, g_l, g_r, x0, t_max):
         from scipy.integrate import solve_ivp

@@ -9,7 +9,7 @@ from fronttrack import cli, validation
 from fronttrack.cli import (load_config, run, main, ConfigError, emit_events,
                             emit_profile, read_profile)
 from fronttrack.fluxes import make_builtin_flux
-from fronttrack.tracker import Event, Tracker, initial_fronts
+from fronttrack.tracker import Event, Tracker, WindowExitError, initial_fronts
 
 GOOD_CONFIG = """
 [flux]
@@ -387,6 +387,72 @@ def test_config_error_after_the_audit_leaves_no_output_directory(tmp_path, capsy
     assert main(["--out", str(out), "run", bad]) == 2
     assert "[tolerances] h_ode" in capsys.readouterr().err
     assert not os.path.exists(str(out))
+
+
+def _wide_sqrt_flux_config():
+    """benchmark.ini on a flux whose sampled audit certifies too large an alpha
+    (min f_uu = 1 at x = 0, which the grid misses), so the solve cannot bracket
+    a level and raises a ProfileInversionError at its start."""
+    with open(BENCHMARK_INI) as fh:
+        text = fh.read()
+    for old, new in (("family = modulated_burgers\nbase = 1.0\namp = 0.5",
+                      "family = custom_expr\nexpr = sqrt(1 + 0.237*x^2)*u^2/2"),
+                     ("window = -3, 3", "window = -54, 54")):
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    return text
+
+
+def _assert_failure_record(out, kind, message, front_count):
+    assert sorted(os.listdir(out)) == ["failure.txt", "manifest.json"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["audit"]["passed"]
+    error = manifest["error"]
+    assert error["type"] == kind and error["message"].startswith(message)
+    assert "\n" not in error["message"] and error["front_count"] == front_count
+    dump = (out / "failure.txt").read_text()
+    assert dump.startswith(f"t={error['time']!r}\npositions=array(") and "\nids=array(" in dump
+    return manifest, dump
+
+
+def test_a_failed_solve_writes_its_manifest_and_dump(tmp_path, capsys):
+    config = write_config(tmp_path, _wide_sqrt_flux_config(), "wide.ini")
+    out = tmp_path / "results"
+    assert main(["--out", str(out), "run", config]) == 3
+    assert capsys.readouterr().err == f"{config}: exit status 3\n"  # no traceback
+    manifest, _ = _assert_failure_record(out, "ProfileInversionError", "cannot bracket level",
+                                         73)
+    assert manifest["error"]["time"] == 0.0
+
+
+def test_a_sweep_goes_on_past_a_failed_solve(tmp_path):
+    write_config(tmp_path, _wide_sqrt_flux_config(), "a_wide.ini")
+    write_config(tmp_path, open(BENCHMARK_INI).read(), "b_benchmark.ini")
+    out = tmp_path / "sweep"
+    assert main(["--out", str(out), "sweep", str(tmp_path / "*.ini")]) == 3
+    _assert_failure_record(out / "a_wide", "ProfileInversionError", "cannot bracket level", 73)
+    manifest = json.loads((out / "b_benchmark" / "manifest.json").read_text())
+    assert "error" not in manifest and manifest["checks"]["passed"]
+
+
+def test_a_window_exit_in_the_solve_exits_3(tmp_path, monkeypatch):
+    # the first check of the window after a step raises, whatever the flux
+    raised = []
+
+    def leave(self, st):
+        raised.append(WindowExitError(float(st.y[-1]), st))
+        raise raised[-1]
+
+    monkeypatch.setattr(Tracker, "_check_window", leave)
+    cfg = load_config(write_config(tmp_path, GOOD_CONFIG))
+    manifest, status = run(cfg, str(tmp_path / "out"))
+    assert status == 3
+    (err,) = raised
+    _, dump = _assert_failure_record(tmp_path / "out", "WindowExitError",
+                                     "front left the working window at x=", len(err.positions))
+    assert manifest["error"] == {"type": "WindowExitError", "message": str(err).split("\n")[0],
+                                 "time": err.time, "front_count": len(err.positions)}
+    assert err.time > 0.0 and dump == err.dump + "\n"
 
 
 LONG_SUM = " + ".join(["u^2"] * 1500)

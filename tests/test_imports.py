@@ -7,6 +7,7 @@ numbers from the standard library's ``random``, so no run loads numpy.random.
 """
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -80,6 +81,35 @@ def test_cli_run_with_every_check_loads_no_numpy_ma(tmp_path):
     assert "numpy.ma" not in loaded
     assert "numpy.random" not in loaded
     assert (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_benchmark_with_every_check_runs_and_passes_without_scipy(tmp_path):
+    # scipy is a test-only dependency: with its import made to fail, a run of
+    # benchmark.ini with all seven checks still exits 0
+    from fronttrack.validation import CHECKS
+
+    text = open(BENCHMARK_INI).read()
+    listed = "names = tvd, entropy, lipschitz_l1, characteristics, inversion_bounds\n"
+    assert text.count(listed) == 1
+    config = tmp_path / "run.ini"
+    config.write_text(text.replace(listed, "names = " + ", ".join(CHECKS) + "\n"))
+    out = tmp_path / "out"
+    code = ("import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "try:\n"
+            "    import scipy\n"
+            "    sys.exit('scipy imported')\n"
+            "except ImportError:\n"
+            "    pass\n"
+            "from fronttrack import cli\n"
+            "sys.exit(cli.main(['--out', sys.argv[1], 'run', sys.argv[2]]))\n")
+    done = subprocess.run([sys.executable, "-c", code, str(out), str(config)],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC})
+    assert done.returncode == 0, done.stderr
+    manifest = json.loads((out / "manifest.json").read_text())
+    records = manifest["checks"]["checks"]
+    assert set(CHECKS) <= {r["name"].split(".")[0] for r in records}
+    assert all(r["passed"] for r in records) and manifest["checks"]["passed"]
 
 
 def _cli_run_loads(tmp_path, config):

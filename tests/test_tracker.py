@@ -65,6 +65,16 @@ def test_quantize_sine_l1_error_within_reported_bound():
     assert diag.l1_sampled <= 0.01 / 2 * (window[1] - window[0])
 
 
+def test_sine_initial_profile_is_amp_sin_of_freq_x_plus_phase():
+    x = np.linspace(-4.0, 4.0, 101)
+    u0 = make_initial("sine", amp=0.3, freq=2.5, phase=-0.7)
+    assert np.array_equal(u0(x), 0.3 * np.sin(2.5 * x - 0.7))
+    assert u0(1.25) == 0.3 * np.sin(2.5 * 1.25 - 0.7)
+    assert np.array_equal(make_initial("sine")(x), np.sin(x))  # amp 1, freq 1, phase 0
+    with pytest.raises(ValueError, match="unknown sine params"):
+        make_initial("sine", amp=0.3, wavelength=2.0)
+
+
 @pytest.mark.parametrize("kwargs", [{"h_ode": -0.01}, {"h_ode": float("nan")},
                                     {"h_ode": 0.0}, {"delta": float("inf")}])
 def test_tracker_rejects_bad_step_or_delta(kwargs):
